@@ -10,10 +10,9 @@ from .errors import (ConfigError, DomainError, GridError, ProbabilityError,
                      SpinBosonError, StepError, ToleranceError)
 from .specfun import (EULER_GAMMA, cosine_integral, expint_e1,
                       sin_cos_integral, sine_integral)
-from .model import (MAX_OMEGA0_RATIO, OhmicSpectralDensity, RateSet,
-                    SystemParams, default_rate_step, rate_table,
+from .model import (MAX_OMEGA0_RATIO, RateSet, SystemParams, rate_table,
                     rates_closed_form, rates_quadrature, sign_changes,
-                    spectral_density, uniform_grid)
+                    uniform_grid)
 from .dynamics import (DensityMatrix, DynamicalMap, KernelTable, apply_map,
                        apply_map_series, blp_measure, build_kernels,
                        ode_oracle, pair_directions, recoherence_mask,
@@ -22,7 +21,6 @@ from .nmqj import (EnsembleState, PureState, UnravelingResult,
                    UnravelingSnapshot, count_difference_series,
                    deterministic_step, ensemble_density, equal_superposition,
                    member_uniforms, run_unraveling, step_ensemble)
-from .cli import RunConfig, main
 
 __version__ = "0.1.0"
 
@@ -31,9 +29,8 @@ __all__ = [
     "SpinBosonError", "StepError", "ToleranceError",
     "EULER_GAMMA", "cosine_integral", "expint_e1", "sin_cos_integral",
     "sine_integral",
-    "MAX_OMEGA0_RATIO", "OhmicSpectralDensity", "RateSet", "SystemParams",
-    "default_rate_step", "rate_table", "rates_closed_form",
-    "rates_quadrature", "sign_changes", "spectral_density", "uniform_grid",
+    "MAX_OMEGA0_RATIO", "RateSet", "SystemParams", "rate_table",
+    "rates_closed_form", "rates_quadrature", "sign_changes", "uniform_grid",
     "DensityMatrix", "DynamicalMap", "KernelTable", "apply_map",
     "apply_map_series", "blp_measure", "build_kernels", "ode_oracle",
     "pair_directions", "recoherence_mask", "trace_distance",
@@ -41,6 +38,5 @@ __all__ = [
     "count_difference_series", "deterministic_step", "ensemble_density",
     "equal_superposition", "member_uniforms", "run_unraveling",
     "step_ensemble",
-    "RunConfig", "main",
     "__version__",
 ]

@@ -26,7 +26,7 @@ import numpy as np
 
 from .dynamics import (DensityMatrix, apply_map_series, blp_measure,
                        build_kernels, recoherence_mask)
-from .errors import ConfigError, SpinBosonError
+from .errors import ConfigError, GridError, SpinBosonError
 from .model import SystemParams, rate_table, uniform_grid
 from .nmqj import count_difference_series, run_unraveling
 
@@ -72,14 +72,11 @@ class RunConfig:
                 f"omega0_over_omegac must be > 0, got {self.omega0_over_omegac}")
         if self.alpha < 0.0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
-        if self.t_max <= 0.0:
-            raise ConfigError(f"t_max must be > 0, got {self.t_max}")
-        if self.dt <= 0.0:
-            raise ConfigError(f"dt must be > 0, got {self.dt}")
-        n = round(self.t_max / self.dt)
-        if n < 1 or abs(n * self.dt - self.t_max) > 1e-9:
-            raise ConfigError(
-                f"dt={self.dt} must divide t_max={self.t_max} to 1e-9")
+        try:
+            uniform_grid(self.t_max, self.dt)
+        except GridError as err:
+            raise ConfigError(f"bad time grid t_max={self.t_max}, "
+                              f"dt={self.dt}: {err}") from err
         if self.n_traj < 1:
             raise ConfigError(f"n_traj must be >= 1, got {self.n_traj}")
         if not 0 <= self.seed < 2 ** 64:

@@ -22,7 +22,6 @@ times are in units of 1/omega_c.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -100,24 +99,6 @@ class SystemParams:
 
 
 @dataclass(frozen=True)
-class OhmicSpectralDensity:
-    """Ohmic bath spectral density J(omega) = (alpha/2) omega e^(-omega/omega_c)."""
-
-    alpha: float
-    omega_c: float = 1.0
-
-    def __call__(self, omega: float) -> float:
-        return spectral_density(self, omega)
-
-
-def spectral_density(sd: OhmicSpectralDensity, omega: float) -> float:
-    """Evaluate J(omega) for omega >= 0."""
-    if omega < 0.0:
-        raise DomainError(f"spectral density defined for omega >= 0, got {omega}")
-    return 0.5 * sd.alpha * omega * math.exp(-omega / sd.omega_c)
-
-
-@dataclass(frozen=True)
 class RateSet:
     """All decay rates at one time: bare (gamma_plus/minus/zero) and channel."""
 
@@ -136,97 +117,58 @@ class RateSet:
                 raise DomainError(f"rate {name} is not finite at t={self.t}")
 
 
-def _gamma_plus_raw(x: float, y: float, alpha: float, omega_c: float) -> float:
-    """Downward rate at +omega0; x = omega0*t, y = omega0/omega_c.
-
-    The Si/Ci combination in the closed form reduces to
-    pi + Im E1(-y + ix), which is evaluated directly: the E1 form is
-    stable for all y <= 300 where the naive Si/Ci bracket loses all
-    significant digits to cancellation against the e^{-y} prefactor.
-    """
-    if x == 0.0:
-        return 0.0
-    wct = x / y  # omega_c * t
-    rational = alpha * omega_c / (1.0 + wct * wct) * (
-        wct * math.cos(x) - math.sin(x))
-    bracket = math.pi + expint_e1(complex(-y, x)).imag
-    return rational + alpha * y * omega_c * math.exp(-y) * bracket
-
-
-def _gamma_minus_raw(x: float, y: float, alpha: float, omega_c: float) -> float:
-    """Upward (heating) rate at -omega0; stable companion of _gamma_plus_raw.
-
-    Here the Si/Ci combination reduces to -Im[e^{y} E1(y - ix)]; the
-    product never overflows for y <= 300 because E1(y - ix) ~ e^{-y}/|z|.
-    """
-    if x == 0.0:
-        return 0.0
-    wct = x / y
-    rational = alpha * omega_c / (1.0 + wct * wct) * (
-        wct * math.cos(x) + math.sin(x))
-    val = -(math.exp(y) * expint_e1(complex(y, -x))).imag
-    return rational + alpha * y * omega_c * val
-
-
-def _gamma_zero_raw(t: float, alpha: float, omega_c: float) -> float:
-    """Pure-dephasing rate alpha*omega_c^2*t / (1 + omega_c^2 t^2)."""
-    wct = omega_c * t
-    return alpha * omega_c * wct / (1.0 + wct * wct)
-
-
-def rates_closed_form(p: SystemParams, t: float) -> RateSet:
-    """All rates at time t from the closed-form expressions.
-
-    t = 0 is handled explicitly (every rate vanishes there); no special
-    function is evaluated at its singular point.
-    """
-    if t < 0.0:
-        raise DomainError(f"rates defined for t >= 0, got t={t}")
-    w0 = p.omega0
-    if t == 0.0:
-        gp = gm = g0 = 0.0
-    else:
-        x = w0 * t
-        y = w0 / p.omega_c
-        gp = _gamma_plus_raw(x, y, p.alpha, p.omega_c)
-        gm = _gamma_minus_raw(x, y, p.alpha, p.omega_c)
-        g0 = _gamma_zero_raw(t, p.alpha, p.omega_c)
-    wt = p.delta * p.delta / (4.0 * w0 * w0)
-    wz = p.epsilon * p.epsilon / (4.0 * w0 * w0)
-    return RateSet(t=t, gamma_plus=gp, gamma_minus=gm, gamma_zero=g0,
-                   gamma1=wt * gp, gamma2=wt * gm, gamma3=wz * g0)
-
-
 def rate_table(p: SystemParams, tgrid: np.ndarray) -> dict[str, np.ndarray]:
     """Sample all rates on a time grid; returns arrays keyed like RateSet.
 
-    Equivalent to calling rates_closed_form per point but skips the
-    per-point container construction (grids routinely hold 1e5 points).
+    This is the package's one closed-form rate evaluation.  With
+    x = omega0*t and y = omega0/omega_c, the Si/Ci combinations of the
+    closed form reduce to E1 at +-y + ix, which is evaluated directly:
+
+    * gamma_plus (downward, at +omega0) uses pi + Im E1(-y + ix).  The E1
+      form is stable for all y <= 300, where the naive Si/Ci bracket loses
+      all significant digits to cancellation against the e^{-y} prefactor.
+    * gamma_minus (upward, at -omega0) uses -Im[e^{y} E1(y - ix)]; the
+      product never overflows for y <= 300 because E1(y - ix) ~ e^{-y}/|z|.
+    * gamma_zero (pure dephasing) is alpha*omega_c^2*t / (1 + omega_c^2 t^2).
+
+    Every rate vanishes at t = 0, which is handled explicitly: no special
+    function is evaluated at its singular point.
     """
     tgrid = np.asarray(tgrid, dtype=float)
-    if tgrid.size and tgrid.min() < 0.0:
-        raise DomainError("rates defined for t >= 0")
-    w0 = p.omega0
-    y = w0 / p.omega_c
-    gp = np.empty(tgrid.size)
-    gm = np.empty(tgrid.size)
-    for i, t in enumerate(tgrid):
-        x = w0 * t
-        gp[i] = _gamma_plus_raw(x, y, p.alpha, p.omega_c)
-        gm[i] = _gamma_minus_raw(x, y, p.alpha, p.omega_c)
-    wct = p.omega_c * tgrid
-    g0 = p.alpha * p.omega_c * wct / (1.0 + wct * wct)
-    wt = p.delta * p.delta / (4.0 * w0 * w0)
-    wz = p.epsilon * p.epsilon / (4.0 * w0 * w0)
+    if tgrid.size and not tgrid.min() >= 0.0:  # also catches NaN
+        raise DomainError(f"rates defined for t >= 0, got t={tgrid.min()}")
+    w0, wc, alpha = p.omega0, p.omega_c, p.alpha
+    y = w0 / wc
+    wct = wc * tgrid
+    live = tgrid > 0.0
+    x, u = w0 * tgrid[live], wct[live]
+    lorentz = alpha * wc / (1.0 + u * u)
+    cos_x, sin_x = np.cos(x), np.sin(x)
+    scale = alpha * y * wc
+    gp = np.zeros(tgrid.shape)
+    gm = np.zeros(tgrid.shape)
+    gp[live] = lorentz * (u * cos_x - sin_x) + scale * math.exp(-y) \
+        * (math.pi + expint_e1(-y + 1j * x).imag)
+    gm[live] = lorentz * (u * cos_x + sin_x) - scale * math.exp(y) \
+        * expint_e1(y - 1j * x).imag
     if not (np.all(np.isfinite(gp)) and np.all(np.isfinite(gm))):
         raise DomainError("non-finite rate in table")
+    g0 = alpha * wc * wct / (1.0 + wct * wct)
+    wt = p.delta * p.delta / (4.0 * w0 * w0)
+    wz = p.epsilon * p.epsilon / (4.0 * w0 * w0)
     return {"gamma_plus": gp, "gamma_minus": gm, "gamma_zero": g0,
             "gamma1": wt * gp, "gamma2": wt * gm, "gamma3": wz * g0}
 
 
-def default_rate_step(p: SystemParams) -> float:
-    """Grid step resolving the omega0 oscillation with >= 20 points/period."""
-    return 0.005 / p.omega_c * min(1.0, 10.0 * p.omega_c / p.omega0)
+def rates_closed_form(p: SystemParams, t: float) -> RateSet:
+    """All rates at time t: a one-point rate_table."""
+    table = rate_table(p, np.array([t], dtype=float))
+    return RateSet(t=t, **{name: float(v[0]) for name, v in table.items()})
+
+
+#: most points a uniform time grid may hold (80 MB per float64 array);
+#: a larger request is an input error, not an allocation to attempt
+MAX_GRID_POINTS = 10_000_000
 
 
 def uniform_grid(t_max: float, h: float) -> np.ndarray:
@@ -234,11 +176,18 @@ def uniform_grid(t_max: float, h: float) -> np.ndarray:
 
     The divisibility check tolerates 1e-9 absolute mismatch; grid points
     are exact multiples of h, so the last point may differ from t_max by
-    up to that tolerance.
+    up to that tolerance.  Non-finite inputs and grids of more than
+    MAX_GRID_POINTS points also raise GridError.
     """
-    if h <= 0.0 or t_max <= 0.0:
-        raise GridError(f"need h > 0 and t_max > 0, got h={h}, t_max={t_max}")
-    n = round(t_max / h)
+    if not (math.isfinite(h) and math.isfinite(t_max)) \
+            or h <= 0.0 or t_max <= 0.0:
+        raise GridError(f"need finite h > 0 and t_max > 0, "
+                        f"got h={h}, t_max={t_max}")
+    steps = t_max / h
+    if steps > MAX_GRID_POINTS - 1:
+        raise GridError(f"t_max/h = {steps:g} steps exceeds the grid cap of "
+                        f"{MAX_GRID_POINTS} points")
+    n = round(steps)
     if n < 1 or abs(n * h - t_max) > 1e-9:
         raise GridError(f"step {h} does not divide t_max {t_max}")
     return np.arange(n + 1) * h
@@ -316,7 +265,8 @@ def sign_changes(p: SystemParams, channel: int, t_max: float) -> list[float]:
     """Times in (0, t_max] where a channel rate crosses zero.
 
     Brackets on a grid of step 0.01/omega_c and refines each bracket by
-    plain bisection on the sign to 1e-8/omega_c.  Bisection decisions
+    plain bisection on the sign to 1e-8/omega_c; all brackets advance
+    together, one rate_table call per bisection step.  Bisection decisions
     depend only on the sign of the rate, so for channels 1 and 2 the
     returned times are bit-identical across any epsilon/delta at fixed
     omega0/omega_c (the channel weights are positive constants).
@@ -326,31 +276,29 @@ def sign_changes(p: SystemParams, channel: int, t_max: float) -> list[float]:
     if channel not in (1, 2, 3):
         raise DomainError(f"channel must be 1, 2, or 3, got {channel}")
 
-    key = {1: "gamma1", 2: "gamma2", 3: "gamma3"}[channel]
-
-    def rate(t: float) -> float:
-        return getattr(rates_closed_form(p, t), key)
-
+    key = f"gamma{channel}"
     step = 0.01 / p.omega_c
     n = int(math.ceil(t_max / step))
-    crossings: list[float] = []
-    t_lo = step  # rates all vanish at t=0; start bracketing after it
-    f_lo = rate(t_lo)
-    for i in range(2, n + 1):
-        t_hi = min(i * step, t_max)
-        f_hi = rate(t_hi)
-        if f_lo == 0.0:
-            crossings.append(t_lo)
-        elif f_lo * f_hi < 0.0:
-            lo, hi = t_lo, t_hi
-            while hi - lo > 1e-8 / p.omega_c:
-                mid = 0.5 * (lo + hi)
-                if math.copysign(1.0, rate(mid)) == math.copysign(1.0, f_lo):
-                    lo = mid
-                else:
-                    hi = mid
-            crossings.append(0.5 * (lo + hi))
-        t_lo, f_lo = t_hi, f_hi
-        if t_hi >= t_max:
+    if n < 2:
+        return []
+    # rates all vanish at t=0; bracketing starts at t = step and ends at
+    # the first grid point that reaches t_max
+    t = np.arange(1, n + 1) * step
+    t[1:] = np.minimum(t[1:], t_max)
+    t = t[:np.count_nonzero(t[1:] < t_max) + 2]
+    f = rate_table(p, t)[key]
+    f_lo, f_hi = f[:-1], f[1:]
+    exact = t[:-1][f_lo == 0.0]
+    bracket = f_lo * f_hi < 0.0
+    lo, hi = t[:-1][bracket], t[1:][bracket]
+    sign_lo = np.copysign(1.0, f_lo[bracket])
+    tol = 1e-8 / p.omega_c
+    while True:
+        active = np.flatnonzero(hi - lo > tol)
+        if not active.size:
             break
-    return crossings
+        mid = 0.5 * (lo[active] + hi[active])
+        same = np.copysign(1.0, rate_table(p, mid)[key]) == sign_lo[active]
+        lo[active[same]] = mid[same]
+        hi[active[~same]] = mid[~same]
+    return np.sort(np.concatenate([exact, 0.5 * (lo + hi)])).tolist()

@@ -1,236 +1,50 @@
 """Complex exponential, sine, and cosine integrals in double precision.
 
-The decay-rate formulas of this package need E1, Si, and Ci at complex
-arguments z = x + iy with x = omega0*t and y = omega0/omega_c, which is a
-domain the standard scipy special functions do not cover (scipy's ``exp1``
-and ``sici`` are real-only for the ranges needed here).  This module
-implements the principal branch of E1 with a four-region evaluation scheme
-and derives Si and Ci from it, following the classical identities
-
-    Si(z) = [E1(iz) - E1(-iz)] / (2i) + pi/2
-    Ci(z) = -[E1(iz) + E1(-iz)] / 2          (Re z >= 0)
-
-Accuracy target: relative error <= 1e-12 for |z| <= 500 away from the
-negative real axis (the branch cut).  The test fixtures were generated
-with 40-digit arithmetic; the sweep worst case of this implementation is
-below 1e-13.
-
-Evaluation regions for E1:
-
-* ``|z| <= 2`` — power series for the entire function Ein(z), then
-  ``E1 = -gamma - log z + Ein``.  Cancellation is bounded by e^{|z|+Re z},
-  so the series is also used in a wedge near the negative real axis
-  (``|z| + Re z <= 4``, ``|z| <= 45``) where no other expansion is stable.
-* Right half-plane and the left half-plane away from the cut — modified
-  Lentz continued fraction (converges for |arg z| < pi; iteration count
-  grows only near the cut, which the wedge above covers).
-* ``|z| >= 35`` in the left half-plane — optimally truncated asymptotic
-  series (the remainder ~e^{-|z|} is far below the target there).
+The decay-rate formulas of this package need E1 at complex arguments
+z = x + iy with x = omega0*t and y = omega0/omega_c.  scipy.special's
+``exp1`` and ``sici`` evaluate the principal branches at complex
+arguments; this module wraps them with the package's domain checks.
+Against the 40-digit test fixtures the worst relative error is below
+1e-12 for |z| <= 500, in both half-planes.
 
 All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
+import numpy as np
+from scipy import special
 
 from .errors import DomainError
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
-# region boundaries (see module docstring)
-_SERIES_RADIUS = 2.0
-_WEDGE_BOUND = 4.0
-_WEDGE_RADIUS = 45.0
-_ASYMPTOTIC_RADIUS = 35.0
 
-_SI_CI_SERIES_RADIUS = 1.5
+def expint_e1(z):
+    """Principal-branch exponential integral E1(z), elementwise.
 
-
-def _e1_series(z: complex) -> complex:
-    """E1 via the Ein power series; accurate when |z| + Re z is small."""
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    k = 1
-    while True:
-        term *= -z / k
-        add = -term / k
-        total += add
-        if abs(add) < 1e-18 * abs(total) + 1e-300:
-            break
-        k += 1
-        if k > 1500:  # unreachable for |z| <= 45; defensive
-            raise DomainError(f"E1 series failed to converge at z={z}")
-    return -EULER_GAMMA - cmath.log(z) + total
-
-
-def _e1_continued_fraction(z: complex, maxit: int = 3000) -> complex:
-    """E1 via the modified Lentz continued fraction (|arg z| < pi)."""
-    tiny = 1e-300
-    b = z + 1.0
-    c = 1e300 + 0.0j
-    d = 1.0 / b
-    h = d
-    for i in range(1, maxit):
-        a = -float(i * i)
-        b += 2.0
-        d = a * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + a / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 5e-17:
-            return cmath.exp(-z) * h
-    raise DomainError(f"E1 continued fraction failed to converge at z={z}")
-
-
-def _e1_asymptotic(z: complex) -> complex:
-    """E1 via the optimally truncated asymptotic series (large |z|)."""
-    s = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    prev = abs(term)
-    for k in range(1, 121):
-        term *= -k / z
-        if abs(term) > prev:  # divergent tail reached: stop at smallest term
-            break
-        prev = abs(term)
-        s += term
-        if abs(term) < 1e-18 * abs(s):
-            break
-    return cmath.exp(-z) / z * s
-
-
-def expint_e1(z: complex) -> complex:
-    """Principal-branch exponential integral E1(z).
-
-    Valid for any nonzero z off the negative real axis (the branch cut).
-    Relative accuracy is ~1e-13 or better for |z| <= 500.
+    Accepts a scalar or an array of nonzero points off the negative real
+    axis (the branch cut).  Returns a ``complex`` for a scalar and a
+    complex array for an array.
 
     Raises
     ------
     DomainError
-        If z = 0 or z lies on the negative real axis.
+        If any point is 0 or lies on the negative real axis.
     """
-    z = complex(z)
-    if z == 0:
+    z = np.asarray(z, dtype=complex)
+    if np.any(z == 0):
         raise DomainError("E1 is singular at z = 0")
-    if z.imag == 0.0 and z.real < 0.0:
+    on_cut = (z.imag == 0.0) & (z.real < 0.0)
+    if np.any(on_cut):
         raise DomainError("E1 is not defined on the negative real axis "
-                          f"(branch cut); got z={z}")
-    az = abs(z)
-    if az <= _SERIES_RADIUS:
-        return _e1_series(z)
-    if z.real >= 0.0:
-        return _e1_continued_fraction(z)
-    if az + z.real <= _WEDGE_BOUND and az <= _WEDGE_RADIUS:
-        return _e1_series(z)
-    if az >= _ASYMPTOTIC_RADIUS:
-        return _e1_asymptotic(z)
-    return _e1_continued_fraction(z)
-
-
-def _si_ci_series(z: complex) -> tuple[complex, complex]:
-    """Power-series Si and Ci for small |z| (stable near the origin)."""
-    z2 = z * z
-    # Si: sum (-1)^k z^(2k+1) / ((2k+1)(2k+1)!)
-    si_total = z
-    term = z
-    k = 1
-    while True:
-        term *= -z2 / ((2 * k) * (2 * k + 1))
-        add = term / (2 * k + 1)
-        si_total += add
-        if abs(add) < 1e-18 * abs(si_total) + 1e-300:
-            break
-        k += 1
-        if k > 200:
-            raise DomainError(f"Si series failed to converge at z={z}")
-    # Ci: gamma + log z + sum_{k>=1} (-1)^k z^(2k) / ((2k)(2k)!)
-    cin = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    k = 1
-    while True:
-        term *= -z2 / ((2 * k - 1) * (2 * k))
-        add = term / (2 * k)
-        cin += add
-        if abs(add) < 1e-18 * (abs(cin) + 1e-30) + 1e-300:
-            break
-        k += 1
-        if k > 200:
-            raise DomainError(f"Ci series failed to converge at z={z}")
-    ci_total = EULER_GAMMA + cmath.log(z) + cin
-    return si_total, ci_total
-
-
-def _ei_positive(x: float) -> float:
-    """Exponential integral Ei(x) for real x > 0.
-
-    Power series (all terms positive, perfectly conditioned) up to x = 40,
-    asymptotic series beyond; only needed for the pure-imaginary-argument
-    path of Si/Ci, where +-iz would land on E1's branch cut.
-    """
-    if x <= 40.0:
-        total = 0.0
-        term = 1.0
-        k = 1
-        while True:
-            term *= x / k
-            add = term / k
-            total += add
-            if add < 1e-18 * total:
-                break
-            k += 1
-        return EULER_GAMMA + math.log(x) + total
-    s = 1.0
-    term = 1.0
-    prev = term
-    for k in range(1, 121):
-        term *= k / x
-        if term > prev:
-            break
-        prev = term
-        s += term
-        if term < 1e-18 * s:
-            break
-    return math.exp(x) / x * s
-
-
-def _si_ci_imag_axis(y: float) -> tuple[complex, complex]:
-    """Si(iy), Ci(iy) for y > 0 via the hyperbolic integrals Shi and Chi."""
-    ei = _ei_positive(y)
-    e1 = _e1_continued_fraction(complex(y)).real if y > _SERIES_RADIUS \
-        else _e1_series(complex(y)).real
-    shi = 0.5 * (ei + e1)
-    chi = 0.5 * (ei - e1)
-    return complex(0.0, shi), complex(chi, math.pi / 2)
-
-
-def _si_ci_from_e1(z: complex) -> tuple[complex, complex]:
-    """Si and Ci from E1 at +-iz (the large-|z| path, Re z >= 0)."""
-    if z.real == 0.0:
-        # +-iz would fall on E1's branch cut; use the hyperbolic route
-        si, ci = _si_ci_imag_axis(abs(z.imag))
-        if z.imag < 0.0:
-            return si.conjugate(), ci.conjugate()
-        return si, ci
-    e_plus = expint_e1(1j * z)
-    e_minus = expint_e1(-1j * z)
-    si = -0.5j * (e_plus - e_minus) + math.pi / 2
-    ci = -0.5 * (e_plus + e_minus)
-    return si, ci
+                          f"(branch cut); got z={z[on_cut].flat[0]}")
+    e1 = special.exp1(z)
+    return complex(e1) if e1.ndim == 0 else e1
 
 
 def sin_cos_integral(z: complex) -> tuple[complex, complex]:
     """Sine and cosine integrals (Si(z), Ci(z)) for Re z >= 0, z != 0.
-
-    Uses the power series below |z| = 1.5 and the E1 route above; the two
-    paths agree to <= 1e-10 relative in their overlap region (pinned by a
-    seam test).
 
     Raises
     ------
@@ -243,9 +57,8 @@ def sin_cos_integral(z: complex) -> tuple[complex, complex]:
                           "from sine_integral)")
     if z.real < 0.0:
         raise DomainError(f"sin_cos_integral requires Re z >= 0; got z={z}")
-    if abs(z) <= _SI_CI_SERIES_RADIUS:
-        return _si_ci_series(z)
-    return _si_ci_from_e1(z)
+    si, ci = special.sici(z)
+    return complex(si), complex(ci)
 
 
 def sine_integral(z: complex) -> complex:

@@ -1,10 +1,15 @@
 """CLI tests: config handling, CSV emission, exit codes, determinism."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spinboson
 from spinboson import ConfigError, SystemParams
 from spinboson.cli import (BLP_RATIOS, COMMANDS, DEFAULT_OUTPUT, DEFAULT_T_MAX,
                            RunConfig, _fmt, _strided, emit_config, load_config,
@@ -56,6 +61,10 @@ def test_config_parser_rejects_bad_lines(text):
     ("omega0_over_omegac", 0.0),
     ("alpha", -1e-9),
     ("t_max", 0.0),
+    ("t_max", math.nan),
+    ("t_max", math.inf),
+    ("t_max", 1e300),                 # grid beyond the point cap
+    ("dt", 1e-300),
     ("dt", -1e-3),
     ("dt", 0.3),                      # does not divide t_max=50
     ("n_traj", 0),
@@ -256,6 +265,28 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert main(["rates", "--dt", "0.3", "--t-max", "1",
                  "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--t-max", "nan"),
+                                        ("--t-max", "1e300"),
+                                        ("--dt", "1e-300")])
+def test_exit_code_config_error_for_unusable_grid(tmp_path, capsys, flag,
+                                                  value):
+    out = tmp_path / "r.csv"
+    assert main(["rates", flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = pathlib.Path(spinboson.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-W", "error", "-m",
+                           "spinboson.cli", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: spinboson" in proc.stdout
 
 
 def test_exit_code_config_error_from_file(tmp_path, capsys):

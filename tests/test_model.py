@@ -1,4 +1,4 @@
-"""Model-layer tests: parameters, spectral density, rates, crossings."""
+"""Model-layer tests: parameters, rates, crossings."""
 
 import math
 
@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinboson import (DomainError, GridError, OhmicSpectralDensity, RateSet,
-                       SystemParams, ToleranceError, default_rate_step,
-                       rate_table, rates_closed_form, rates_quadrature,
-                       sign_changes, spectral_density, uniform_grid)
+from spinboson import (DomainError, GridError, RateSet, SystemParams,
+                       ToleranceError, rate_table, rates_closed_form,
+                       rates_quadrature, sign_changes, uniform_grid)
 import spinboson.model as model
 
 FIG_RATIO = 1.0 / (2.0 * math.sqrt(3.0))
@@ -53,24 +52,6 @@ def test_zero_coupling_allowed():
     p = SystemParams(epsilon=1.0, delta=10.0, alpha=0.0)
     r = rates_closed_form(p, 3.0)
     assert r.gamma_plus == 0.0 and r.gamma_zero == 0.0
-
-
-# --- spectral density ----------------------------------------------------
-
-def test_spectral_density_values():
-    sd = OhmicSpectralDensity(alpha=0.01)
-    assert spectral_density(sd, 0.0) == 0.0
-    assert spectral_density(sd, 1.0) == pytest.approx(0.005 * math.exp(-1.0),
-                                                      rel=1e-15)
-    with pytest.raises(DomainError):
-        spectral_density(sd, -1.0)
-
-
-def test_spectral_density_peaks_at_cutoff():
-    sd = OhmicSpectralDensity(alpha=0.3, omega_c=2.0)
-    w = np.linspace(0.0, 20.0, 4001)
-    j = np.array([sd(x) for x in w])
-    assert w[np.argmax(j)] == pytest.approx(sd.omega_c, abs=0.01)
 
 
 # --- closed-form rates ---------------------------------------------------
@@ -151,15 +132,6 @@ def test_rateset_rejects_non_finite():
                 gamma1=0.0, gamma2=0.0, gamma3=0.0)
 
 
-def test_default_rate_step():
-    assert default_rate_step(fig_params()) == pytest.approx(0.005)
-    with pytest.warns(UserWarning):
-        slow = SystemParams(epsilon=0.0, delta=2.0, alpha=0.01)
-    assert default_rate_step(slow) == pytest.approx(0.005)
-    fast = SystemParams(epsilon=0.0, delta=100.0, alpha=0.01)
-    assert default_rate_step(fast) == pytest.approx(0.0005)
-
-
 # --- quadrature oracle ---------------------------------------------------
 
 def test_quadrature_zero_time():
@@ -168,15 +140,19 @@ def test_quadrature_zero_time():
 
 
 def test_quadrature_matches_closed_form_spot():
-    p = fig_params()
-    for t in (0.15, 1.0, 6.3):
-        r = rates_closed_form(p, t)
-        assert rates_quadrature(p, p.omega0, t) == \
-            pytest.approx(r.gamma_plus, rel=1e-8, abs=1e-12)
-        assert rates_quadrature(p, -p.omega0, t) == \
-            pytest.approx(r.gamma_minus, rel=1e-8, abs=1e-12)
-        assert rates_quadrature(p, 0.0, t) == \
-            pytest.approx(r.gamma_zero, rel=1e-8, abs=1e-12)
+    # omega0/omega_c = 150 and 300 check the closed form's e^{-y} E1(-y + ix)
+    # and e^{y} E1(y - ix) products at large |z| against the quadrature,
+    # which shares no special function with them
+    for omega0 in (10.0, 150.0, 300.0):
+        p = fig_params(omega0=omega0)
+        for t in (0.15, 1.0, 6.3):
+            r = rates_closed_form(p, t)
+            assert rates_quadrature(p, p.omega0, t) == \
+                pytest.approx(r.gamma_plus, rel=1e-8, abs=1e-12)
+            assert rates_quadrature(p, -p.omega0, t) == \
+                pytest.approx(r.gamma_minus, rel=1e-8, abs=1e-12)
+            assert rates_quadrature(p, 0.0, t) == \
+                pytest.approx(r.gamma_zero, rel=1e-8, abs=1e-12)
 
 
 def test_quadrature_budget_error(monkeypatch):
@@ -236,3 +212,9 @@ def test_uniform_grid():
         uniform_grid(1.0, 0.3)
     with pytest.raises(GridError):
         uniform_grid(-1.0, 0.1)
+    for t_max, h in ((math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan),
+                     (1e300, 1e-3), (50.0, 1e-300)):
+        with pytest.raises(GridError):
+            uniform_grid(t_max, h)
+    with pytest.raises(GridError, match="cap"):
+        uniform_grid(float(model.MAX_GRID_POINTS), 1.0)
