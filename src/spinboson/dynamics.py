@@ -330,6 +330,8 @@ def blp_measure(p: SystemParams, t_max: float, pair_samples: int = 64,
     ``h`` defaults to t_max/round(t_max/0.002) in units of 1/omega_c
     (the kernels vary on the 1/omega_c scale, so this oversamples).
     """
+    if not math.isfinite(t_max):
+        raise DomainError(f"t_max must be finite, got {t_max}")
     if h is None:
         h = t_max / max(2, round(t_max / (0.002 / p.omega_c)))
     k = build_kernels(p, t_max, h)

@@ -222,8 +222,8 @@ def rates_quadrature(p: SystemParams, omega: float, t: float) -> float:
         If the evaluation budget is exhausted or the accumulated absolute
         error estimate exceeds 1e-10 * omega_c.
     """
-    if t < 0.0:
-        raise DomainError(f"rates defined for t >= 0, got t={t}")
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"rates defined for finite t >= 0, got t={t}")
     if t == 0.0:
         return 0.0
     a = 1.0 / p.omega_c
@@ -271,8 +271,8 @@ def sign_changes(p: SystemParams, channel: int, t_max: float) -> list[float]:
     returned times are bit-identical across any epsilon/delta at fixed
     omega0/omega_c (the channel weights are positive constants).
     """
-    if t_max <= 0.0:
-        raise DomainError(f"t_max must be > 0, got {t_max}")
+    if not 0.0 < t_max < math.inf:
+        raise DomainError(f"t_max must be finite and > 0, got {t_max}")
     if channel not in (1, 2, 3):
         raise DomainError(f"channel must be 1, 2, or 3, got {channel}")
 

@@ -18,10 +18,12 @@ shared representative amplitude pair.  The phase-flipped state is never
 stored: the drift is diagonal in the eigenbasis, so flipping commutes
 with it exactly.
 
-Randomness is counter-based (SplitMix64 over a (seed, step, member)
-triple), so a member's uniform stream is a pure function of its index.
-Results are bit-identical for a given seed no matter how the ensemble is
-partitioned across workers.
+Members are exchangeable and nothing reads per-member state except the
+class counts, so a step samples at count level: each non-empty class
+draws one multinomial over its jump ladder plus "no jump".  That has the
+same law as one uniform per member, and a step costs the same whatever
+the ensemble size.  A run draws from one PCG64 stream seeded with the
+seed reduced modulo 2**64; results are bit-identical for a given seed.
 
 The coherence estimator is carried by the count difference between the
 representative class and its phase-flipped class: rho_pm estimated from
@@ -40,9 +42,12 @@ from .errors import DomainError, ProbabilityError, StepError
 from .dynamics import DensityMatrix
 from .model import RateSet, SystemParams, rate_table, uniform_grid
 
-# ensemble class codes (array dtype uint8)
+# ensemble class codes
 PSI0, PSI0_PH, PLUS, MINUS = 0, 1, 2, 3
 N_CLASSES = 4
+
+#: largest ensemble a step can draw (numpy's multinomial takes int64 counts)
+_INT64_MAX = 2 ** 63 - 1
 
 #: upper bound on dt * (|g1| + |g2| + 2 |g3|) for a first-order step
 STEP_PROBABILITY_BOUND = 0.1
@@ -65,8 +70,9 @@ def member_uniforms(seed: int, step: int, members: np.ndarray) -> np.ndarray:
     """Uniforms in [0, 1), one per member index, for one time step.
 
     Pure function of (seed, step, member index): member streams never
-    depend on evaluation order or batching, which is what makes the
-    ensemble partitionable without changing results.
+    depend on evaluation order or batching.  The count-level engine does
+    not call it; it stays public because perfbench/tracing.py wraps it
+    by name.
     """
     base = _mix64((seed + _GOLDEN * (step + 1)) & _MASK64)
     z = (np.asarray(members, dtype=np.uint64) + np.uint64(1)) \
@@ -153,15 +159,15 @@ class EnsembleState:
                    n=n)
 
 
-def _class_ladders(counts: np.ndarray, psi0: PureState, rates: RateSet,
-                   dt: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-class jump ladders: (cumulative probability edges, destinations).
+def _class_ladders(counts: tuple[int, ...], psi0: PureState, rates: RateSet,
+                   dt: float) -> list[list[tuple[float, int]]]:
+    """Per-class jump ladders: lists of (event probability, destination).
 
-    A member of class c fires the k-th event of its ladder when its
-    uniform falls in [edges[k-1], edges[k]); above the last edge it takes
-    the deterministic drift instead.  Event order is fixed (forward
-    channels 1, 2, 3, then reversed events by source registry order) so
-    sampling is reproducible.  Counts are the frozen start-of-step values.
+    A member of class c fires the k-th event of its ladder with the k-th
+    probability; with the remaining probability it takes the deterministic
+    drift instead.  Event order is fixed (forward channels 1, 2, 3, then
+    reversed events by source registry order) so sampling is
+    reproducible.  Counts are the frozen start-of-step values.
     """
     g1, g2, g3 = rates.gamma1, rates.gamma2, rates.gamma3
     if g3 < 0.0:
@@ -195,56 +201,35 @@ def _class_ladders(counts: np.ndarray, psi0: PureState, rates: RateSet,
             events[PLUS].append(
                 ((counts[src] / counts[PLUS]) * (-g2) * dt * w, src))
 
-    ladders = []
-    for c in range(N_CLASSES):
-        probs = np.array([p for p, _ in events[c]], dtype=float)
-        dests = np.array([d for _, d in events[c]], dtype=np.uint8)
-        edges = np.cumsum(probs)
-        total = float(edges[-1]) if len(edges) else 0.0
+    for c, ladder in enumerate(events):
+        total = math.fsum(p for p, _ in ladder)
         if total > 0.5:
             raise ProbabilityError(
                 f"total jump probability {total:.3g} > 0.5 for class {c}; "
                 "reduce dt")
-        ladders.append((edges, dests))
-    return ladders
-
-
-def _transition(states: np.ndarray, ladders, u: np.ndarray,
-                out: np.ndarray) -> None:
-    """Apply one step's jumps for the member block states/u into out."""
-    for c, (edges, dests) in enumerate(ladders):
-        if len(edges) == 0:
-            continue
-        sel = states == c
-        if not np.any(sel):
-            continue
-        k = np.searchsorted(edges, u[sel], side="right")
-        fired = k < len(dests)
-        idx = np.flatnonzero(sel)[fired]
-        out[idx] = dests[k[fired]]
+    return events
 
 
 def step_ensemble(e: EnsembleState, rates: RateSet, dt: float,
                   rng: np.random.Generator) -> EnsembleState:
-    """One synchronized step of the whole ensemble (count-level form).
+    """One synchronized step of the whole ensemble.
 
-    Jump decisions use one uniform per member (drawn class by class in
-    class order); counts on the right-hand side of reversed-jump
-    probabilities are frozen at the step start; survivors take the
-    deterministic drift, which only the shared representative carries.
+    Each non-empty class draws its moves as one multinomial over
+    [p_1..p_K, 1 - sum p] from its ladder, in class order; counts on the
+    right-hand side of reversed-jump probabilities are frozen at the step
+    start; survivors take the deterministic drift, which only the shared
+    representative carries.
     """
-    counts = np.asarray(e.counts)
-    ladders = _class_ladders(counts, e.psi0, rates, dt)
+    ladders = _class_ladders(e.counts, e.psi0, rates, dt)
     new_counts = list(e.counts)
-    for c, (edges, dests) in enumerate(ladders):
-        m = e.counts[c]
-        if m == 0 or len(edges) == 0:
+    for c, ladder in enumerate(ladders):
+        if e.counts[c] == 0 or not ladder:
             continue
-        k = np.searchsorted(edges, rng.random(m), side="right")
-        fired = k[k < len(dests)]
-        for d in fired:
-            new_counts[c] -= 1
-            new_counts[dests[d]] += 1
+        probs = [p for p, _ in ladder]
+        moved = rng.multinomial(e.counts[c], [*probs, 1.0 - math.fsum(probs)])
+        for (_, dest), k in zip(ladder, moved.tolist()):
+            new_counts[c] -= k
+            new_counts[dest] += k
     return EnsembleState(counts=tuple(new_counts),
                          psi0=deterministic_step(e.psi0, rates, dt), n=e.n)
 
@@ -297,22 +282,20 @@ class UnravelingResult:
         return np.array([s.t for s in self.snapshots])
 
 
-def _snapshot(step: int, t: float, counts: np.ndarray, psi0: PureState,
-              n: int) -> UnravelingSnapshot:
-    q0, qph, qp, qm = (int(c) / n for c in counts)
-    rho = ensemble_density(EnsembleState(counts=tuple(int(c) for c in counts),
-                                         psi0=psi0, n=n))
+def _snapshot(step: int, t: float, e: EnsembleState) -> UnravelingSnapshot:
+    q0, qph, qp, qm = (c / e.n for c in e.counts)
+    rho = ensemble_density(e)
     # plug-in standard errors of the per-member estimators
-    pp = psi0.p_plus
+    pp = e.psi0.p_plus
     var_pp = max(0.0, (q0 + qph) * pp * pp + qp - rho.rho_pp ** 2)
     cd = q0 - qph
     var_cd = max(0.0, (q0 + qph) - cd * cd)
-    cross = abs(complex(psi0.a_plus) * complex(psi0.a_minus).conjugate())
+    cross = abs(complex(e.psi0.a_plus) * complex(e.psi0.a_minus).conjugate())
     return UnravelingSnapshot(
-        step=step, t=t, counts=tuple(int(c) for c in counts), psi0=psi0,
-        rho=rho, se_rho_pp=math.sqrt(var_pp / n),
-        se_re_rho_pm=cross * math.sqrt(var_cd / n),
-        count_diff=cd, se_count_diff=math.sqrt(var_cd / n))
+        step=step, t=t, counts=e.counts, psi0=e.psi0,
+        rho=rho, se_rho_pp=math.sqrt(var_pp / e.n),
+        se_re_rho_pm=cross * math.sqrt(var_cd / e.n),
+        count_diff=cd, se_count_diff=math.sqrt(var_cd / e.n))
 
 
 def run_unraveling(p: SystemParams, n_traj: int, t_max: float, dt: float,
@@ -321,27 +304,27 @@ def run_unraveling(p: SystemParams, n_traj: int, t_max: float, dt: float,
     """Evolve an ensemble of n_traj members and record periodic snapshots.
 
     Snapshots are taken at t = 0 and every ``stride`` steps thereafter
-    (the final time is always included).  ``workers`` partitions the
-    member array into contiguous blocks that advance independently within
-    each step; member randomness is counter-based, so any partition
-    yields bit-identical results for the same seed.
+    (the final time is always included).  Every step is one
+    step_ensemble call: count-level multinomial draws from a single
+    PCG64 stream seeded with ``seed`` modulo 2**64, so a run costs the
+    same for any n_traj up to 2**63 - 1 and is bit-identical for a given
+    seed.  ``workers`` is validated (>= 1) and recorded on the result
+    but has no effect.
 
     Errors raised mid-run are re-raised with the failing time attached.
     """
-    if n_traj < 100:
-        raise DomainError(f"need n_traj >= 100, got {n_traj}")
+    if not 100 <= n_traj <= _INT64_MAX:
+        raise DomainError(f"need 100 <= n_traj <= 2**63 - 1, got {n_traj}")
     if stride < 1 or workers < 1:
         raise DomainError("stride and workers must be >= 1")
     grid = uniform_grid(t_max, dt)
     n_steps = len(grid) - 1
     table = rate_table(p, grid)
     seed = int(seed) & _MASK64
+    rng = np.random.Generator(np.random.PCG64(seed))
 
-    state = psi0 if psi0 is not None else equal_superposition()
-    states = np.full(n_traj, PSI0, dtype=np.uint8)
-    bounds = np.linspace(0, n_traj, workers + 1).astype(int)
-
-    snaps = [_snapshot(0, 0.0, np.array([n_traj, 0, 0, 0]), state, n_traj)]
+    e = EnsembleState.initial(n_traj, psi0)
+    snaps = [_snapshot(0, 0.0, e)]
     for i in range(n_steps):
         rates = RateSet(t=float(grid[i]),
                         gamma_plus=float(table["gamma_plus"][i]),
@@ -350,24 +333,12 @@ def run_unraveling(p: SystemParams, n_traj: int, t_max: float, dt: float,
                         gamma1=float(table["gamma1"][i]),
                         gamma2=float(table["gamma2"][i]),
                         gamma3=float(table["gamma3"][i]))
-        counts = np.bincount(states, minlength=N_CLASSES)
         try:
-            ladders = _class_ladders(counts, state, rates, dt)
-            out = states.copy()
-            for w in range(workers):
-                lo, hi = bounds[w], bounds[w + 1]
-                if lo == hi:
-                    continue
-                u = member_uniforms(seed, i, np.arange(lo, hi))
-                _transition(states[lo:hi], ladders, u, out[lo:hi])
-            states = out
-            state = deterministic_step(state, rates, dt)
+            e = step_ensemble(e, rates, dt, rng)
         except (StepError, ProbabilityError) as err:
             raise type(err)(f"at t = {grid[i]:.6g}: {err}") from err
         if (i + 1) % stride == 0 or i == n_steps - 1:
-            snaps.append(_snapshot(i + 1, float(grid[i + 1]),
-                                   np.bincount(states, minlength=N_CLASSES),
-                                   state, n_traj))
+            snaps.append(_snapshot(i + 1, float(grid[i + 1]), e))
     return UnravelingResult(params=p, n_traj=n_traj, dt=dt, seed=seed,
                             stride=stride, workers=workers, snapshots=snaps)
 

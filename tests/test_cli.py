@@ -210,11 +210,13 @@ def test_unravel_csv_and_byte_determinism(tmp_path):
 
 
 def test_unravel_seed_changes_output(tmp_path):
-    base = ["unravel", "--n-traj", "300", "--t-max", "0.5", "--dt", "0.001",
-            "--stride", "500"]
+    # ~50 jumps per run at alpha 0.05, N 1e5, so a different seed must
+    # give different counts (at N 300 and alpha 0.01 a run rarely jumps)
+    base = ["unravel", "--alpha", "0.05", "--n-traj", "100000", "--t-max",
+            "1", "--dt", "0.001", "--stride", "500"]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    main([*base, "--seed", "1", "--out", str(out1)])
-    main([*base, "--seed", "2", "--out", str(out2)])
+    assert main([*base, "--seed", "1", "--out", str(out1)]) == 0
+    assert main([*base, "--seed", "2", "--out", str(out2)]) == 0
     assert out1.read_bytes() != out2.read_bytes()
 
 
@@ -222,6 +224,14 @@ def test_unravel_rejects_small_ensembles(tmp_path, capsys):
     out = tmp_path / "u.csv"
     assert main(["unravel", "--n-traj", "50", "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unravel_rejects_ensembles_beyond_int64(tmp_path, capsys):
+    out = tmp_path / "u.csv"
+    assert main(["unravel", "--n-traj", "100000000000000000000", "--t-max",
+                 "0.01", "--out", str(out)]) == 3
+    assert "n_traj" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -240,6 +240,12 @@ def test_blp_positive_with_negative_rates():
     assert blp_measure(fig_params(), 50.0) > 1e-5
 
 
+@pytest.mark.parametrize("t_max", [math.nan, math.inf])
+def test_blp_non_finite_horizon(t_max):
+    with pytest.raises(DomainError):
+        blp_measure(fig_params(), t_max)
+
+
 def test_blp_insensitive_to_pair_count():
     p = fig_params()
     a = blp_measure(p, 20.0, pair_samples=32)

@@ -166,6 +166,12 @@ def test_quadrature_negative_time():
         rates_quadrature(fig_params(), 0.0, -1.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_quadrature_non_finite_time(t):
+    with pytest.raises(DomainError):
+        rates_quadrature(fig_params(), 10.0, t)
+
+
 # --- sign changes --------------------------------------------------------
 
 def test_sign_changes_channel3_empty():
@@ -175,6 +181,12 @@ def test_sign_changes_channel3_empty():
 def test_sign_changes_channel_validation():
     with pytest.raises(DomainError):
         sign_changes(fig_params(), 4, 1.0)
+
+
+@pytest.mark.parametrize("t_max", [math.nan, math.inf, -math.inf])
+def test_sign_changes_non_finite_horizon(t_max):
+    with pytest.raises(DomainError):
+        sign_changes(fig_params(), 1, t_max)
 
 
 def test_channel1_crossings_regression():

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from spinboson import (DensityMatrix, DomainError, EnsembleState, GridError,
                        ProbabilityError, PureState, RateSet, StepError,
-                       SystemParams, build_kernels, count_difference_series,
-                       deterministic_step, ensemble_density,
-                       equal_superposition, member_uniforms, run_unraveling,
-                       step_ensemble)
+                       SystemParams, apply_map_series, build_kernels,
+                       count_difference_series, deterministic_step,
+                       ensemble_density, equal_superposition,
+                       member_uniforms, run_unraveling, step_ensemble)
 
 FIG_RATIO = 1.0 / (2.0 * math.sqrt(3.0))
 
@@ -204,6 +204,32 @@ def test_step_ensemble_reversed_jump_moves_target_to_source():
     assert out.counts[1] == 0 and out.counts[2] == 0
 
 
+@pytest.mark.parametrize("g1,g2", [(1.0, 0.5), (-1.0, -0.5)])
+def test_step_ensemble_mean_flows_match_ladders(g1, g2):
+    # one count-level step over every forward (or reversed) event at once:
+    # each class's change must match the per-member flows N_c * p within
+    # 6 sigma (~3e4 here), far below a misrouted event (~1e6)
+    n = (4 * 10 ** 8, 3 * 10 ** 8, 2 * 10 ** 8, 10 ** 8)
+    g3, dt, w = 0.2, 1e-2, 0.5                     # w = p_plus = p_minus
+    e = EnsembleState(counts=n, psi0=equal_superposition(), n=sum(n))
+    out = step_ensemble(e, jump_rates(g1, g2, g3), dt,
+                        np.random.default_rng(11))
+    f1, f2, f3 = max(g1, 0.0) * dt, max(g2, 0.0) * dt, g3 * dt
+    r1, r2 = max(-g1, 0.0) * dt, max(-g2, 0.0) * dt
+    n0, nph, npl, nmi = n
+    rep = n0 + nph
+    stay = f1 * w + f2 * w + f3 - r1 * w - r2 * w
+    expected = (n0 - n0 * stay + nph * f3,
+                nph - nph * stay + n0 * f3,
+                npl - npl * f1 + (nmi + rep * w) * f2 + npl * r1
+                - (rep * w + nmi) * r2,
+                nmi - nmi * f2 + (npl + rep * w) * f1 + nmi * r2
+                - (rep * w + npl) * r1)
+    sigma = math.sqrt(sum(n) * dt * (abs(g1) + abs(g2) + g3))
+    for got, want in zip(out.counts, expected):
+        assert abs(got - want) < 6.0 * sigma
+
+
 def test_step_ensemble_dephasing_swaps_phase_classes():
     e = EnsembleState(counts=(600, 400, 0, 0), psi0=equal_superposition(),
                       n=1000)
@@ -240,6 +266,8 @@ def test_run_validation():
         run_unraveling(p, 100, 1.0, 1e-3, seed=1, stride=0)
     with pytest.raises(DomainError):
         run_unraveling(p, 100, 1.0, 1e-3, seed=1, workers=0)
+    with pytest.raises(DomainError):                  # beyond int64 counts
+        run_unraveling(p, 2 ** 63, 1.0, 1e-3, seed=1)
     with pytest.raises(GridError):
         run_unraveling(p, 100, 1.0, 0.3, seed=1)
 
@@ -258,9 +286,14 @@ def test_run_deterministic_for_fixed_seed():
         assert sa.counts == sb.counts
         assert sa.psi0.a_plus == sb.psi0.a_plus
         assert sa.rho.rho_pm == sb.rho.rho_pm
-    c = run_unraveling(p, 500, 1.0, 1e-3, seed=43, stride=100)
-    assert any(sa.counts != sc.counts
-               for sa, sc in zip(a.snapshots, c.snapshots))
+    # at alpha 0.01 and N 500 a run makes ~0.05 jumps, so two seeds would
+    # agree by chance; here each run makes ~50 and the seeds must differ
+    jumpy = fig_params(alpha=0.05)
+    c, d = (run_unraveling(jumpy, 100_000, 1.0, 1e-3, seed=s, stride=100)
+            for s in (42, 43))
+    assert c.snapshots[-1].counts[0] < 100_000
+    assert any(sc.counts != sd.counts
+               for sc, sd in zip(c.snapshots, d.snapshots))
 
 
 def test_run_worker_partition_invariant():
@@ -315,6 +348,27 @@ def test_run_count_difference_series_matches_snapshots():
     assert len(t) == len(r.snapshots)
     for s, ti, ci, si in zip(r.snapshots, t, cd, se):
         assert s.t == ti and s.count_diff == ci and s.se_count_diff == si
+
+
+def test_run_bias_is_first_order_in_dt():
+    # at N = 1e12 the sampling error (~8e-9) sits far below the scheme's
+    # bias against the map, so halving dt must about halve the bias
+    p = fig_params(alpha=0.05)
+    rho0 = DensityMatrix(rho_pp=0.5, rho_mm=0.5, rho_pm=0.5)
+    bias_pp, bias_re, se = [], [], []
+    for dt in (2e-3, 1e-3, 5e-4):
+        r = run_unraveling(p, 10 ** 12, 2.0, dt, seed=1,
+                           stride=round(0.1 / dt))
+        pp, pm = apply_map_series(build_kernels(p, 2.0, dt), rho0)
+        bias_pp.append(max(abs(s.rho.rho_pp - pp[s.step])
+                           for s in r.snapshots))
+        bias_re.append(max(abs(s.rho.rho_pm.real - pm[s.step].real)
+                           for s in r.snapshots))
+        se.append(max(s.se_rho_pp for s in r.snapshots))
+    for bias in (bias_pp, bias_re):
+        for coarse, fine in zip(bias, bias[1:]):
+            assert 1.6 <= coarse / fine <= 2.5
+    assert max(se) < 0.1 * min(bias_pp + bias_re)
 
 
 def test_run_estimator_is_unbiased():
