@@ -210,52 +210,73 @@ def rates_quadrature(p: SystemParams, omega: float, t: float) -> float:
             = (alpha/2) [cos(omega t')(a^2 - t'^2) + 2 a t' sin(omega t')]
               / (a^2 + t'^2)^2,        a = 1/omega_c,
 
-    leaving a single oscillatory time integral that is evaluated by
-    adaptive quadrature, chunked at half-periods of the oscillation.
+    leaving a single oscillatory time integral.  Its rational x cos and
+    rational x sin parts are integrated separately with QUADPACK's
+    oscillatory weights (``quad(..., weight="cos"|"sin", wvar=omega)``),
+    over the geometric pieces 0, a, 2a, 4a, ..., t.  Each piece spans at
+    most a factor two in t', so the rational factor stays smooth on it
+    however many periods it holds; one weighted call over [0, t] loses
+    the tail at large t (at t = 1e9 it returns 3.9e-11 for a rate of
+    1.4e-5 with a passing error estimate).
 
     This routine is deliberately independent of the closed-form path (no
     shared special functions) so the two can validate each other.
 
     Raises
     ------
+    DomainError
+        If t is negative or not finite, or omega is not finite.
     ToleranceError
-        If the evaluation budget is exhausted or the accumulated absolute
-        error estimate exceeds 1e-10 * omega_c.
+        If the evaluation budget is exhausted, or the summed absolute
+        error estimate exceeds 1e-10 * omega_c or is not finite, or the
+        result is not finite.
     """
     if not 0.0 <= t < math.inf:
         raise DomainError(f"rates defined for finite t >= 0, got t={t}")
+    if not math.isfinite(omega):
+        raise DomainError(f"omega must be finite, got {omega}")
     if t == 0.0:
         return 0.0
     a = 1.0 / p.omega_c
     alpha = p.alpha
 
-    def inner(tp: float) -> float:
+    def cos_part(tp: float) -> float:
         d2 = a * a + tp * tp
-        return 0.5 * alpha * (math.cos(omega * tp) * (a * a - tp * tp)
-                              + 2.0 * a * tp * math.sin(omega * tp)) / (d2 * d2)
+        return 0.5 * alpha * (a * a - tp * tp) / (d2 * d2)
 
-    # chunk at half-periods of the fastest oscillation so each piece is smooth
-    w_eff = max(abs(omega), p.omega_c)
-    n_chunks = max(1, int(math.ceil(t * w_eff / math.pi)))
+    def sin_part(tp: float) -> float:
+        d2 = a * a + tp * tp
+        return alpha * a * tp / (d2 * d2)
+
+    edges = [0.0]
+    edge = a
+    while edge < t:
+        edges.append(edge)
+        edge *= 2.0
+    edges.append(t)
+    n_calls = 2 * (len(edges) - 1)
     tol_total = 1e-10 * p.omega_c
-    edges = np.linspace(0.0, t, n_chunks + 1)
     total = 0.0
     err_total = 0.0
     evals = 0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err, info = quad(inner, lo, hi, epsabs=tol_total / (4 * n_chunks),
-                              epsrel=1e-12, limit=200, full_output=True)[:3]
-        evals += info["neval"]
-        if evals > QUAD_BUDGET:
-            raise ToleranceError(
-                f"quadrature budget {QUAD_BUDGET} exhausted at t={t}, "
-                f"omega={omega}")
-        total += val
-        err_total += err
-    if err_total > tol_total:
+        for part, weight in ((cos_part, "cos"), (sin_part, "sin")):
+            val, err, info = quad(part, lo, hi, weight=weight, wvar=omega,
+                                  epsabs=tol_total / (4 * n_calls),
+                                  epsrel=1e-12, limit=200,
+                                  full_output=True)[:3]
+            evals += info["neval"]
+            if evals > QUAD_BUDGET:
+                raise ToleranceError(
+                    f"quadrature budget {QUAD_BUDGET} exhausted at t={t}, "
+                    f"omega={omega}")
+            total += val
+            err_total += err
+    if not (math.isfinite(total) and err_total <= tol_total):
         raise ToleranceError(
-            f"quadrature error estimate {err_total:.3e} exceeds tolerance "
-            f"{tol_total:.3e} at t={t}, omega={omega}")
+            f"quadrature value {total!r} with error estimate "
+            f"{err_total:.3e} (tolerance {tol_total:.3e}) at t={t}, "
+            f"omega={omega}")
     return 2.0 * total
 
 
@@ -269,7 +290,8 @@ def sign_changes(p: SystemParams, channel: int, t_max: float) -> list[float]:
     together, one rate_table call per bisection step.  Bisection decisions
     depend only on the sign of the rate, so for channels 1 and 2 the
     returned times are bit-identical across any epsilon/delta at fixed
-    omega0/omega_c (the channel weights are positive constants).
+    omega0/omega_c (the channel weights are positive constants).  A
+    bracketing grid of more than MAX_GRID_POINTS points raises GridError.
     """
     if not 0.0 < t_max < math.inf:
         raise DomainError(f"t_max must be finite and > 0, got {t_max}")
@@ -278,6 +300,9 @@ def sign_changes(p: SystemParams, channel: int, t_max: float) -> list[float]:
 
     key = f"gamma{channel}"
     step = 0.01 / p.omega_c
+    if t_max / step > MAX_GRID_POINTS:
+        raise GridError(f"t_max = {t_max:g} needs {t_max / step:g} bracketing "
+                        f"points, beyond the grid cap of {MAX_GRID_POINTS}")
     n = int(math.ceil(t_max / step))
     if n < 2:
         return []

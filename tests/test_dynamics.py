@@ -9,7 +9,8 @@ import pytest
 from spinboson import (DensityMatrix, DomainError, GridError, StepError,
                        SystemParams, apply_map, apply_map_series, blp_measure,
                        build_kernels, ode_oracle, pair_directions,
-                       recoherence_mask, trace_distance)
+                       rate_table, recoherence_mask, trace_distance)
+import spinboson.dynamics as dynamics
 
 FIG_RATIO = 1.0 / (2.0 * math.sqrt(3.0))
 REVIVAL_RATIO = 1.0 / (2.0 * math.sqrt(7.0))
@@ -130,6 +131,47 @@ def test_ode_oracle_constant_without_coupling():
     traj = ode_oracle(p, rho0, 1.0, 1e-3)
     assert traj[-1].rho_pp == rho0.rho_pp
     assert traj[-1].rho_pm == rho0.rho_pm
+
+
+def test_ode_oracle_names_first_trace_drift(monkeypatch):
+    # a dephasing channel that also drains rho_pp without refilling rho_mm:
+    # d(tr)/dt = -gamma3 rho_pp, so |tr - 1| = rho_pp(0) (1 - e^{-Gamma})
+    # with Gamma = wz alpha ln(1 + t^2) / 2 in closed form (omega_c = 1)
+    leak = np.zeros((3, 4, 4))
+    leak[2, 0, 0] = -1.0
+    monkeypatch.setattr(dynamics, "_CHANNEL_SUPEROPS", leak)
+    p = fig_params(ratio=1.0)
+    h = 1e-3
+    t = np.arange(1, 101) * h
+    wz = p.epsilon ** 2 / (4.0 * p.omega0 ** 2)
+    drift = 0.5 * -np.expm1(-0.5 * wz * p.alpha * np.log1p(t * t))
+    k = int(np.argmax(drift > 1e-8))
+    assert drift[k - 1] < 0.9e-8 and drift[k] > 1.1e-8  # no borderline step
+    with pytest.raises(StepError, match=rf"at t={t[k]}$"):
+        ode_oracle(p, plus_minus_super(), 0.1, h)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_ode_oracle_nan_state_is_step_error(monkeypatch):
+    # infinite rates from t = 0.5 on turn the state NaN at that step
+    def rates_blowing_up(p, tgrid):
+        r = rate_table(p, tgrid)
+        r["gamma1"] = np.where(tgrid >= 0.5, np.inf, r["gamma1"])
+        return r
+
+    monkeypatch.setattr(dynamics, "rate_table", rates_blowing_up)
+    with pytest.raises(StepError, match=r"nan at t=0\.5$"):
+        ode_oracle(fig_params(), plus_minus_super(), 1.0, 1e-3)
+
+
+def test_ode_oracle_is_fourth_order():
+    p = fig_params()
+    runs = [np.array([[s.rho_pp, s.rho_pm.real, s.rho_pm.imag]
+                      for s in ode_oracle(p, plus_minus_super(), 2.0, h)])
+            for h in (0.02, 0.01, 0.005)]
+    coarse = np.abs(runs[0] - runs[1][::2]).max()
+    fine = np.abs(runs[1][::2] - runs[2][::4]).max()
+    assert 12.0 <= coarse / fine <= 20.0
 
 
 def test_near_pure_dephasing_limit():

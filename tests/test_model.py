@@ -172,6 +172,31 @@ def test_quadrature_non_finite_time(t):
         rates_quadrature(fig_params(), 10.0, t)
 
 
+def test_quadrature_long_horizon():
+    # the geometric pieces keep the tail that one weighted call over
+    # [0, t] loses at large t
+    cases = [(10.0, 200.0), (10.0, 1e9), (300.0, 200.0)]
+    for omega0, t in cases:
+        p = fig_params(omega0=omega0)
+        r = rates_closed_form(p, t)
+        for omega, closed in ((p.omega0, r.gamma_plus),
+                              (-p.omega0, r.gamma_minus), (0.0, r.gamma_zero)):
+            assert rates_quadrature(p, omega, t) == \
+                pytest.approx(closed, rel=1e-8, abs=1e-12)
+
+
+def test_quadrature_non_finite_result():
+    # the rational integrand overflows to inf/inf = nan far beyond 1e154
+    with pytest.raises(ToleranceError):
+        rates_quadrature(fig_params(), 10.0, 1e300)
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf])
+def test_quadrature_non_finite_frequency(omega):
+    with pytest.raises(DomainError):
+        rates_quadrature(fig_params(), omega, 1.0)
+
+
 # --- sign changes --------------------------------------------------------
 
 def test_sign_changes_channel3_empty():
@@ -186,6 +211,14 @@ def test_sign_changes_channel_validation():
 @pytest.mark.parametrize("t_max", [math.nan, math.inf, -math.inf])
 def test_sign_changes_non_finite_horizon(t_max):
     with pytest.raises(DomainError):
+        sign_changes(fig_params(), 1, t_max)
+
+
+@pytest.mark.parametrize("t_max", [1e9, 1e300])
+def test_sign_changes_grid_cap(t_max):
+    # rejected before the bracketing grid is allocated (1e9 would need
+    # 1e11 points, 745 GiB)
+    with pytest.raises(GridError, match="cap"):
         sign_changes(fig_params(), 1, t_max)
 
 
