@@ -28,7 +28,7 @@ from .dynamics import (DensityMatrix, apply_map_series, blp_measure,
                        build_kernels, recoherence_mask)
 from .errors import ConfigError, GridError, SpinBosonError
 from .model import SystemParams, rate_table, uniform_grid
-from .nmqj import count_difference_series, run_unraveling
+from .nmqj import run_unraveling
 
 COMMANDS = ("rates", "evolve", "unravel", "recoherence-map", "blp")
 
@@ -156,16 +156,36 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _write_csv(path: str, header: list[str], rows) -> int:
+#: rows gathered and formatted together by _csv_rows
+_CSV_CHUNK_ROWS = 1024
+
+
+def _csv_rows(columns, idx):
+    """Rows idx of the column arrays as CSV text, _CSV_CHUNK_ROWS at a time;
+    "%.12g" % v gives the same bytes as _fmt(v)."""
+    line = ",".join(["%.12g"] * len(columns)) + "\n"
+    idx = np.asarray(idx)
+    for start in range(0, len(idx), _CSV_CHUNK_ROWS):
+        chunk = idx[start:start + _CSV_CHUNK_ROWS]
+        yield "".join([line % row for row in
+                       zip(*(c[chunk].tolist() for c in columns))])
+
+
+def _write_csv(path: str, header: list[str], text) -> int:
+    """Write the header and the text chunks, report the row count, return 0."""
     if not path:
         raise ConfigError("output_path must not be empty")
     n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-            n += 1
-    return n
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for chunk in text:
+                fh.write(chunk)
+                n += chunk.count("\n")
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err}") from err
+    print(f"wrote {n} rows to {path}")
+    return 0
 
 
 def _strided(n_rows: int, stride: int) -> range:
@@ -180,15 +200,11 @@ def cmd_rates(cfg: RunConfig) -> int:
     p = cfg.system_params()
     grid = uniform_grid(cfg.t_max, cfg.dt)
     r = rate_table(p, grid)
-    idx = _strided(len(grid), cfg.emit_stride)
-    rows = ((grid[i], p.omega0 * grid[i], r["gamma_plus"][i],
-             r["gamma_minus"][i], r["gamma_zero"][i], r["gamma1"][i],
-             r["gamma2"][i], r["gamma3"][i]) for i in idx)
-    n = _write_csv(cfg.output_path,
-                   ["t", "omega0_t", "gamma_plus", "gamma_minus",
-                    "gamma_zero", "gamma1", "gamma2", "gamma3"], rows)
-    print(f"wrote {n} rows to {cfg.output_path}")
-    return 0
+    names = ["gamma_plus", "gamma_minus", "gamma_zero", "gamma1", "gamma2",
+             "gamma3"]
+    columns = [grid, p.omega0 * grid, *(r[name] for name in names)]
+    return _write_csv(cfg.output_path, ["t", "omega0_t", *names],
+                      _csv_rows(columns, _strided(len(grid), cfg.emit_stride)))
 
 
 def _initial_state() -> DensityMatrix:
@@ -200,14 +216,13 @@ def cmd_evolve(cfg: RunConfig) -> int:
     p = cfg.system_params()
     k = build_kernels(p, cfg.t_max, cfg.dt)
     rho_pp, rho_pm = apply_map_series(k, _initial_state())
+    # np.hypot rounds as the scalar abs does; np.abs on an array may not
+    columns = [k.grid, p.omega0 * k.grid, rho_pp, rho_pm.real, rho_pm.imag,
+               np.hypot(rho_pm.real, rho_pm.imag)]
     idx = _strided(len(k.grid), cfg.emit_stride)
-    rows = ((k.grid[i], p.omega0 * k.grid[i], rho_pp[i], rho_pm[i].real,
-             rho_pm[i].imag, abs(rho_pm[i])) for i in idx)
-    n = _write_csv(cfg.output_path,
-                   ["t", "omega0_t", "rho_pp", "re_rho_pm", "im_rho_pm",
-                    "abs_rho_pm"], rows)
-    print(f"wrote {n} rows to {cfg.output_path}")
-    return 0
+    return _write_csv(cfg.output_path,
+                      ["t", "omega0_t", "rho_pp", "re_rho_pm", "im_rho_pm",
+                       "abs_rho_pm"], _csv_rows(columns, idx))
 
 
 def cmd_unravel(cfg: RunConfig) -> int:
@@ -216,18 +231,17 @@ def cmd_unravel(cfg: RunConfig) -> int:
     p = cfg.system_params()
     result = run_unraveling(p, cfg.n_traj, cfg.t_max, cfg.dt, cfg.seed,
                             stride=cfg.emit_stride, workers=cfg.workers)
-    rows = []
-    for s in result.snapshots:
-        q0, qph, qp, qm = (c / cfg.n_traj for c in s.counts)
-        rows.append((s.t, p.omega0 * s.t, s.rho.rho_pp, s.rho.rho_pm.real,
-                     s.rho.rho_pm.imag, abs(s.rho.rho_pm), q0, qph, qp, qm,
-                     s.se_rho_pp, s.se_re_rho_pm, s.se_count_diff))
-    n = _write_csv(cfg.output_path,
-                   ["t", "omega0_t", "rho_pp", "re_rho_pm", "im_rho_pm",
-                    "abs_rho_pm", "n0", "n0_ph", "n_plus", "n_minus",
-                    "se_rho_pp", "se_re_rho_pm", "se_count_diff"], rows)
-    print(f"wrote {n} rows to {cfg.output_path}")
-    return 0
+    columns = np.array([
+        (s.t, p.omega0 * s.t, s.rho.rho_pp, s.rho.rho_pm.real,
+         s.rho.rho_pm.imag, abs(s.rho.rho_pm),
+         *(c / cfg.n_traj for c in s.counts),
+         s.se_rho_pp, s.se_re_rho_pm, s.se_count_diff)
+        for s in result.snapshots]).T
+    return _write_csv(cfg.output_path,
+                      ["t", "omega0_t", "rho_pp", "re_rho_pm", "im_rho_pm",
+                       "abs_rho_pm", "n0", "n0_ph", "n_plus", "n_minus",
+                       "se_rho_pp", "se_re_rho_pm", "se_count_diff"],
+                      _csv_rows(columns, range(columns.shape[1])))
 
 
 def cmd_recoherence_map(cfg: RunConfig) -> int:
@@ -237,15 +251,21 @@ def cmd_recoherence_map(cfg: RunConfig) -> int:
     ratios = np.arange(n_r + 1) * RATIO_GRID_STEP
     mask = recoherence_mask(p, grid, ratios)
     idx = _strided(len(grid), cfg.emit_stride)
-    rows = ((grid[j], p.omega0 * grid[j], ratios[i], int(mask[i, j]))
-            for i in range(len(ratios)) for j in idx)
-    n = _write_csv(cfg.output_path,
-                   ["t", "omega0_t", "eps_over_delta", "in_region"], rows)
-    print(f"wrote {n} rows to {cfg.output_path}")
-    return 0
+    # each time prefix and each ratio is formatted once, not once per row
+    times = [f"{_fmt(t)},{_fmt(w)}," for t, w in
+             zip(grid[idx].tolist(), (p.omega0 * grid)[idx].tolist())]
+    labels = [f"{_fmt(r)}," for r in ratios.tolist()]
+    return _write_csv(cfg.output_path,
+                      ["t", "omega0_t", "eps_over_delta", "in_region"],
+                      ("".join([f"{pre}{label}{m:d}\n" for pre, m in
+                                zip(times, row[idx].tolist())])
+                       for label, row in zip(labels, mask)))
 
 
 def cmd_blp(cfg: RunConfig) -> int:
+    """Print blp_measure and its BLP_RATIOS table.  Ignores dt, emit_stride
+    and output_path (blp_measure's step is t_max/round(500*t_max*omega_c)),
+    but RunConfig.validate still requires dt to divide t_max."""
     p = cfg.system_params()
     measure = blp_measure(p, cfg.t_max)
     print(f"blp_measure = {_fmt(measure)}  "

@@ -12,9 +12,14 @@ import pytest
 import spinboson
 from spinboson import ConfigError, SystemParams
 from spinboson.cli import (BLP_RATIOS, COMMANDS, DEFAULT_OUTPUT, DEFAULT_T_MAX,
-                           RunConfig, _fmt, _strided, emit_config, load_config,
-                           main, parse_config)
+                           RunConfig, _fmt, _initial_state, _strided,
+                           emit_config, load_config, main, parse_config)
+from spinboson.dynamics import (apply_map_series, build_kernels,
+                                recoherence_mask)
 from spinboson.model import rate_table
+from spinboson.nmqj import run_unraveling
+
+FIG_PARAMS = SystemParams.from_ratios(1.0 / (2.0 * math.sqrt(3.0)), 10.0, 0.01)
 
 
 def read_csv(path):
@@ -117,6 +122,76 @@ def test_strided_always_includes_last_row():
     assert list(_strided(10, 3)) == [0, 3, 6, 9]
     assert list(_strided(5, 1)) == [0, 1, 2, 3, 4]
     assert list(_strided(7, 100)) == [0, 6]
+
+
+# --- CSV bytes: each file rebuilt one value at a time from library arrays --
+
+def csv_text(header, rows):
+    return ",".join(header) + "\n" + "".join(
+        ",".join(f"{v:.12g}" for v in row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("t_max,dt,stride", [(2.0, 0.001, 1),   # > 1 chunk
+                                             (1.0, 0.01, 7)])   # last appended
+def test_rates_csv_bytes(tmp_path, t_max, dt, stride):
+    out = tmp_path / "r.csv"
+    assert main(["rates", "--t-max", str(t_max), "--dt", str(dt),
+                 "--stride", str(stride), "--out", str(out)]) == 0
+    grid = np.arange(round(t_max / dt) + 1) * dt
+    r = rate_table(FIG_PARAMS, grid)
+    names = ["gamma_plus", "gamma_minus", "gamma_zero", "gamma1", "gamma2",
+             "gamma3"]
+    rows = [(grid[i], FIG_PARAMS.omega0 * grid[i], *(r[n][i] for n in names))
+            for i in _strided(len(grid), stride)]
+    assert len(rows) > 1024 or (len(grid) - 1) % stride != 0
+    assert out.read_text() == csv_text(["t", "omega0_t", *names], rows)
+
+
+def test_evolve_csv_bytes(tmp_path):
+    out = tmp_path / "e.csv"
+    assert main(["evolve", "--t-max", "5", "--stride", "3",
+                 "--out", str(out)]) == 0
+    k = build_kernels(FIG_PARAMS, 5.0, 0.001)
+    rho_pp, rho_pm = apply_map_series(k, _initial_state())
+    rows = [(k.grid[i], FIG_PARAMS.omega0 * k.grid[i], rho_pp[i],
+             rho_pm[i].real, rho_pm[i].imag, abs(rho_pm[i]))
+            for i in _strided(len(k.grid), 3)]
+    assert out.read_text() == csv_text(
+        ["t", "omega0_t", "rho_pp", "re_rho_pm", "im_rho_pm", "abs_rho_pm"],
+        rows)
+
+
+def test_recoherence_map_csv_bytes(tmp_path):
+    out = tmp_path / "m.csv"
+    assert main(["recoherence-map", "--t-max", "1", "--stride", "7",
+                 "--out", str(out)]) == 0
+    grid = np.arange(1001) * 0.001
+    ratios = np.arange(81) * 0.005
+    mask = recoherence_mask(FIG_PARAMS, grid, ratios)
+    assert mask.any() and not mask.all()
+    rows = [(grid[j], FIG_PARAMS.omega0 * grid[j], ratios[i], int(mask[i, j]))
+            for i in range(len(ratios)) for j in _strided(len(grid), 7)]
+    assert out.read_text() == csv_text(
+        ["t", "omega0_t", "eps_over_delta", "in_region"], rows)
+
+
+def test_unravel_csv_bytes(tmp_path):
+    out = tmp_path / "u.csv"
+    assert main(["unravel", "--alpha", "0.05", "--n-traj", "100000",
+                 "--t-max", "1", "--stride", "20", "--seed", "7",
+                 "--out", str(out)]) == 0
+    p = SystemParams.from_ratios(1.0 / (2.0 * math.sqrt(3.0)), 10.0, 0.05)
+    result = run_unraveling(p, 100000, 1.0, 0.001, 7, stride=20)
+    rows = [(s.t, p.omega0 * s.t, s.rho.rho_pp, s.rho.rho_pm.real,
+             s.rho.rho_pm.imag, abs(s.rho.rho_pm),
+             *(c / 100000 for c in s.counts),
+             s.se_rho_pp, s.se_re_rho_pm, s.se_count_diff)
+            for s in result.snapshots]
+    assert len({row[6] for row in rows}) > 1      # some members jumped
+    assert out.read_text() == csv_text(
+        ["t", "omega0_t", "rho_pp", "re_rho_pm", "im_rho_pm", "abs_rho_pm",
+         "n0", "n0_ph", "n_plus", "n_minus", "se_rho_pp", "se_re_rho_pm",
+         "se_count_diff"], rows)
 
 
 # --- rates command ---------------------------------------------------------
@@ -297,6 +372,25 @@ def test_module_entry_point_runs_without_warnings():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "usage: spinboson" in proc.stdout
+
+
+CSV_COMMAND_ARGS = {
+    "rates": ["--t-max", "1"],
+    "evolve": ["--t-max", "1"],
+    "unravel": ["--n-traj", "100", "--t-max", "0.1"],
+    "recoherence-map": ["--t-max", "0.1"],
+}
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize("command", sorted(CSV_COMMAND_ARGS))
+def test_unwritable_output_is_config_error(tmp_path, capsys, command, target):
+    out = tmp_path / "missing" / "x.csv" if target == "missing-dir" \
+        else tmp_path
+    assert main([command, *CSV_COMMAND_ARGS[command], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out}: ")
+    assert "Traceback" not in err
 
 
 def test_exit_code_config_error_from_file(tmp_path, capsys):
