@@ -8,15 +8,13 @@ regions, and a trace-distance non-Markovianity measure.
 
 from .errors import (ConfigError, DomainError, GridError, ProbabilityError,
                      SpinBosonError, StepError, ToleranceError)
-from .specfun import (EULER_GAMMA, cosine_integral, expint_e1,
-                      sin_cos_integral, sine_integral)
+from .specfun import expint_e1, sin_cos_integral
 from .model import (MAX_OMEGA0_RATIO, RateSet, SystemParams, rate_table,
                     rates_closed_form, rates_quadrature, sign_changes,
                     uniform_grid)
-from .dynamics import (DensityMatrix, DynamicalMap, KernelTable, apply_map,
+from .dynamics import (DensityMatrix, KernelTable, apply_map,
                        apply_map_series, blp_measure, build_kernels,
-                       ode_oracle, pair_directions, recoherence_mask,
-                       trace_distance)
+                       ode_oracle, pair_directions, recoherence_mask)
 from .nmqj import (EnsembleState, PureState, UnravelingResult,
                    UnravelingSnapshot, count_difference_series,
                    deterministic_step, ensemble_density, equal_superposition,
@@ -27,13 +25,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "DomainError", "GridError", "ProbabilityError",
     "SpinBosonError", "StepError", "ToleranceError",
-    "EULER_GAMMA", "cosine_integral", "expint_e1", "sin_cos_integral",
-    "sine_integral",
+    "expint_e1", "sin_cos_integral",
     "MAX_OMEGA0_RATIO", "RateSet", "SystemParams", "rate_table",
     "rates_closed_form", "rates_quadrature", "sign_changes", "uniform_grid",
-    "DensityMatrix", "DynamicalMap", "KernelTable", "apply_map",
-    "apply_map_series", "blp_measure", "build_kernels", "ode_oracle",
-    "pair_directions", "recoherence_mask", "trace_distance",
+    "DensityMatrix", "KernelTable", "apply_map", "apply_map_series",
+    "blp_measure", "build_kernels", "ode_oracle", "pair_directions",
+    "recoherence_mask",
     "EnsembleState", "PureState", "UnravelingResult", "UnravelingSnapshot",
     "count_difference_series", "deterministic_step", "ensemble_density",
     "equal_superposition", "member_uniforms", "run_unraveling",

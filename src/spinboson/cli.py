@@ -64,14 +64,7 @@ class RunConfig:
     workers: int = 1
 
     def validate(self) -> None:
-        if self.epsilon_over_delta < 0.0:
-            raise ConfigError(
-                f"epsilon_over_delta must be >= 0, got {self.epsilon_over_delta}")
-        if self.omega0_over_omegac <= 0.0:
-            raise ConfigError(
-                f"omega0_over_omegac must be > 0, got {self.omega0_over_omegac}")
-        if self.alpha < 0.0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+        self.system_params()
         try:
             uniform_grid(self.t_max, self.dt)
         except GridError as err:

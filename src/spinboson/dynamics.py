@@ -17,9 +17,8 @@ The map works in the interaction picture: coherences carry no free
 e^{-i omega0 t} rotation, matching the convention of the rate derivation.
 
 Also here: the recoherence-region computation (where the coherence
-magnitude grows), the closed-form trace distance, and the trace-distance
-non-Markovianity measure (maximum information backflow over antipodal
-Bloch pairs).
+magnitude grows) and the trace-distance non-Markovianity measure (maximum
+information backflow over antipodal Bloch pairs).
 """
 
 from __future__ import annotations
@@ -57,41 +56,9 @@ class DensityMatrix:
             if not -1e-12 <= v <= 1.0 + 1e-12:
                 raise DomainError(f"{name} = {v!r} outside [0, 1]")
 
-    @property
-    def rho_mp(self) -> complex:
-        return complex(self.rho_pm).conjugate()
-
     def determinant(self) -> float:
         """det(rho) = rho_pp*rho_mm - |rho_pm|^2 (negative => unphysical)."""
         return self.rho_pp * self.rho_mm - abs(self.rho_pm) ** 2
-
-    @classmethod
-    def from_populations(cls, rho_pp: float, rho_pm: complex) -> "DensityMatrix":
-        return cls(rho_pp=rho_pp, rho_mm=1.0 - rho_pp, rho_pm=complex(rho_pm))
-
-    @classmethod
-    def from_bloch(cls, nx: float, ny: float, nz: float) -> "DensityMatrix":
-        """rho = (I + n . sigma)/2 for a Bloch vector with |n| <= 1."""
-        if math.hypot(math.hypot(nx, ny), nz) > 1.0 + 1e-12:
-            raise DomainError("Bloch vector must have |n| <= 1")
-        return cls(rho_pp=0.5 * (1.0 + nz), rho_mm=0.5 * (1.0 - nz),
-                   rho_pm=0.5 * complex(nx, -ny))
-
-
-@dataclass(frozen=True)
-class DynamicalMap:
-    """The map at a single time: populations mix via (g, f), coherence scales."""
-
-    t: float
-    g: float
-    f: float
-    exp_minus_zeta: float
-
-    def __call__(self, rho0: DensityMatrix) -> DensityMatrix:
-        rho_pp = self.g * rho0.rho_pp + self.f * rho0.rho_mm
-        rho_mm = (1.0 - self.g) * rho0.rho_pp + (1.0 - self.f) * rho0.rho_mm
-        rho_pm = self.exp_minus_zeta * complex(rho0.rho_pm)
-        return DensityMatrix(rho_pp=rho_pp, rho_mm=rho_mm, rho_pm=rho_pm)
 
 
 @dataclass(frozen=True)
@@ -103,30 +70,11 @@ class KernelTable:
     M(0) the identity and the population block column-stochastic.
     """
 
-    params: SystemParams
     grid: np.ndarray = field(repr=False)
     eta: np.ndarray = field(repr=False)
     zeta: np.ndarray = field(repr=False)
     f: np.ndarray = field(repr=False)
     g: np.ndarray = field(repr=False)
-
-    @property
-    def h(self) -> float:
-        return float(self.grid[1] - self.grid[0])
-
-    def index_of(self, t: float) -> int:
-        """Grid index of time t; GridError if t is not a grid point."""
-        i = int(round(t / self.h))
-        if i < 0 or i >= len(self.grid) or abs(self.grid[i] - t) > 1e-9:
-            raise GridError(f"t={t} is not on the kernel grid "
-                            f"(step {self.h}, max {self.grid[-1]})")
-        return i
-
-    def map_at(self, t: float) -> DynamicalMap:
-        i = self.index_of(t)
-        return DynamicalMap(t=float(self.grid[i]), g=float(self.g[i]),
-                            f=float(self.f[i]),
-                            exp_minus_zeta=float(math.exp(-self.zeta[i])))
 
 
 def build_kernels(p: SystemParams, t_max: float, h: float,
@@ -161,16 +109,25 @@ def build_kernels(p: SystemParams, t_max: float, h: float,
     f = exp_minus_eta * cumulative_simpson(r["gamma2"] * np.exp(eta), x=grid,
                                            initial=0.0)
     g = f + exp_minus_eta
-    return KernelTable(params=p, grid=grid, eta=eta, zeta=zeta, f=f, g=g)
+    return KernelTable(grid=grid, eta=eta, zeta=zeta, f=f, g=g)
 
 
 def apply_map(k: KernelTable, rho0: DensityMatrix, t: float) -> DensityMatrix:
     """Propagate rho0 to grid time t with the analytic map.
 
-    Raises GridError for off-grid t (no interpolation) and StepError if
-    the result is unphysical (negative determinant beyond tolerance).
+    Raises GridError for off-grid or non-finite t (no interpolation) and
+    StepError if the result is unphysical (negative determinant beyond
+    tolerance).
     """
-    rho = k.map_at(t)(rho0)
+    h = float(k.grid[1] - k.grid[0])
+    i = int(round(t / h)) if math.isfinite(t) else -1
+    if i < 0 or i >= len(k.grid) or abs(k.grid[i] - t) > 1e-9:
+        raise GridError(f"t={t} is not on the kernel grid "
+                        f"(step {h}, max {k.grid[-1]})")
+    g, f = float(k.g[i]), float(k.f[i])
+    rho = DensityMatrix(rho_pp=g * rho0.rho_pp + f * rho0.rho_mm,
+                        rho_mm=(1.0 - g) * rho0.rho_pp + (1.0 - f) * rho0.rho_mm,
+                        rho_pm=math.exp(-k.zeta[i]) * complex(rho0.rho_pm))
     if rho.determinant() < -1e-10:
         raise StepError(f"map output not positive at t={t}: "
                         f"det={rho.determinant():.3e}")
@@ -284,8 +241,7 @@ def recoherence_mask(p: SystemParams, tgrid: np.ndarray,
     ratios = np.asarray(ratios, dtype=float)
     if np.any(ratios < 0.0):
         raise DomainError("epsilon/delta ratios must be >= 0")
-    base = rate_table(SystemParams(epsilon=0.0, delta=p.omega0,
-                                   alpha=p.alpha, omega_c=p.omega_c), tgrid)
+    base = rate_table(p, tgrid)
     gpm = base["gamma_plus"] + base["gamma_minus"]
     g0 = base["gamma_zero"]
     mask = np.empty((len(ratios), len(tgrid)), dtype=bool)
@@ -297,19 +253,7 @@ def recoherence_mask(p: SystemParams, tgrid: np.ndarray,
     return mask
 
 
-# --- trace distance and the backflow measure ----------------------------
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Trace distance of two qubit states, in closed form.
-
-    For the Hermitian traceless difference this is
-    sqrt(d^2 + |c|^2) with d the population difference and c the
-    coherence difference.
-    """
-    d = a.rho_pp - b.rho_pp
-    c = complex(a.rho_pm) - complex(b.rho_pm)
-    return math.sqrt(d * d + (c.real * c.real + c.imag * c.imag))
-
+# --- the backflow measure ----------------------------------------------
 
 def pair_directions(n: int) -> np.ndarray:
     """n Bloch directions defining antipodal pairs: axes + Fibonacci points.

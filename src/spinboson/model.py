@@ -86,12 +86,12 @@ class SystemParams:
         epsilon and delta are chosen so that omega0 = omega0_over_omegac
         * omega_c exactly while epsilon/delta matches the requested ratio.
         """
-        if epsilon_over_delta < 0.0:
+        if not 0.0 <= epsilon_over_delta < math.inf:
             raise DomainError(
-                f"epsilon/delta must be >= 0, got {epsilon_over_delta}")
-        if omega0_over_omegac <= 0.0:
+                f"epsilon_over_delta must be >= 0, got {epsilon_over_delta}")
+        if not 0.0 < omega0_over_omegac < math.inf:
             raise DomainError(
-                f"omega0/omega_c must be > 0, got {omega0_over_omegac}")
+                f"omega0_over_omegac must be > 0, got {omega0_over_omegac}")
         omega0 = omega0_over_omegac * omega_c
         delta = omega0 / math.hypot(1.0, epsilon_over_delta)
         epsilon = epsilon_over_delta * delta

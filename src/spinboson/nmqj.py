@@ -99,10 +99,6 @@ class PureState:
         if abs(n - 1.0) > 1e-12:
             raise DomainError(f"state norm^2 = {n!r}, must be 1")
 
-    def phase_flipped(self) -> "PureState":
-        """sigma_z applied: the PSI0_PH partner of a representative."""
-        return PureState(self.a_plus, -self.a_minus)
-
     @property
     def p_plus(self) -> float:
         return abs(self.a_plus) ** 2

@@ -17,8 +17,6 @@ from scipy import special
 
 from .errors import DomainError
 
-EULER_GAMMA = 0.5772156649015328606065120900824024
-
 
 def expint_e1(z):
     """Principal-branch exponential integral E1(z), elementwise.
@@ -53,22 +51,9 @@ def sin_cos_integral(z: complex) -> tuple[complex, complex]:
     """
     z = complex(z)
     if z == 0:
-        raise DomainError("Ci is singular at z = 0 (Si(0) = 0 is available "
-                          "from sine_integral)")
+        raise DomainError("Ci is singular at z = 0")
     if z.real < 0.0:
         raise DomainError(f"sin_cos_integral requires Re z >= 0; got z={z}")
     si, ci = special.sici(z)
     return complex(si), complex(ci)
 
-
-def sine_integral(z: complex) -> complex:
-    """Si(z) for Re z >= 0; Si(0) = 0 exactly."""
-    z = complex(z)
-    if z == 0:
-        return 0.0 + 0.0j
-    return sin_cos_integral(z)[0]
-
-
-def cosine_integral(z: complex) -> complex:
-    """Ci(z) for Re z >= 0, z != 0."""
-    return sin_cos_integral(z)[1]

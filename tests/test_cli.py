@@ -63,7 +63,11 @@ def test_config_parser_rejects_bad_lines(text):
 
 @pytest.mark.parametrize("field,value", [
     ("epsilon_over_delta", -0.1),
+    ("epsilon_over_delta", math.nan),
+    ("epsilon_over_delta", math.inf),
     ("omega0_over_omegac", 0.0),
+    ("omega0_over_omegac", math.nan),
+    ("omega0_over_omegac", math.inf),
     ("alpha", -1e-9),
     ("t_max", 0.0),
     ("t_max", math.nan),

@@ -9,7 +9,7 @@ import pytest
 from spinboson import (DensityMatrix, DomainError, GridError, StepError,
                        SystemParams, apply_map, apply_map_series, blp_measure,
                        build_kernels, ode_oracle, pair_directions,
-                       rate_table, recoherence_mask, trace_distance)
+                       rate_table, recoherence_mask)
 import spinboson.dynamics as dynamics
 
 FIG_RATIO = 1.0 / (2.0 * math.sqrt(3.0))
@@ -39,17 +39,7 @@ def test_density_matrix_validation():
     with pytest.raises(DomainError):
         DensityMatrix(rho_pp=1.2, rho_mm=-0.2, rho_pm=0.0)
     rho = DensityMatrix(rho_pp=0.25, rho_mm=0.75, rho_pm=0.1j)
-    assert rho.rho_mp == pytest.approx(-0.1j)
     assert rho.determinant() == pytest.approx(0.25 * 0.75 - 0.01)
-
-
-def test_density_matrix_from_bloch():
-    rho = DensityMatrix.from_bloch(1.0, 0.0, 0.0)
-    assert rho.rho_pp == 0.5 and rho.rho_pm == 0.5
-    rho = DensityMatrix.from_bloch(0.0, 1.0, 0.0)
-    assert rho.rho_pm == pytest.approx(-0.5j)
-    with pytest.raises(DomainError):
-        DensityMatrix.from_bloch(1.0, 1.0, 1.0)
 
 
 # --- kernels and the analytic map ----------------------------------------
@@ -76,10 +66,9 @@ def test_map_identity_at_zero():
 
 def test_map_off_grid_time_rejected():
     k = build_kernels(fig_params(), 1.0, 1e-3)
-    with pytest.raises(GridError):
-        apply_map(k, plus_minus_super(), 0.00035)
-    with pytest.raises(GridError):
-        apply_map(k, plus_minus_super(), 1.5)
+    for t in (0.00035, 1.5, -1e-3, math.nan, math.inf, -math.inf):
+        with pytest.raises(GridError):
+            apply_map(k, plus_minus_super(), t)
 
 
 def test_map_trace_exact_and_positive():
@@ -89,6 +78,24 @@ def test_map_trace_exact_and_positive():
         out = apply_map(k, rho0, t)
         assert out.rho_pp + out.rho_mm == 1.0
         assert out.determinant() >= -1e-10
+
+
+@pytest.mark.parametrize("rho0", [
+    DensityMatrix(rho_pp=0.5, rho_mm=0.5, rho_pm=0.5),
+    DensityMatrix(rho_pp=0.9, rho_mm=0.1, rho_pm=0.25 + 0.1j),
+    DensityMatrix(rho_pp=0.0, rho_mm=1.0, rho_pm=0.0),
+])
+def test_map_matches_map_series_at_every_grid_point(rho0):
+    # the scalar map and the vectorized series share only the kernel table;
+    # the population is the same expression, the rest differ in rounding
+    # (math.exp vs np.exp, 1 - rho_pp vs the (1-g), (1-f) mixture)
+    k = build_kernels(fig_params(0.3, alpha=0.05), 5.0, 1e-3)
+    rho_pp, rho_pm = apply_map_series(k, rho0)
+    for i, t in enumerate(k.grid.tolist()):
+        out = apply_map(k, rho0, t)
+        assert out.rho_pp == rho_pp[i]
+        assert abs(out.rho_mm - (1.0 - rho_pp[i])) <= 1e-15
+        assert abs(out.rho_pm - rho_pm[i]) <= 1e-15
 
 
 def test_zero_bias_halves_zeta():
@@ -242,18 +249,6 @@ def test_recoherence_mask_rejects_negative_ratio():
 
 # --- trace distance and BLP ----------------------------------------------
 
-def test_trace_distance_examples():
-    up = DensityMatrix(rho_pp=1.0, rho_mm=0.0, rho_pm=0.0)
-    down = DensityMatrix(rho_pp=0.0, rho_mm=1.0, rho_pm=0.0)
-    mixed = DensityMatrix(rho_pp=0.5, rho_mm=0.5, rho_pm=0.0)
-    assert trace_distance(up, up) == 0.0
-    assert trace_distance(up, down) == 1.0
-    assert trace_distance(up, mixed) == pytest.approx(0.5)
-    x_plus = DensityMatrix.from_bloch(1.0, 0.0, 0.0)
-    x_minus = DensityMatrix.from_bloch(-1.0, 0.0, 0.0)
-    assert trace_distance(x_plus, x_minus) == 1.0
-
-
 def test_pair_directions():
     pts = pair_directions(64)
     assert pts.shape == (64, 3)
@@ -289,16 +284,22 @@ def test_blp_non_finite_horizon(t_max):
 
 
 def blp_reference(p: SystemParams, t_max: float) -> float:
-    """The measure pair by pair: both states mapped, distance at each time."""
+    """The measure pair by pair: both states mapped, distance at each time.
+
+    The pair is rho = (I +- n.sigma)/2; the trace distance of two qubit
+    states is hypot(d rho_pp, |d rho_pm|).
+    """
     h = t_max / round(t_max / (0.002 / p.omega_c))
     k = build_kernels(p, t_max, h)
     best = 0.0
-    for n in dynamics.pair_directions(32):
-        plus, minus = (DensityMatrix.from_bloch(*s * n) for s in (1.0, -1.0))
+    for nx, ny, nz in dynamics.pair_directions(32):
+        plus, minus = (DensityMatrix(rho_pp=0.5 * (1.0 + s * nz),
+                                     rho_mm=0.5 * (1.0 - s * nz),
+                                     rho_pm=0.5 * s * complex(nx, -ny))
+                       for s in (1.0, -1.0))
         (pp1, pm1), (pp2, pm2) = (apply_map_series(k, rho)
                                   for rho in (plus, minus))
-        dist = [trace_distance(DensityMatrix.from_populations(a, b),
-                               DensityMatrix.from_populations(c, d))
+        dist = [math.hypot(a - c, abs(b - d))
                 for a, b, c, d in zip(pp1.tolist(), pm1.tolist(),
                                       pp2.tolist(), pm2.tolist())]
         sigma = np.gradient(dist, k.grid)

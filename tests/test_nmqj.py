@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from spinboson import (DensityMatrix, DomainError, EnsembleState, GridError,
                        ProbabilityError, PureState, RateSet, StepError,
-                       SystemParams, apply_map_series, build_kernels,
-                       count_difference_series, deterministic_step,
-                       ensemble_density, equal_superposition,
-                       member_uniforms, run_unraveling, step_ensemble)
+                       SystemParams, apply_map, apply_map_series,
+                       build_kernels, count_difference_series,
+                       deterministic_step, ensemble_density,
+                       equal_superposition, member_uniforms, run_unraveling,
+                       step_ensemble)
 
 FIG_RATIO = 1.0 / (2.0 * math.sqrt(3.0))
 
@@ -70,16 +71,12 @@ def test_member_uniforms_roughly_uniform():
 
 # --- pure states and drift ------------------------------------------------
 
-def test_pure_state_validation_and_flip():
+def test_pure_state_validation():
     with pytest.raises(DomainError):
         PureState(1.0, 1.0)
     s = equal_superposition()
     assert s.p_plus == pytest.approx(0.5, rel=1e-14)
     assert s.p_minus == pytest.approx(0.5, rel=1e-14)
-    f = s.phase_flipped()
-    assert f.a_plus == s.a_plus
-    assert f.a_minus == -s.a_minus
-    assert f.phase_flipped().a_minus == s.a_minus
 
 
 def test_drift_identity_when_rates_vanish():
@@ -130,9 +127,9 @@ def test_drift_commutes_with_phase_flip(theta, phase, g1, g2, g3):
     s = PureState(math.cos(theta), math.sin(theta) * complex(math.cos(phase),
                                                              math.sin(phase)))
     rates = jump_rates(g1=g1, g2=g2, g3=g3)
-    a = deterministic_step(s.phase_flipped(), rates, 1e-3)
-    b = deterministic_step(s, rates, 1e-3).phase_flipped()
-    assert a.a_plus == b.a_plus and a.a_minus == b.a_minus
+    a = deterministic_step(PureState(s.a_plus, -s.a_minus), rates, 1e-3)
+    b = deterministic_step(s, rates, 1e-3)
+    assert a.a_plus == b.a_plus and a.a_minus == -b.a_minus
 
 
 # --- ensemble state and density -------------------------------------------
@@ -377,8 +374,8 @@ def test_run_estimator_is_unbiased():
     p = fig_params(alpha=0.05)
     t_max, dt, n, n_seeds = 1.5, 1e-3, 400, 50
     k = build_kernels(p, t_max, dt)
-    target = k.map_at(t_max)(DensityMatrix(rho_pp=0.5, rho_mm=0.5,
-                                           rho_pm=0.5))
+    target = apply_map(k, DensityMatrix(rho_pp=0.5, rho_mm=0.5, rho_pm=0.5),
+                       t_max)
 
     pp_obs, re_obs = [], []
     for seed in range(n_seeds):
