@@ -15,10 +15,10 @@ from .model import (MAX_OMEGA0_RATIO, RateSet, SystemParams, rate_table,
 from .dynamics import (DensityMatrix, KernelTable, apply_map,
                        apply_map_series, blp_measure, build_kernels,
                        ode_oracle, pair_directions, recoherence_mask)
-from .nmqj import (EnsembleState, PureState, UnravelingResult,
-                   UnravelingSnapshot, count_difference_series,
-                   deterministic_step, ensemble_density, equal_superposition,
-                   member_uniforms, run_unraveling, step_ensemble)
+from .nmqj import (PureState, UnravelingResult, UnravelingSnapshot,
+                   count_difference_series, deterministic_step,
+                   equal_superposition, member_uniforms, run_unraveling,
+                   step_ensemble)
 
 __version__ = "0.1.0"
 
@@ -31,9 +31,8 @@ __all__ = [
     "DensityMatrix", "KernelTable", "apply_map", "apply_map_series",
     "blp_measure", "build_kernels", "ode_oracle", "pair_directions",
     "recoherence_mask",
-    "EnsembleState", "PureState", "UnravelingResult", "UnravelingSnapshot",
-    "count_difference_series", "deterministic_step", "ensemble_density",
-    "equal_superposition", "member_uniforms", "run_unraveling",
-    "step_ensemble",
+    "PureState", "UnravelingResult", "UnravelingSnapshot",
+    "count_difference_series", "deterministic_step", "equal_superposition",
+    "member_uniforms", "run_unraveling", "step_ensemble",
     "__version__",
 ]

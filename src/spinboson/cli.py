@@ -18,7 +18,9 @@ Floats are written with 12 significant digits.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -164,21 +166,46 @@ def _csv_rows(columns, idx):
                        zip(*(c[chunk].tolist() for c in columns))])
 
 
-def _write_csv(path: str, header: list[str], text) -> int:
-    """Write the header and the text chunks, report the row count, return 0."""
+@contextlib.contextmanager
+def _csv_file(path: str):
+    """Open a new file beside ``path`` for the CSV, before any numerical work.
+
+    On success it replaces ``path``.  On any error it is removed, so a
+    failed run leaves no file behind and an existing ``path`` untouched.
+    An unwritable ``path`` is a ConfigError.
+    """
     if not path:
         raise ConfigError("output_path must not be empty")
-    n = 0
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for chunk in text:
-                fh.write(chunk)
-                n += chunk.count("\n")
+        fh = open(tmp, "w", encoding="utf-8", newline="\n")
     except OSError as err:
-        raise ConfigError(f"cannot write {path}: {err}") from err
-    print(f"wrote {n} rows to {path}")
-    return 0
+        raise ConfigError(f"cannot write {path}: {err.strerror or err}") \
+            from err
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as err:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(err, OSError):
+            raise ConfigError(f"cannot write {path}: "
+                              f"{err.strerror or err}") from err
+        raise
+
+
+def _write_csv(fh, header: list[str], text) -> int:
+    """Write the header and the text chunks; return the row count."""
+    fh.write(",".join(header) + "\n")
+    n = 0
+    for chunk in text:
+        fh.write(chunk)
+        n += chunk.count("\n")
+    return n
 
 
 def _strided(n_rows: int, stride: int) -> range:
@@ -189,14 +216,14 @@ def _strided(n_rows: int, stride: int) -> range:
 
 # --- commands ------------------------------------------------------------
 
-def cmd_rates(cfg: RunConfig) -> int:
+def cmd_rates(cfg: RunConfig, fh) -> int:
     p = cfg.system_params()
     grid = uniform_grid(cfg.t_max, cfg.dt)
     r = rate_table(p, grid)
     names = ["gamma_plus", "gamma_minus", "gamma_zero", "gamma1", "gamma2",
              "gamma3"]
     columns = [grid, p.omega0 * grid, *(r[name] for name in names)]
-    return _write_csv(cfg.output_path, ["t", "omega0_t", *names],
+    return _write_csv(fh, ["t", "omega0_t", *names],
                       _csv_rows(columns, _strided(len(grid), cfg.emit_stride)))
 
 
@@ -205,7 +232,7 @@ def _initial_state() -> DensityMatrix:
     return DensityMatrix(rho_pp=0.5, rho_mm=0.5, rho_pm=0.5)
 
 
-def cmd_evolve(cfg: RunConfig) -> int:
+def cmd_evolve(cfg: RunConfig, fh) -> int:
     p = cfg.system_params()
     k = build_kernels(p, cfg.t_max, cfg.dt)
     rho_pp, rho_pm = apply_map_series(k, _initial_state())
@@ -213,31 +240,28 @@ def cmd_evolve(cfg: RunConfig) -> int:
     columns = [k.grid, p.omega0 * k.grid, rho_pp, rho_pm.real, rho_pm.imag,
                np.hypot(rho_pm.real, rho_pm.imag)]
     idx = _strided(len(k.grid), cfg.emit_stride)
-    return _write_csv(cfg.output_path,
+    return _write_csv(fh,
                       ["t", "omega0_t", "rho_pp", "re_rho_pm", "im_rho_pm",
                        "abs_rho_pm"], _csv_rows(columns, idx))
 
 
-def cmd_unravel(cfg: RunConfig) -> int:
+def cmd_unravel(cfg: RunConfig, fh) -> int:
     if cfg.n_traj < 100:
         raise ConfigError(f"n_traj must be >= 100 for unravel, got {cfg.n_traj}")
     p = cfg.system_params()
-    result = run_unraveling(p, cfg.n_traj, cfg.t_max, cfg.dt, cfg.seed,
-                            stride=cfg.emit_stride, workers=cfg.workers)
-    columns = np.array([
-        (s.t, p.omega0 * s.t, s.rho.rho_pp, s.rho.rho_pm.real,
-         s.rho.rho_pm.imag, abs(s.rho.rho_pm),
-         *(c / cfg.n_traj for c in s.counts),
-         s.se_rho_pp, s.se_re_rho_pm, s.se_count_diff)
-        for s in result.snapshots]).T
-    return _write_csv(cfg.output_path,
+    r = run_unraveling(p, cfg.n_traj, cfg.t_max, cfg.dt, cfg.seed,
+                       stride=cfg.emit_stride, workers=cfg.workers)
+    re, im = r.rho_pm.real, r.rho_pm.imag
+    columns = [r.times, p.omega0 * r.times, r.rho_pp, re, im, np.hypot(re, im),
+               *r.fractions.T, r.se_rho_pp, r.se_re_rho_pm, r.se_count_diff]
+    return _write_csv(fh,
                       ["t", "omega0_t", "rho_pp", "re_rho_pm", "im_rho_pm",
                        "abs_rho_pm", "n0", "n0_ph", "n_plus", "n_minus",
                        "se_rho_pp", "se_re_rho_pm", "se_count_diff"],
-                      _csv_rows(columns, range(columns.shape[1])))
+                      _csv_rows(columns, range(len(r.times))))
 
 
-def cmd_recoherence_map(cfg: RunConfig) -> int:
+def cmd_recoherence_map(cfg: RunConfig, fh) -> int:
     p = cfg.system_params()
     grid = uniform_grid(cfg.t_max, cfg.dt)
     n_r = round(RATIO_GRID_MAX / RATIO_GRID_STEP)
@@ -248,7 +272,7 @@ def cmd_recoherence_map(cfg: RunConfig) -> int:
     times = [f"{_fmt(t)},{_fmt(w)}," for t, w in
              zip(grid[idx].tolist(), (p.omega0 * grid)[idx].tolist())]
     labels = [f"{_fmt(r)}," for r in ratios.tolist()]
-    return _write_csv(cfg.output_path,
+    return _write_csv(fh,
                       ["t", "omega0_t", "eps_over_delta", "in_region"],
                       ("".join([f"{pre}{label}{m:d}\n" for pre, m in
                                 zip(times, row[idx].tolist())])
@@ -278,8 +302,10 @@ def cmd_blp(cfg: RunConfig) -> int:
     return 0
 
 
-_RUNNERS = {"rates": cmd_rates, "evolve": cmd_evolve, "unravel": cmd_unravel,
-            "recoherence-map": cmd_recoherence_map, "blp": cmd_blp}
+#: the commands that write one CSV to output_path: (cfg, open file) -> rows
+_CSV_RUNNERS = {"rates": cmd_rates, "evolve": cmd_evolve,
+                "unravel": cmd_unravel,
+                "recoherence-map": cmd_recoherence_map}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,12 +330,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join "--flag -1e-9" into "--flag=-1e-9" for any value float() reads.
+
+    argparse takes a token such as -1e-9, -inf or -nan for an option name
+    and stops with a usage error; attached, the value reaches validation.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] \
+                and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_negative_values(argv))
     overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     try:
         cfg = load_config(args.config, overrides, args.command)
-        return _RUNNERS[args.command](cfg)
+        if args.command == "blp":
+            return cmd_blp(cfg)
+        with _csv_file(cfg.output_path) as fh:
+            n = _CSV_RUNNERS[args.command](cfg, fh)
+        print(f"wrote {n} rows to {cfg.output_path}")
+        return 0
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -23,6 +23,7 @@ times are in units of 1/omega_c.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -62,7 +63,12 @@ class SystemParams:
             raise DomainError(f"alpha must be >= 0, got {self.alpha}")
         if not (self.omega_c > 0.0) or not math.isfinite(self.omega_c):
             raise DomainError(f"omega_c must be > 0, got {self.omega_c}")
-        ratio = self.omega0 / self.omega_c
+        w0 = self.omega0
+        if not w0 * w0 >= sys.float_info.min:
+            raise DomainError(
+                f"omega0 = {w0:g} is too small: the channel weights divide "
+                "by omega0**2, which underflows")
+        ratio = w0 / self.omega_c
         if ratio > MAX_OMEGA0_RATIO:
             raise DomainError(
                 f"omega0/omega_c = {ratio:g} exceeds the supported maximum "

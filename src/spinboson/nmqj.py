@@ -25,6 +25,12 @@ same law as one uniform per member, and a step costs the same whatever
 the ensemble size.  A run draws from one PCG64 stream seeded with the
 seed reduced modulo 2**64; results are bit-identical for a given seed.
 
+A ladder is a preallocated array of fixed length, zero-padded where an
+event is absent; numpy's multinomial draws nothing for a zero slot.  The
+driver steps on plain floats and ints and records only counts and
+amplitudes; the estimators of all recorded rows (UnravelingResult's
+columns) are computed after the loop.
+
 The coherence estimator is carried by the count difference between the
 representative class and its phase-flipped class: rho_pm estimated from
 the ensemble is (N0 - N0_PH)/N times a+ conj(a-), so the normalized
@@ -34,17 +40,18 @@ count difference is the direct Monte Carlo witness of recoherence.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ProbabilityError, StepError
+from .errors import (DomainError, ProbabilityError, SpinBosonError,
+                     StepError)
 from .dynamics import DensityMatrix
 from .model import RateSet, SystemParams, rate_table, uniform_grid
 
 # ensemble class codes
 PSI0, PSI0_PH, PLUS, MINUS = 0, 1, 2, 3
-N_CLASSES = 4
 
 #: largest ensemble a step can draw (numpy's multinomial takes int64 counts)
 _INT64_MAX = 2 ** 63 - 1
@@ -114,6 +121,20 @@ def equal_superposition() -> PureState:
     return PureState(r, r)
 
 
+def _drift(a_plus, a_minus, grow_plus: float, grow_minus: float,
+           budget: float):
+    """deterministic_step on bare amplitudes and precomputed factors."""
+    if budget > STEP_PROBABILITY_BOUND:
+        raise StepError(f"dt too large: dt*(|g1|+|g2|+2|g3|) = {budget:.3g} > "
+                        f"{STEP_PROBABILITY_BOUND}")
+    ap = a_plus * grow_plus
+    am = a_minus * grow_minus
+    norm = math.sqrt(abs(ap) ** 2 + abs(am) ** 2)
+    if norm < 1e-6:
+        raise StepError(f"pre-normalization norm {norm:.3g} < 1e-6")
+    return ap / norm, am / norm
+
+
 def deterministic_step(s: PureState, rates: RateSet, dt: float) -> PureState:
     """One no-jump drift step: non-Hermitian decay of the amplitudes.
 
@@ -122,126 +143,74 @@ def deterministic_step(s: PureState, rates: RateSet, dt: float) -> PureState:
     scheme) and renormalizes.  The drift is diagonal: |psi_+> decays with
     gamma1 + gamma3 and |psi_-> with gamma2 + gamma3.
     """
-    budget = dt * (abs(rates.gamma1) + abs(rates.gamma2) + 2.0 * abs(rates.gamma3))
-    if budget > STEP_PROBABILITY_BOUND:
-        raise StepError(f"dt too large: dt*(|g1|+|g2|+2|g3|) = {budget:.3g} > "
-                        f"{STEP_PROBABILITY_BOUND}")
-    ap = s.a_plus * (1.0 - 0.5 * dt * (rates.gamma1 + rates.gamma3))
-    am = s.a_minus * (1.0 - 0.5 * dt * (rates.gamma2 + rates.gamma3))
-    norm = math.sqrt(abs(ap) ** 2 + abs(am) ** 2)
-    if norm < 1e-6:
-        raise StepError(f"pre-normalization norm {norm:.3g} < 1e-6")
-    return PureState(ap / norm, am / norm)
-
-
-# --- ensemble ------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EnsembleState:
-    """Counts over the four classes plus the shared representative."""
-
-    counts: tuple[int, int, int, int]
-    psi0: PureState
-    n: int
-
-    def __post_init__(self) -> None:
-        if sum(self.counts) != self.n or min(self.counts) < 0:
-            raise DomainError(f"counts {self.counts} do not sum to n={self.n}")
-
-    @classmethod
-    def initial(cls, n: int, psi0: PureState | None = None) -> "EnsembleState":
-        return cls(counts=(n, 0, 0, 0),
-                   psi0=psi0 if psi0 is not None else equal_superposition(),
-                   n=n)
-
-
-def _class_ladders(counts: tuple[int, ...], psi0: PureState, rates: RateSet,
-                   dt: float) -> list[list[tuple[float, int]]]:
-    """Per-class jump ladders: lists of (event probability, destination).
-
-    A member of class c fires the k-th event of its ladder with the k-th
-    probability; with the remaining probability it takes the deterministic
-    drift instead.  Event order is fixed (forward channels 1, 2, 3, then
-    reversed events by source registry order) so sampling is
-    reproducible.  Counts are the frozen start-of-step values.
-    """
     g1, g2, g3 = rates.gamma1, rates.gamma2, rates.gamma3
+    return PureState(*_drift(s.a_plus, s.a_minus,
+                             1.0 - 0.5 * dt * (g1 + g3),
+                             1.0 - 0.5 * dt * (g2 + g3),
+                             dt * (abs(g1) + abs(g2) + 2.0 * abs(g3))))
+
+
+# --- ensemble step -------------------------------------------------------
+
+#: destination of each ladder slot by origin class: forward channels 1, 2,
+#: 3 for the representatives; for PLUS and MINUS the forward jump, then the
+#: reversed jumps to PSI0, PSI0_PH and the other eigenstate; then "no jump"
+_DESTINATIONS = ((MINUS, PLUS, PSI0_PH), (MINUS, PLUS, PSI0),
+                 (MINUS, PSI0, PSI0_PH, MINUS), (PLUS, PSI0, PSI0_PH, PLUS))
+
+
+def _ladder_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ladder scratch: the representatives' (shared), PLUS's, MINUS's."""
+    return np.zeros(4), np.zeros(5), np.zeros(5)
+
+
+def step_ensemble(counts: tuple[int, int, int, int], g1: float, g2: float,
+                  g3: float, p_plus: float, p_minus: float, dt: float,
+                  rng: np.random.Generator,
+                  ladders: tuple[np.ndarray, ...] | None = None
+                  ) -> tuple[int, int, int, int]:
+    """One synchronized jump step of the whole ensemble; the new counts.
+
+    Reversed-jump probabilities use the ``counts`` frozen at the step start.
+    Each class with members and a non-zero ladder draws its moves as one
+    multinomial over its zero-padded ladder array (``ladders``, which are
+    overwritten), in class order.  Survivors' drift is not applied here.
+    """
     if g3 < 0.0:
         raise StepError(f"gamma3 = {g3!r} < 0: reversed dephasing jumps "
                         "are outside this scheme")
-    pp, pm = psi0.p_plus, psi0.p_minus
-    events: list[list[tuple[float, int]]] = [[] for _ in range(N_CLASSES)]
-
-    # forward jumps (positive rates)
-    for origin in (PSI0, PSI0_PH):
-        if g1 > 0.0:
-            events[origin].append((g1 * dt * pp, MINUS))
-        if g2 > 0.0:
-            events[origin].append((g2 * dt * pm, PLUS))
-        if g3 > 0.0:
-            events[origin].append((g3 * dt, PSI0_PH if origin == PSI0 else PSI0))
-    if g1 > 0.0:
-        events[PLUS].append((g1 * dt, MINUS))
-    if g2 > 0.0:
-        events[MINUS].append((g2 * dt, PLUS))
-    # sigma_z on PLUS/MINUS is a global phase: no event.
-
+    n0, nph, npl, nmi = counts
+    f1 = g1 * dt if g1 > 0.0 else 0.0
+    f2 = g2 * dt if g2 > 0.0 else 0.0
+    rep = (f1 * p_plus, f2 * p_minus, g3 * dt)
+    plus, minus = (f1, 0.0, 0.0, 0.0), (f2, 0.0, 0.0, 0.0)
     # reversed jumps (negative rates): target class -> source class with
     # probability (N_source / N_target) |gamma| dt <source|C+C|source>
-    if g1 < 0.0 and counts[MINUS] > 0:
-        for src, w in ((PSI0, pp), (PSI0_PH, pp), (PLUS, 1.0)):
-            events[MINUS].append(
-                ((counts[src] / counts[MINUS]) * (-g1) * dt * w, src))
-    if g2 < 0.0 and counts[PLUS] > 0:
-        for src, w in ((PSI0, pm), (PSI0_PH, pm), (MINUS, 1.0)):
-            events[PLUS].append(
-                ((counts[src] / counts[PLUS]) * (-g2) * dt * w, src))
-
-    for c, ladder in enumerate(events):
-        total = math.fsum(p for p, _ in ladder)
+    if g2 < 0.0 and npl > 0:
+        plus = (f1, (n0 / npl) * (-g2) * dt * p_minus,
+                (nph / npl) * (-g2) * dt * p_minus, (nmi / npl) * (-g2) * dt)
+    if g1 < 0.0 and nmi > 0:
+        minus = (f2, (n0 / nmi) * (-g1) * dt * p_plus,
+                 (nph / nmi) * (-g1) * dt * p_plus, (npl / nmi) * (-g1) * dt)
+    ladder = (rep, rep, plus, minus)
+    totals = [math.fsum(x) for x in ladder]
+    for c, total in enumerate(totals):
         if total > 0.5:
             raise ProbabilityError(
                 f"total jump probability {total:.3g} > 0.5 for class {c}; "
                 "reduce dt")
-    return events
 
-
-def step_ensemble(e: EnsembleState, rates: RateSet, dt: float,
-                  rng: np.random.Generator) -> EnsembleState:
-    """One synchronized step of the whole ensemble.
-
-    Each non-empty class draws its moves as one multinomial over
-    [p_1..p_K, 1 - sum p] from its ladder, in class order; counts on the
-    right-hand side of reversed-jump probabilities are frozen at the step
-    start; survivors take the deterministic drift, which only the shared
-    representative carries.
-    """
-    ladders = _class_ladders(e.counts, e.psi0, rates, dt)
-    new_counts = list(e.counts)
-    for c, ladder in enumerate(ladders):
-        if e.counts[c] == 0 or not ladder:
+    rows = ladders or _ladder_arrays()
+    new = list(counts)
+    for c, row in enumerate((rows[0], rows[0], rows[1], rows[2])):
+        if counts[c] == 0 or totals[c] == 0.0:
             continue
-        probs = [p for p, _ in ladder]
-        moved = rng.multinomial(e.counts[c], [*probs, 1.0 - math.fsum(probs)])
-        for (_, dest), k in zip(ladder, moved.tolist()):
-            new_counts[c] -= k
-            new_counts[dest] += k
-    return EnsembleState(counts=tuple(new_counts),
-                         psi0=deterministic_step(e.psi0, rates, dt), n=e.n)
-
-
-def ensemble_density(e: EnsembleState) -> DensityMatrix:
-    """Ensemble-averaged density matrix: sum of (N_c/N) |phi_c><phi_c|.
-
-    The two representative classes contribute coherence with opposite
-    signs, so rho_pm carries the factor (N0 - N0_PH)/N.
-    """
-    q0, qph, qp, qm = (c / e.n for c in e.counts)
-    pp, pm = e.psi0.p_plus, e.psi0.p_minus
-    cross = complex(e.psi0.a_plus) * complex(e.psi0.a_minus).conjugate()
-    return DensityMatrix(rho_pp=(q0 + qph) * pp + qp,
-                         rho_mm=(q0 + qph) * pm + qm,
-                         rho_pm=(q0 - qph) * cross)
+        row[:-1] = ladder[c]
+        moved = rng.multinomial(counts[c], row).tolist()
+        new[c] -= counts[c] - moved[-1]
+        for dest, k in zip(_DESTINATIONS[c], moved):
+            new[dest] += k
+    return tuple(new)
 
 
 # --- driver --------------------------------------------------------------
@@ -261,9 +230,13 @@ class UnravelingSnapshot:
     se_count_diff: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnravelingResult:
-    """Snapshots plus the run's defining parameters."""
+    """A run's parameters and its recorded rows as columns.
+
+    Row k is the ensemble after step ``steps[k]``.  ``snapshots`` builds an
+    UnravelingSnapshot per row when it is read.
+    """
 
     params: SystemParams
     n_traj: int
@@ -271,41 +244,96 @@ class UnravelingResult:
     seed: int
     stride: int
     workers: int
-    snapshots: list[UnravelingSnapshot] = field(repr=False)
+    steps: np.ndarray = field(repr=False)
+    times: np.ndarray = field(repr=False)
+    counts: np.ndarray = field(repr=False)
+    fractions: np.ndarray = field(repr=False)
+    a_plus: np.ndarray = field(repr=False)
+    a_minus: np.ndarray = field(repr=False)
+    rho_pp: np.ndarray = field(repr=False)
+    rho_mm: np.ndarray = field(repr=False)
+    rho_pm: np.ndarray = field(repr=False)
+    se_rho_pp: np.ndarray = field(repr=False)
+    se_re_rho_pm: np.ndarray = field(repr=False)
+    count_diff: np.ndarray = field(repr=False)
+    se_count_diff: np.ndarray = field(repr=False)
 
     @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.snapshots])
+    def snapshots(self) -> "_Snapshots":
+        return _Snapshots(self)
 
 
-def _snapshot(step: int, t: float, e: EnsembleState) -> UnravelingSnapshot:
-    q0, qph, qp, qm = (c / e.n for c in e.counts)
-    rho = ensemble_density(e)
-    # plug-in standard errors of the per-member estimators
-    pp = e.psi0.p_plus
-    var_pp = max(0.0, (q0 + qph) * pp * pp + qp - rho.rho_pp ** 2)
-    cd = q0 - qph
-    var_cd = max(0.0, (q0 + qph) - cd * cd)
-    cross = abs(complex(e.psi0.a_plus) * complex(e.psi0.a_minus).conjugate())
-    return UnravelingSnapshot(
-        step=step, t=t, counts=e.counts, psi0=e.psi0,
-        rho=rho, se_rho_pp=math.sqrt(var_pp / e.n),
-        se_re_rho_pm=cross * math.sqrt(var_cd / e.n),
-        count_diff=cd, se_count_diff=math.sqrt(var_cd / e.n))
+class _Snapshots(Sequence):
+    """An UnravelingResult's rows as UnravelingSnapshots."""
+
+    def __init__(self, result: UnravelingResult) -> None:
+        self._r = result
+
+    def __len__(self) -> int:
+        return len(self._r.steps)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(len(self))[k]]
+        r = self._r
+        return UnravelingSnapshot(
+            int(r.steps[k]), float(r.times[k]), tuple(r.counts[k].tolist()),
+            PureState(float(r.a_plus[k]), float(r.a_minus[k])),
+            DensityMatrix(float(r.rho_pp[k]), float(r.rho_mm[k]),
+                          complex(r.rho_pm[k])),
+            *(float(c[k]) for c in (r.se_rho_pp, r.se_re_rho_pm,
+                                    r.count_diff, r.se_count_diff)))
+
+
+def _columns(n: int, rows: list) -> dict[str, np.ndarray]:
+    """UnravelingResult's columns from (step, counts, a_plus, a_minus) rows:
+    rho = sum of (N_c/N) |phi_c><phi_c| and the plug-in standard errors,
+    in the IEEE operations of the scalar formulas.  A row that fails
+    DensityMatrix's checks raises its error."""
+    steps, counts, ap, am = zip(*rows)
+    counts = np.array(counts, dtype=np.int64)
+    # c / n as Python divides ints; int64 / int rounds both above 2**53
+    q = counts / n if n <= 2 ** 53 else \
+        np.reshape([c / n for c in counts.ravel().tolist()], counts.shape)
+    q0, qph, qp, qm = q.T
+    # x ** 2 rounds as C pow does, which can differ from x * x
+    pp, pm = (np.array([abs(x) ** 2 for x in a]) for a in (ap, am))
+    ap, am = np.array(ap, dtype=float), np.array(am, dtype=float)
+    rep, cd = q0 + qph, q0 - qph
+    rho_pp, rho_mm = rep * pp + qp, rep * pm + qm
+    ok = ((np.abs(rho_pp + rho_mm - 1.0) <= 1e-12)
+          & (np.minimum(rho_pp, rho_mm) >= -1e-12)
+          & (np.maximum(rho_pp, rho_mm) <= 1.0 + 1e-12))
+    for k in np.flatnonzero(~ok):
+        DensityMatrix(float(rho_pp[k]), float(rho_mm[k]), 0.0)
+    # a+ conj(a-) of real amplitudes; the complex products leave +0.0 in
+    # the imaginary part of rho_pm
+    cross = ap * am
+    rho_pm = np.zeros(len(cd), dtype=complex)
+    rho_pm.real = cd * cross
+    var_pp = rep * pp * pp + qp - np.array([x ** 2 for x in rho_pp.tolist()])
+    var_cd = rep - cd * cd
+    se_cd = np.sqrt(np.where(var_cd > 0.0, var_cd, 0.0) / float(n))
+    return {"steps": np.array(steps), "counts": counts, "fractions": q,
+            "a_plus": ap, "a_minus": am, "rho_pp": rho_pp, "rho_mm": rho_mm,
+            "rho_pm": rho_pm, "se_rho_pp": np.sqrt(
+                np.where(var_pp > 0.0, var_pp, 0.0) / float(n)),
+            "se_re_rho_pm": cross * se_cd, "count_diff": cd,
+            "se_count_diff": se_cd}
 
 
 def run_unraveling(p: SystemParams, n_traj: int, t_max: float, dt: float,
-                   seed: int, stride: int = 1, workers: int = 1,
-                   psi0: PureState | None = None) -> UnravelingResult:
-    """Evolve an ensemble of n_traj members and record periodic snapshots.
+                   seed: int, stride: int = 1,
+                   workers: int = 1) -> UnravelingResult:
+    """Evolve an ensemble of n_traj members from the equal superposition.
 
-    Snapshots are taken at t = 0 and every ``stride`` steps thereafter
-    (the final time is always included).  Every step is one
-    step_ensemble call: count-level multinomial draws from a single
-    PCG64 stream seeded with ``seed`` modulo 2**64, so a run costs the
-    same for any n_traj up to 2**63 - 1 and is bit-identical for a given
-    seed.  ``workers`` is validated (>= 1) and recorded on the result
-    but has no effect.
+    Rows are recorded at t = 0 and every ``stride`` steps thereafter (the
+    final time is always included).  A step is one step_ensemble call plus
+    the representative's drift: count-level multinomial draws from a
+    single PCG64 stream seeded with ``seed`` modulo 2**64, so a run costs
+    the same for any n_traj up to 2**63 - 1 and is bit-identical for a
+    given seed.  ``workers`` is validated (>= 1) and recorded on the
+    result but has no effect.
 
     Errors raised mid-run are re-raised with the failing time attached.
     """
@@ -319,30 +347,46 @@ def run_unraveling(p: SystemParams, n_traj: int, t_max: float, dt: float,
     seed = int(seed) & _MASK64
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    e = EnsembleState.initial(n_traj, psi0)
-    snaps = [_snapshot(0, 0.0, e)]
-    for i in range(n_steps):
-        rates = RateSet(t=float(grid[i]),
-                        gamma_plus=float(table["gamma_plus"][i]),
-                        gamma_minus=float(table["gamma_minus"][i]),
-                        gamma_zero=float(table["gamma_zero"][i]),
-                        gamma1=float(table["gamma1"][i]),
-                        gamma2=float(table["gamma2"][i]),
-                        gamma3=float(table["gamma3"][i]))
-        try:
-            e = step_ensemble(e, rates, dt, rng)
-        except (StepError, ProbabilityError) as err:
-            raise type(err)(f"at t = {grid[i]:.6g}: {err}") from err
-        if (i + 1) % stride == 0 or i == n_steps - 1:
-            snaps.append(_snapshot(i + 1, float(grid[i + 1]), e))
+    finite = np.isfinite([col[:n_steps] for col in table.values()]).all(0)
+    n_ok = int(finite.argmin()) if not finite.all() else n_steps
+    g1, g2, g3 = (table[k][:n_ok] for k in ("gamma1", "gamma2", "gamma3"))
+    s = equal_superposition()
+    ap, am, pp, pm = s.a_plus, s.a_minus, s.p_plus, s.p_minus
+    counts = (n_traj, 0, 0, 0)
+    rows = [(0, counts, ap, am)]
+    ladders = _ladder_arrays()
+    try:
+        for i, r1, r2, r3, budget, grow_p, grow_m in zip(
+                range(n_ok), g1.tolist(), g2.tolist(), g3.tolist(),
+                (dt * (np.abs(g1) + np.abs(g2) + 2.0 * np.abs(g3))).tolist(),
+                (1.0 - 0.5 * dt * (g1 + g3)).tolist(),
+                (1.0 - 0.5 * dt * (g2 + g3)).tolist()):
+            try:
+                counts = step_ensemble(counts, r1, r2, r3, pp, pm, dt, rng,
+                                       ladders)
+                ap, am = _drift(ap, am, grow_p, grow_m, budget)
+            except (StepError, ProbabilityError) as err:
+                raise type(err)(f"at t = {grid[i]:.6g}: {err}") from err
+            pp, pm = abs(ap) ** 2, abs(am) ** 2
+            if abs(pp + pm - 1.0) > 1e-12:
+                PureState(ap, am)               # raises its norm error
+            if sum(counts) != n_traj or min(counts) < 0:
+                raise DomainError(f"counts {counts} do not sum to n={n_traj}")
+            if (i + 1) % stride == 0 or i == n_steps - 1:
+                rows.append((i + 1, counts, ap, am))
+        if n_ok < n_steps:                      # raises its finiteness error
+            RateSet(t=float(grid[n_ok]),
+                    **{k: float(col[n_ok]) for k, col in table.items()})
+    except SpinBosonError:
+        _columns(n_traj, rows)          # a recorded row's error comes first
+        raise
+    columns = _columns(n_traj, rows)
     return UnravelingResult(params=p, n_traj=n_traj, dt=dt, seed=seed,
-                            stride=stride, workers=workers, snapshots=snaps)
+                            stride=stride, workers=workers,
+                            times=grid[columns["steps"]], **columns)
 
 
 def count_difference_series(result: UnravelingResult
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(times, (N0 - N0_PH)/N, standard error) from a run's snapshots."""
-    t = result.times
-    cd = np.array([s.count_diff for s in result.snapshots])
-    se = np.array([s.se_count_diff for s in result.snapshots])
-    return t, cd, se
+    """(times, (N0 - N0_PH)/N, standard error) of a run's recorded rows."""
+    return result.times, result.count_diff, result.se_count_diff

@@ -1,5 +1,6 @@
 """CLI tests: config handling, CSV emission, exit codes, determinism."""
 
+import hashlib
 import math
 import os
 import pathlib
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import spinboson
-from spinboson import ConfigError, SystemParams
+import spinboson.cli as cli
+from spinboson import ConfigError, StepError, SystemParams
 from spinboson.cli import (BLP_RATIOS, COMMANDS, DEFAULT_OUTPUT, DEFAULT_T_MAX,
                            RunConfig, _fmt, _initial_state, _strided,
                            emit_config, load_config, main, parse_config)
@@ -196,6 +198,30 @@ def test_unravel_csv_bytes(tmp_path):
         ["t", "omega0_t", "rho_pp", "re_rho_pm", "im_rho_pm", "abs_rho_pm",
          "n0", "n0_ph", "n_plus", "n_minus", "se_rho_pp", "se_re_rho_pm",
          "se_count_diff"], rows)
+
+
+#: sha256 of seeded unravel CSVs (seed 1): any change to the draws, the
+#: drift, the estimators or the formatting changes them
+UNRAVEL_GOLDEN_SHA256 = {
+    ("--n-traj", "1000", "--stride", "1"):
+        "bce1a6524a67f7ca7f80a95fcac8e4f60f3ce3941a97c9d21a2d175f66e0243f",
+    # reversed jumps from the dressed channels' negative-rate windows
+    ("--epsilon-over-delta", "0.3", "--alpha", "0.05", "--n-traj", "100000",
+     "--stride", "1"):
+        "2c0b825356914ecccfbd5469760827af6e791ca6c8dac518707d27c137e037a5",
+    # counts beyond 2**53: fractions from Python's exact int division
+    ("--n-traj", str(2 ** 63 - 1), "--t-max", "0.5", "--stride", "7"):
+        "52c8ca293e543ea7a97badff7f435474dee58e849040055013c4cd468343c00a",
+}
+
+
+def test_unravel_golden_sha256(tmp_path):
+    got = {}
+    for args in UNRAVEL_GOLDEN_SHA256:
+        out = tmp_path / "u.csv"
+        assert main(["unravel", *args, "--out", str(out)]) == 0
+        got[args] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == UNRAVEL_GOLDEN_SHA256
 
 
 # --- rates command ---------------------------------------------------------
@@ -395,6 +421,59 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, command, target):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write {out}: ")
     assert "Traceback" not in err
+
+
+def test_output_checked_before_computing(tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("computed before checking --out")
+    monkeypatch.setattr(cli, "run_unraveling", no_run)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["unravel", "--n-traj", "100", "--t-max", "0.1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out}: ")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["unravel", "--n-traj", "50"], 2),        # raised after the file opens
+    (["unravel", "--alpha", "100", "--t-max", "2", "--dt", "0.05",
+      "--n-traj", "100"], 3),
+])
+def test_failed_run_leaves_no_file(tmp_path, argv, code):
+    assert main([*argv, "--out", str(tmp_path / "u.csv")]) == code
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_run_keeps_existing_output(tmp_path, monkeypatch):
+    out = tmp_path / "u.csv"
+    out.write_bytes(b"earlier run\n")
+
+    def fail(*args, **kwargs):
+        raise StepError("at t = 0.5: dt too large")
+    monkeypatch.setattr(cli, "run_unraveling", fail)
+    assert main(["unravel", "--n-traj", "100", "--out", str(out)]) == 3
+    assert out.read_bytes() == b"earlier run\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_tiny_omega0_is_config_error(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert main(["rates", "--omega0-over-omegac", "1e-300", "--t-max", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: omega0 = 1e-300 is too small")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-1e-9", "-1E3", "-inf", "-nan"])
+@pytest.mark.parametrize("flag", ["--alpha", "--epsilon-over-delta"])
+def test_negative_exponent_values_reach_validation(tmp_path, capsys, flag,
+                                                   value):
+    assert main(["rates", "--t-max", "1", flag, value,
+                 "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert flag[2:].replace("-", "_") in err
 
 
 def test_exit_code_config_error_from_file(tmp_path, capsys):

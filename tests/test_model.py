@@ -1,13 +1,15 @@
 """Model-layer tests: parameters, rates, crossings."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinboson import (DomainError, GridError, RateSet, SystemParams,
-                       ToleranceError, rate_table, rates_closed_form,
+from spinboson import (DomainError, GridError, RateSet, SpinBosonError,
+                       SystemParams, ToleranceError, rate_table,
+                       rates_closed_form,
                        rates_quadrature, sign_changes, uniform_grid)
 import spinboson.model as model
 
@@ -41,6 +43,34 @@ def test_parameter_validation():
         SystemParams(epsilon=0.0, delta=10.0, alpha=-0.01)
     with pytest.raises(DomainError):
         SystemParams(epsilon=0.0, delta=301.0, alpha=0.01)
+
+
+#: finite ratios from subnormal through ordinary to near the float maximum
+EXTREME_RATIOS = st.one_of(st.floats(0.0, 1e-250), st.floats(0.0, 1e3),
+                           st.floats(1e250, 1.7e308))
+
+
+@settings(max_examples=300, deadline=None)
+@given(eps_over_delta=EXTREME_RATIOS, omega0_over_omegac=EXTREME_RATIOS)
+def test_extreme_ratios_fail_only_as_spinboson_errors(eps_over_delta,
+                                                       omega0_over_omegac):
+    # omega0/omega_c = 1e-300 once divided by zero in rate_table's
+    # channel weights; any parameters either raise a SpinBosonError or
+    # give finite rates
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            p = SystemParams.from_ratios(eps_over_delta, omega0_over_omegac,
+                                         0.01)
+            table = rate_table(p, np.array([0.0, 0.5, 1.0]))
+        except SpinBosonError:
+            return
+    assert all(np.isfinite(v).all() for v in table.values())
+
+
+def test_tiny_omega0_rejected():
+    with pytest.raises(DomainError, match="omega0 = 1e-300 is too small"):
+        SystemParams.from_ratios(FIG_RATIO, 1e-300, 0.01)
 
 
 def test_low_frequency_ratio_warns():

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinboson import (DensityMatrix, DomainError, EnsembleState, GridError,
+import spinboson.nmqj as nmqj
+from spinboson import (DensityMatrix, DomainError, GridError,
                        ProbabilityError, PureState, RateSet, StepError,
                        SystemParams, apply_map, apply_map_series,
                        build_kernels, count_difference_series,
-                       deterministic_step, ensemble_density,
-                       equal_superposition, member_uniforms, run_unraveling,
-                       step_ensemble)
+                       deterministic_step, equal_superposition,
+                       member_uniforms, run_unraveling, step_ensemble)
+from spinboson.model import rate_table, uniform_grid
 
 FIG_RATIO = 1.0 / (2.0 * math.sqrt(3.0))
 
@@ -132,73 +133,115 @@ def test_drift_commutes_with_phase_flip(theta, phase, g1, g2, g3):
     assert a.a_plus == b.a_plus and a.a_minus == -b.a_minus
 
 
-# --- ensemble state and density -------------------------------------------
+# --- recorded rows and their density matrix --------------------------------
 
-def test_ensemble_state_validation():
-    with pytest.raises(DomainError):
-        EnsembleState(counts=(5, 0, 0, 0), psi0=equal_superposition(), n=6)
-    with pytest.raises(DomainError):
-        EnsembleState(counts=(7, -1, 0, 0), psi0=equal_superposition(), n=6)
-    e = EnsembleState.initial(400)
-    assert e.counts == (400, 0, 0, 0) and e.n == 400
-    assert e.psi0.a_plus == equal_superposition().a_plus
+def row_columns(counts, psi=None):
+    """Result columns of one recorded row with the given class counts."""
+    s = psi or equal_superposition()
+    return nmqj._columns(sum(counts), [(0, counts, s.a_plus, s.a_minus)])
+
+
+def test_ensemble_state_validation(monkeypatch):
+    r = run_unraveling(fig_params(), 400, 0.1, 1e-3, seed=1, stride=50)
+    first = r.snapshots[0]
+    assert first.counts == (400, 0, 0, 0) and r.n_traj == 400
+    assert first.psi0.a_plus == equal_superposition().a_plus
+    assert r.counts.sum(axis=1).tolist() == [400] * len(r.steps)
+    # the driver checks every step's counts
+    for bad in ((5, 0, 0, 0), (101, -1, 0, 0)):
+        monkeypatch.setattr(nmqj, "step_ensemble", lambda *args, c=bad: c)
+        with pytest.raises(DomainError, match="do not sum to n=100"):
+            run_unraveling(fig_params(), 100, 0.01, 1e-3, seed=1)
 
 
 def test_ensemble_density_pure_representative():
-    rho = ensemble_density(EnsembleState.initial(1000))
-    assert rho.rho_pp == pytest.approx(0.5, rel=1e-14)
-    assert rho.rho_pm == pytest.approx(0.5, rel=1e-14)
+    c = row_columns((1000, 0, 0, 0))
+    assert c["rho_pp"][0] == pytest.approx(0.5, rel=1e-14)
+    assert c["rho_pm"][0] == pytest.approx(0.5, rel=1e-14)
 
 
 def test_ensemble_density_phase_classes_cancel():
-    e = EnsembleState(counts=(50, 50, 0, 0), psi0=equal_superposition(), n=100)
-    assert ensemble_density(e).rho_pm == 0.0
+    assert row_columns((50, 50, 0, 0))["rho_pm"][0] == 0.0
 
 
 def test_ensemble_density_mixed_counts():
-    e = EnsembleState(counts=(6, 2, 1, 1), psi0=equal_superposition(), n=10)
-    rho = ensemble_density(e)
-    assert rho.rho_pp == pytest.approx(0.5, rel=1e-12)
-    assert rho.rho_mm == pytest.approx(0.5, rel=1e-12)
-    assert rho.rho_pm == pytest.approx(0.2, rel=1e-12)
+    c = row_columns((6, 2, 1, 1))
+    assert c["rho_pp"][0] == pytest.approx(0.5, rel=1e-12)
+    assert c["rho_mm"][0] == pytest.approx(0.5, rel=1e-12)
+    assert c["rho_pm"][0] == pytest.approx(0.2, rel=1e-12)
+
+
+def test_ensemble_density_columns_match_scalar_estimators():
+    # every column == the one-row scalar formulas (and the DensityMatrix
+    # checks).  x ** 2 != x * x for the population at a+ = 0.6352 and for
+    # rho_pp at a+ = 0.4625, and numpy's int64 / int rounds n_plus and
+    # n_minus of these counts differently from Python
+    n = 2 ** 63 - 1
+    counts = (8204355856186225350, 141865678067203912, 27059197271659290,
+              850091305329687255)
+    states = [PureState(a, math.sqrt(1.0 - a ** 2)) for a in (0.6352, 0.4625)]
+    c = nmqj._columns(n, [(k, counts, s.a_plus, s.a_minus)
+                          for k, s in enumerate(states)])
+    q0, qph, qp, qm = (k / n for k in counts)
+    for k, s in enumerate(states):
+        pp, pm = s.p_plus, s.p_minus
+        cross = complex(s.a_plus) * complex(s.a_minus).conjugate()
+        rho = DensityMatrix(rho_pp=(q0 + qph) * pp + qp,
+                            rho_mm=(q0 + qph) * pm + qm,
+                            rho_pm=(q0 - qph) * cross)
+        var_pp = max(0.0, (q0 + qph) * pp * pp + qp - rho.rho_pp ** 2)
+        cd = q0 - qph
+        var_cd = max(0.0, (q0 + qph) - cd * cd)
+        assert c["fractions"][k].tolist() == [q0, qph, qp, qm]
+        assert (c["rho_pp"][k], c["rho_mm"][k]) == (rho.rho_pp, rho.rho_mm)
+        assert complex(c["rho_pm"][k]) == rho.rho_pm
+        assert c["se_rho_pp"][k] == math.sqrt(var_pp / n)
+        assert c["se_re_rho_pm"][k] == abs(cross) * math.sqrt(var_cd / n)
+        assert c["count_diff"][k] == cd
+        assert c["se_count_diff"][k] == math.sqrt(var_cd / n)
+
+
+def test_ensemble_density_check_rejects_bad_rows():
+    with pytest.raises(DomainError, match="trace must be 1"):
+        nmqj._columns(10, [(0, (10, 0, 0, 0), 1.0, 1.0)])
 
 
 # --- single ensemble steps -------------------------------------------------
 
+HALF = (0.5, 0.5)                   # p_plus, p_minus of equal_superposition
+
+
 def test_step_ensemble_no_rates_no_motion():
-    e = EnsembleState(counts=(80, 10, 5, 5), psi0=equal_superposition(), n=100)
-    out = step_ensemble(e, zero_rates(), 1e-3, np.random.default_rng(0))
-    assert out.counts == e.counts
+    counts = (80, 10, 5, 5)
+    out = step_ensemble(counts, 0.0, 0.0, 0.0, *HALF, 1e-3,
+                        np.random.default_rng(0))
+    assert out == counts
 
 
 def test_step_ensemble_reversed_jump_needs_sources():
     # every member sits in the jump class already: nothing can be restored
-    e = EnsembleState(counts=(0, 0, 500, 0), psi0=equal_superposition(), n=500)
-    out = step_ensemble(e, jump_rates(g2=-0.5), 1e-2,
+    out = step_ensemble((0, 0, 500, 0), 0.0, -0.5, 0.0, *HALF, 1e-2,
                         np.random.default_rng(1))
-    assert out.counts == (0, 0, 500, 0)
+    assert out == (0, 0, 500, 0)
 
 
 def test_step_ensemble_forward_jump_statistics():
     n = 10_000
-    e = EnsembleState.initial(n)
     # per-member jump probability gamma1*dt*p_plus = 0.025
-    out = step_ensemble(e, jump_rates(g1=5.0), 1e-2,
+    out = step_ensemble((n, 0, 0, 0), 5.0, 0.0, 0.0, *HALF, 1e-2,
                         np.random.default_rng(7))
-    jumped = out.counts[3]
-    assert out.counts[0] + jumped == n and out.counts[1] == out.counts[2] == 0
+    jumped = out[3]
+    assert out[0] + jumped == n and out[1] == out[2] == 0
     assert 150 < jumped < 350  # 250 expected, ~15.6 sigma margin
 
 
 def test_step_ensemble_reversed_jump_moves_target_to_source():
-    e = EnsembleState(counts=(5000, 0, 0, 5000), psi0=equal_superposition(),
-                      n=10_000)
-    out = step_ensemble(e, jump_rates(g1=-0.5), 1e-2,
+    out = step_ensemble((5000, 0, 0, 5000), -0.5, 0.0, 0.0, *HALF, 1e-2,
                         np.random.default_rng(3))
-    restored = out.counts[0] - 5000
+    restored = out[0] - 5000
     assert restored > 0
-    assert out.counts[3] == 5000 - restored
-    assert out.counts[1] == 0 and out.counts[2] == 0
+    assert out[3] == 5000 - restored
+    assert out[1] == 0 and out[2] == 0
 
 
 @pytest.mark.parametrize("g1,g2", [(1.0, 0.5), (-1.0, -0.5)])
@@ -208,9 +251,7 @@ def test_step_ensemble_mean_flows_match_ladders(g1, g2):
     # 6 sigma (~3e4 here), far below a misrouted event (~1e6)
     n = (4 * 10 ** 8, 3 * 10 ** 8, 2 * 10 ** 8, 10 ** 8)
     g3, dt, w = 0.2, 1e-2, 0.5                     # w = p_plus = p_minus
-    e = EnsembleState(counts=n, psi0=equal_superposition(), n=sum(n))
-    out = step_ensemble(e, jump_rates(g1, g2, g3), dt,
-                        np.random.default_rng(11))
+    out = step_ensemble(n, g1, g2, g3, w, w, dt, np.random.default_rng(11))
     f1, f2, f3 = max(g1, 0.0) * dt, max(g2, 0.0) * dt, g3 * dt
     r1, r2 = max(-g1, 0.0) * dt, max(-g2, 0.0) * dt
     n0, nph, npl, nmi = n
@@ -223,34 +264,45 @@ def test_step_ensemble_mean_flows_match_ladders(g1, g2):
                 nmi - nmi * f2 + (npl + rep * w) * f1 + nmi * r2
                 - (rep * w + npl) * r1)
     sigma = math.sqrt(sum(n) * dt * (abs(g1) + abs(g2) + g3))
-    for got, want in zip(out.counts, expected):
+    for got, want in zip(out, expected):
         assert abs(got - want) < 6.0 * sigma
 
 
 def test_step_ensemble_dephasing_swaps_phase_classes():
-    e = EnsembleState(counts=(600, 400, 0, 0), psi0=equal_superposition(),
-                      n=1000)
-    out = step_ensemble(e, jump_rates(g3=4.0), 1e-2,
+    counts = (600, 400, 0, 0)
+    out = step_ensemble(counts, 0.0, 0.0, 4.0, *HALF, 1e-2,
                         np.random.default_rng(5))
     # gamma3*dt = 0.04: members flip between the two representative classes
-    assert out.counts[2] == 0 and out.counts[3] == 0
-    assert out.counts[0] + out.counts[1] == 1000
-    assert out.counts != e.counts
+    assert out[2] == 0 and out[3] == 0
+    assert out[0] + out[1] == 1000
+    assert out != counts
+
+
+def test_step_ensemble_zero_slots_draw_nothing():
+    # channel 1 is off, so PSI0's ladder starts with a zero slot: the draw
+    # must equal one over the unpadded ladder and leave the stream where
+    # the unpadded draw leaves it
+    g2, g3, dt, n = 3.0, 2.0, 1e-2, 10_000
+    a, b = np.random.default_rng(21), np.random.default_rng(21)
+    out = step_ensemble((n, 0, 0, 0), -0.4, g2, g3, 0.3, 0.7, dt, a)
+    to_plus, to_ph, _ = b.multinomial(
+        n, [g2 * dt * 0.7, g3 * dt, 1.0 - math.fsum([g2 * dt * 0.7, g3 * dt])])
+    assert out == (n - to_plus - to_ph, to_ph, to_plus, 0)
+    assert a.random() == b.random()
 
 
 def test_step_ensemble_rejects_negative_dephasing():
     with pytest.raises(StepError):
-        step_ensemble(EnsembleState.initial(100), jump_rates(g3=-0.01), 1e-3,
+        step_ensemble((100, 0, 0, 0), 0.0, 0.0, -0.01, *HALF, 1e-3,
                       np.random.default_rng(0))
 
 
 def test_step_ensemble_probability_budget():
     # a nearly empty target class with many restorable sources drives the
     # per-member reversed-jump probability past the 0.5 ladder budget
-    e = EnsembleState(counts=(200, 0, 1, 0), psi0=equal_superposition(),
-                      n=201)
     with pytest.raises(ProbabilityError):
-        step_ensemble(e, jump_rates(g2=-0.9), 1e-2, np.random.default_rng(0))
+        step_ensemble((200, 0, 1, 0), 0.0, -0.9, 0.0, *HALF, 1e-2,
+                      np.random.default_rng(0))
 
 
 # --- full runs -------------------------------------------------------------
@@ -272,7 +324,39 @@ def test_run_validation():
 def test_run_snapshot_schedule():
     r = run_unraveling(fig_params(), 100, 1.0, 0.1, seed=1, stride=3)
     assert [s.step for s in r.snapshots] == [0, 3, 6, 9, 10]
+    assert r.steps.tolist() == [0, 3, 6, 9, 10]
     assert np.allclose(r.times, [0.0, 0.3, 0.6, 0.9, 1.0])
+    assert len(r.snapshots) == 5 and r.snapshots[-1].step == 10
+    assert [s.step for s in r.snapshots[1:4:2]] == [3, 9]
+    with pytest.raises(IndexError):
+        r.snapshots[5]
+
+
+def test_run_drift_matches_deterministic_step():
+    # the driver's inline drift is deterministic_step's arithmetic: the
+    # recorded amplitudes equal iterating it over the rate table
+    p = fig_params(alpha=0.05)
+    r = run_unraveling(p, 1000, 1.0, 1e-3, seed=4, stride=1)
+    grid = uniform_grid(1.0, 1e-3)
+    table = rate_table(p, grid)
+    s = equal_superposition()
+    assert (r.a_plus[0], r.a_minus[0]) == (s.a_plus, s.a_minus)
+    for i in range(len(grid) - 1):
+        s = deterministic_step(s, RateSet(
+            t=float(grid[i]), **{k: float(v[i]) for k, v in table.items()}),
+            1e-3)
+        assert (r.a_plus[i + 1], r.a_minus[i + 1]) == (s.a_plus, s.a_minus)
+
+
+def test_run_rejects_non_finite_rates(monkeypatch):
+    def table_with_nan(p, grid):
+        table = rate_table(p, grid)
+        table["gamma2"][3] = math.nan
+        return table
+    monkeypatch.setattr(nmqj, "rate_table", table_with_nan)
+    with pytest.raises(DomainError,
+                       match="rate gamma2 is not finite at t=0.003"):
+        run_unraveling(fig_params(), 100, 0.01, 1e-3, seed=1)
 
 
 def test_run_deterministic_for_fixed_seed():
