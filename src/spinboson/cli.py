@@ -168,42 +168,52 @@ def _csv_rows(columns, idx):
 
 @contextlib.contextmanager
 def _csv_file(path: str):
-    """Open a new file beside ``path`` for the CSV, before any numerical work.
+    """Open the CSV target before any numerical work; yield a write function.
 
-    On success it replaces ``path``.  On any error it is removed, so a
-    failed run leaves no file behind and an existing ``path`` untouched.
-    An unwritable ``path`` is a ConfigError.
+    A new path or a regular file (symlinks resolved) is written through a
+    temporary file beside it, which replaces it on success and is removed
+    on any error, so a failed run leaves an existing file untouched.  Any
+    other target, such as a device or a FIFO, is written in place.  An
+    OSError from opening, writing or replacing is a ConfigError.
     """
     if not path:
         raise ConfigError("output_path must not be empty")
     if os.path.isdir(path):
         raise ConfigError(f"cannot write {path}: it is a directory")
-    head, name = os.path.split(path)
-    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
-    try:
-        fh = open(tmp, "w", encoding="utf-8", newline="\n")
-    except OSError as err:
-        raise ConfigError(f"cannot write {path}: {err.strerror or err}") \
-            from err
-    try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException as err:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        if isinstance(err, OSError):
+    target, tmp = path, None
+    if os.path.isfile(path) or not os.path.exists(path):
+        target = os.path.realpath(path)
+        head, name = os.path.split(target)
+        tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+
+    def checked(call, *args, **kwargs):
+        try:
+            return call(*args, **kwargs)
+        except OSError as err:
             raise ConfigError(f"cannot write {path}: "
                               f"{err.strerror or err}") from err
+
+    fh = checked(open, tmp or target, "w", encoding="utf-8", newline="\n")
+    try:
+        yield lambda text: checked(fh.write, text)
+        checked(fh.close)
+        if tmp:
+            checked(os.replace, tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            fh.close()
+        if tmp:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         raise
 
 
-def _write_csv(fh, header: list[str], text) -> int:
+def _write_csv(write, header: list[str], text) -> int:
     """Write the header and the text chunks; return the row count."""
-    fh.write(",".join(header) + "\n")
+    write(",".join(header) + "\n")
     n = 0
     for chunk in text:
-        fh.write(chunk)
+        write(chunk)
         n += chunk.count("\n")
     return n
 
@@ -216,14 +226,14 @@ def _strided(n_rows: int, stride: int) -> range:
 
 # --- commands ------------------------------------------------------------
 
-def cmd_rates(cfg: RunConfig, fh) -> int:
+def cmd_rates(cfg: RunConfig, write) -> int:
     p = cfg.system_params()
     grid = uniform_grid(cfg.t_max, cfg.dt)
     r = rate_table(p, grid)
     names = ["gamma_plus", "gamma_minus", "gamma_zero", "gamma1", "gamma2",
              "gamma3"]
     columns = [grid, p.omega0 * grid, *(r[name] for name in names)]
-    return _write_csv(fh, ["t", "omega0_t", *names],
+    return _write_csv(write, ["t", "omega0_t", *names],
                       _csv_rows(columns, _strided(len(grid), cfg.emit_stride)))
 
 
@@ -232,7 +242,7 @@ def _initial_state() -> DensityMatrix:
     return DensityMatrix(rho_pp=0.5, rho_mm=0.5, rho_pm=0.5)
 
 
-def cmd_evolve(cfg: RunConfig, fh) -> int:
+def cmd_evolve(cfg: RunConfig, write) -> int:
     p = cfg.system_params()
     k = build_kernels(p, cfg.t_max, cfg.dt)
     rho_pp, rho_pm = apply_map_series(k, _initial_state())
@@ -240,12 +250,12 @@ def cmd_evolve(cfg: RunConfig, fh) -> int:
     columns = [k.grid, p.omega0 * k.grid, rho_pp, rho_pm.real, rho_pm.imag,
                np.hypot(rho_pm.real, rho_pm.imag)]
     idx = _strided(len(k.grid), cfg.emit_stride)
-    return _write_csv(fh,
+    return _write_csv(write,
                       ["t", "omega0_t", "rho_pp", "re_rho_pm", "im_rho_pm",
                        "abs_rho_pm"], _csv_rows(columns, idx))
 
 
-def cmd_unravel(cfg: RunConfig, fh) -> int:
+def cmd_unravel(cfg: RunConfig, write) -> int:
     if cfg.n_traj < 100:
         raise ConfigError(f"n_traj must be >= 100 for unravel, got {cfg.n_traj}")
     p = cfg.system_params()
@@ -254,14 +264,14 @@ def cmd_unravel(cfg: RunConfig, fh) -> int:
     re, im = r.rho_pm.real, r.rho_pm.imag
     columns = [r.times, p.omega0 * r.times, r.rho_pp, re, im, np.hypot(re, im),
                *r.fractions.T, r.se_rho_pp, r.se_re_rho_pm, r.se_count_diff]
-    return _write_csv(fh,
+    return _write_csv(write,
                       ["t", "omega0_t", "rho_pp", "re_rho_pm", "im_rho_pm",
                        "abs_rho_pm", "n0", "n0_ph", "n_plus", "n_minus",
                        "se_rho_pp", "se_re_rho_pm", "se_count_diff"],
                       _csv_rows(columns, range(len(r.times))))
 
 
-def cmd_recoherence_map(cfg: RunConfig, fh) -> int:
+def cmd_recoherence_map(cfg: RunConfig, write) -> int:
     p = cfg.system_params()
     grid = uniform_grid(cfg.t_max, cfg.dt)
     n_r = round(RATIO_GRID_MAX / RATIO_GRID_STEP)
@@ -272,7 +282,7 @@ def cmd_recoherence_map(cfg: RunConfig, fh) -> int:
     times = [f"{_fmt(t)},{_fmt(w)}," for t, w in
              zip(grid[idx].tolist(), (p.omega0 * grid)[idx].tolist())]
     labels = [f"{_fmt(r)}," for r in ratios.tolist()]
-    return _write_csv(fh,
+    return _write_csv(write,
                       ["t", "omega0_t", "eps_over_delta", "in_region"],
                       ("".join([f"{pre}{label}{m:d}\n" for pre, m in
                                 zip(times, row[idx].tolist())])
@@ -302,7 +312,7 @@ def cmd_blp(cfg: RunConfig) -> int:
     return 0
 
 
-#: the commands that write one CSV to output_path: (cfg, open file) -> rows
+#: the commands that write one CSV to output_path: (cfg, write) -> rows
 _CSV_RUNNERS = {"rates": cmd_rates, "evolve": cmd_evolve,
                 "unravel": cmd_unravel,
                 "recoherence-map": cmd_recoherence_map}
@@ -359,8 +369,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, overrides, args.command)
         if args.command == "blp":
             return cmd_blp(cfg)
-        with _csv_file(cfg.output_path) as fh:
-            n = _CSV_RUNNERS[args.command](cfg, fh)
+        with _csv_file(cfg.output_path) as write:
+            n = _CSV_RUNNERS[args.command](cfg, write)
         print(f"wrote {n} rows to {cfg.output_path}")
         return 0
     except ConfigError as err:

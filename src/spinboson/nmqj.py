@@ -20,16 +20,13 @@ with it exactly.
 
 Members are exchangeable and nothing reads per-member state except the
 class counts, so a step samples at count level: each non-empty class
-draws one multinomial over its jump ladder plus "no jump".  That has the
-same law as one uniform per member, and a step costs the same whatever
-the ensemble size.  A run draws from one PCG64 stream seeded with the
-seed reduced modulo 2**64; results are bit-identical for a given seed.
-
-A ladder is a preallocated array of fixed length, zero-padded where an
-event is absent; numpy's multinomial draws nothing for a zero slot.  The
-driver steps on plain floats and ints and records only counts and
-amplitudes; the estimators of all recorded rows (UnravelingResult's
-columns) are computed after the loop.
+draws one multinomial over its fixed-length jump ladder, zero-padded
+where an event is absent (numpy draws nothing for a zero slot).  That has
+the same law as one uniform per member, and a step costs the same
+whatever the ensemble size.  A run draws from one PCG64 stream seeded
+with the seed reduced modulo 2**64; results are bit-identical for a given
+seed.  The driver steps on plain floats and records counts and
+amplitudes; the estimators of the recorded rows are computed after it.
 
 The coherence estimator is carried by the count difference between the
 representative class and its phase-flipped class: rho_pm estimated from
@@ -40,7 +37,7 @@ count difference is the direct Monte Carlo witness of recoherence.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from functools import cached_property
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,14 +118,12 @@ def equal_superposition() -> PureState:
     return PureState(r, r)
 
 
-def _drift(a_plus, a_minus, grow_plus: float, grow_minus: float,
-           budget: float):
+def _drift(a_plus, a_minus, grow_plus, grow_minus, budget):
     """deterministic_step on bare amplitudes and precomputed factors."""
     if budget > STEP_PROBABILITY_BOUND:
         raise StepError(f"dt too large: dt*(|g1|+|g2|+2|g3|) = {budget:.3g} > "
                         f"{STEP_PROBABILITY_BOUND}")
-    ap = a_plus * grow_plus
-    am = a_minus * grow_minus
+    ap, am = a_plus * grow_plus, a_minus * grow_minus
     norm = math.sqrt(abs(ap) ** 2 + abs(am) ** 2)
     if norm < 1e-6:
         raise StepError(f"pre-normalization norm {norm:.3g} < 1e-6")
@@ -144,8 +139,7 @@ def deterministic_step(s: PureState, rates: RateSet, dt: float) -> PureState:
     gamma1 + gamma3 and |psi_-> with gamma2 + gamma3.
     """
     g1, g2, g3 = rates.gamma1, rates.gamma2, rates.gamma3
-    return PureState(*_drift(s.a_plus, s.a_minus,
-                             1.0 - 0.5 * dt * (g1 + g3),
+    return PureState(*_drift(s.a_plus, s.a_minus, 1.0 - 0.5 * dt * (g1 + g3),
                              1.0 - 0.5 * dt * (g2 + g3),
                              dt * (abs(g1) + abs(g2) + 2.0 * abs(g3))))
 
@@ -159,22 +153,15 @@ _DESTINATIONS = ((MINUS, PLUS, PSI0_PH), (MINUS, PLUS, PSI0),
                  (MINUS, PSI0, PSI0_PH, MINUS), (PLUS, PSI0, PSI0_PH, PLUS))
 
 
-def _ladder_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ladder scratch: the representatives' (shared), PLUS's, MINUS's."""
-    return np.zeros(4), np.zeros(5), np.zeros(5)
-
-
 def step_ensemble(counts: tuple[int, int, int, int], g1: float, g2: float,
                   g3: float, p_plus: float, p_minus: float, dt: float,
-                  rng: np.random.Generator,
-                  ladders: tuple[np.ndarray, ...] | None = None
-                  ) -> tuple[int, int, int, int]:
+                  rng: np.random.Generator) -> tuple[int, int, int, int]:
     """One synchronized jump step of the whole ensemble; the new counts.
 
     Reversed-jump probabilities use the ``counts`` frozen at the step start.
     Each class with members and a non-zero ladder draws its moves as one
-    multinomial over its zero-padded ladder array (``ladders``, which are
-    overwritten), in class order.  Survivors' drift is not applied here.
+    multinomial over its zero-padded ladder, whose last slot ("no jump")
+    numpy never reads, in class order.  Survivors' drift is not applied.
     """
     if g3 < 0.0:
         raise StepError(f"gamma3 = {g3!r} < 0: reversed dephasing jumps "
@@ -200,13 +187,11 @@ def step_ensemble(counts: tuple[int, int, int, int], g1: float, g2: float,
                 f"total jump probability {total:.3g} > 0.5 for class {c}; "
                 "reduce dt")
 
-    rows = ladders or _ladder_arrays()
     new = list(counts)
-    for c, row in enumerate((rows[0], rows[0], rows[1], rows[2])):
+    for c, row in enumerate(ladder):
         if counts[c] == 0 or totals[c] == 0.0:
             continue
-        row[:-1] = ladder[c]
-        moved = rng.multinomial(counts[c], row).tolist()
+        moved = rng.multinomial(counts[c], np.array((*row, 0.0))).tolist()
         new[c] -= counts[c] - moved[-1]
         for dest, k in zip(_DESTINATIONS[c], moved):
             new[dest] += k
@@ -232,11 +217,8 @@ class UnravelingSnapshot:
 
 @dataclass(frozen=True, eq=False)
 class UnravelingResult:
-    """A run's parameters and its recorded rows as columns.
-
-    Row k is the ensemble after step ``steps[k]``.  ``snapshots`` builds an
-    UnravelingSnapshot per row when it is read.
-    """
+    """A run's parameters and its recorded rows as columns; row k is the
+    ensemble after step ``steps[k]``."""
 
     params: SystemParams
     n_traj: int
@@ -258,38 +240,23 @@ class UnravelingResult:
     count_diff: np.ndarray = field(repr=False)
     se_count_diff: np.ndarray = field(repr=False)
 
-    @property
-    def snapshots(self) -> "_Snapshots":
-        return _Snapshots(self)
-
-
-class _Snapshots(Sequence):
-    """An UnravelingResult's rows as UnravelingSnapshots."""
-
-    def __init__(self, result: UnravelingResult) -> None:
-        self._r = result
-
-    def __len__(self) -> int:
-        return len(self._r.steps)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[j] for j in range(len(self))[k]]
-        r = self._r
-        return UnravelingSnapshot(
-            int(r.steps[k]), float(r.times[k]), tuple(r.counts[k].tolist()),
-            PureState(float(r.a_plus[k]), float(r.a_minus[k])),
-            DensityMatrix(float(r.rho_pp[k]), float(r.rho_mm[k]),
-                          complex(r.rho_pm[k])),
-            *(float(c[k]) for c in (r.se_rho_pp, r.se_re_rho_pm,
-                                    r.count_diff, r.se_count_diff)))
+    @cached_property
+    def snapshots(self) -> list[UnravelingSnapshot]:
+        """The rows as UnravelingSnapshots, built when first read."""
+        return [UnravelingSnapshot(k, t, tuple(c), PureState(ap, am),
+                                   DensityMatrix(pp, mm, pm), *rest)
+                for k, t, c, ap, am, pp, mm, pm, *rest in zip(*(
+                    col.tolist() for col in (
+                        self.steps, self.times, self.counts, self.a_plus,
+                        self.a_minus, self.rho_pp, self.rho_mm, self.rho_pm,
+                        self.se_rho_pp, self.se_re_rho_pm, self.count_diff,
+                        self.se_count_diff)))]
 
 
 def _columns(n: int, rows: list) -> dict[str, np.ndarray]:
     """UnravelingResult's columns from (step, counts, a_plus, a_minus) rows:
-    rho = sum of (N_c/N) |phi_c><phi_c| and the plug-in standard errors,
-    in the IEEE operations of the scalar formulas.  A row that fails
-    DensityMatrix's checks raises its error."""
+    rho = sum of (N_c/N) |phi_c><phi_c| and the plug-in standard errors in
+    the scalar formulas' IEEE operations; raises DensityMatrix's errors."""
     steps, counts, ap, am = zip(*rows)
     counts = np.array(counts, dtype=np.int64)
     # c / n as Python divides ints; int64 / int rounds both above 2**53
@@ -354,7 +321,6 @@ def run_unraveling(p: SystemParams, n_traj: int, t_max: float, dt: float,
     ap, am, pp, pm = s.a_plus, s.a_minus, s.p_plus, s.p_minus
     counts = (n_traj, 0, 0, 0)
     rows = [(0, counts, ap, am)]
-    ladders = _ladder_arrays()
     try:
         for i, r1, r2, r3, budget, grow_p, grow_m in zip(
                 range(n_ok), g1.tolist(), g2.tolist(), g3.tolist(),
@@ -362,8 +328,7 @@ def run_unraveling(p: SystemParams, n_traj: int, t_max: float, dt: float,
                 (1.0 - 0.5 * dt * (g1 + g3)).tolist(),
                 (1.0 - 0.5 * dt * (g2 + g3)).tolist()):
             try:
-                counts = step_ensemble(counts, r1, r2, r3, pp, pm, dt, rng,
-                                       ladders)
+                counts = step_ensemble(counts, r1, r2, r3, pp, pm, dt, rng)
                 ap, am = _drift(ap, am, grow_p, grow_m, budget)
             except (StepError, ProbabilityError) as err:
                 raise type(err)(f"at t = {grid[i]:.6g}: {err}") from err

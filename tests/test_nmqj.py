@@ -327,7 +327,6 @@ def test_run_snapshot_schedule():
     assert r.steps.tolist() == [0, 3, 6, 9, 10]
     assert np.allclose(r.times, [0.0, 0.3, 0.6, 0.9, 1.0])
     assert len(r.snapshots) == 5 and r.snapshots[-1].step == 10
-    assert [s.step for s in r.snapshots[1:4:2]] == [3, 9]
     with pytest.raises(IndexError):
         r.snapshots[5]
 
