@@ -371,7 +371,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_blp(cfg)
         with _csv_file(cfg.output_path) as write:
             n = _CSV_RUNNERS[args.command](cfg, write)
-        print(f"wrote {n} rows to {cfg.output_path}")
+        # stderr: the CSV itself may be going to stdout
+        print(f"wrote {n} rows to {cfg.output_path}", file=sys.stderr)
         return 0
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

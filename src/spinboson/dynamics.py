@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import DomainError, GridError, StepError, ToleranceError
 from .model import SystemParams, rate_table, uniform_grid
@@ -77,6 +76,33 @@ class KernelTable:
     g: np.ndarray = field(repr=False)
 
 
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Bit for bit ``cumulative_simpson(y, x=x, initial=0.0)`` of scipy.
+
+    Three-point Simpson on unequal intervals (Cartwright, J. Math. Sci.
+    Math. Educ. 12(2), 1-9): even intervals from the triple they open, odd
+    ones and the last from the triple they close; trapezoid below 3 points.
+    """
+    def opening(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+        x21, x32 = dx[:-1], dx[1:]
+        x21_x31 = x21/(x21 + x32)
+        x21x21_x31x32 = x21_x31 * (x21/x32)
+        coeff1, coeff2 = 3 - x21_x31, 3 + x21x21_x31x32 + x21_x31
+        return x21/6 * (coeff1*y[:-2] + coeff2*y[1:-1] + -x21x21_x31x32*y[2:])
+
+    dx = np.diff(x)
+    if len(y) < 3:
+        pieces = dx * (y[1:] + y[:-1]) / 2.0
+    else:
+        closing = opening(y[::-1], dx[::-1])[::-1]
+        pieces = np.empty(len(dx))
+        pieces[:-1:2] = opening(y, dx)[::2]
+        pieces[1::2] = closing[::2]
+        pieces[-1] = closing[-1]
+    # + 0.0 is scipy's ``res += initial``, which turns -0.0 into +0.0
+    return np.concatenate(([0.0], np.cumsum(pieces) + 0.0))
+
+
 def build_kernels(p: SystemParams, t_max: float, h: float,
                   rates: dict[str, np.ndarray] | None = None) -> KernelTable:
     """Integrate the channel rates into the kernel table on a uniform grid.
@@ -88,8 +114,10 @@ def build_kernels(p: SystemParams, t_max: float, h: float,
         f(t) = e^{-eta(t)} * int_0^t gamma2(s) e^{+eta(s)} ds,
 
     (so that df/dt = -(gamma1+gamma2) f + gamma2 with f(0) = 0); and
-    g = f + e^{-eta}.  All cumulative integrals use composite Simpson on
-    the shared grid.
+    g = f + e^{-eta}.  All cumulative integrals use the three-point
+    Simpson rule on unequal intervals over the shared grid (trapezoid
+    below 3 points), matching ``scipy.integrate.cumulative_simpson``
+    bit for bit.
 
     ``rates`` may carry a precomputed rate_table(p, grid) to avoid
     re-evaluating rates when the caller already has them.
@@ -99,15 +127,14 @@ def build_kernels(p: SystemParams, t_max: float, h: float,
     if len(r["gamma1"]) != len(grid):
         raise GridError("precomputed rates do not match the grid")
     g12 = r["gamma1"] + r["gamma2"]
-    eta = cumulative_simpson(g12, x=grid, initial=0.0)
-    zeta = cumulative_simpson(0.5 * g12 + 2.0 * r["gamma3"], x=grid, initial=0.0)
+    eta = _cumulative_simpson(g12, grid)
+    zeta = _cumulative_simpson(0.5 * g12 + 2.0 * r["gamma3"], grid)
     if np.max(np.abs(eta)) > _KERNEL_EXP_LIMIT or \
             np.max(np.abs(zeta)) > _KERNEL_EXP_LIMIT:
         raise ToleranceError("kernel exponent exceeds double-precision range; "
                              "reduce t_max or the coupling")
     exp_minus_eta = np.exp(-eta)
-    f = exp_minus_eta * cumulative_simpson(r["gamma2"] * np.exp(eta), x=grid,
-                                           initial=0.0)
+    f = exp_minus_eta * _cumulative_simpson(r["gamma2"] * np.exp(eta), grid)
     g = f + exp_minus_eta
     return KernelTable(grid=grid, eta=eta, zeta=zeta, f=f, g=g)
 

@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, GridError, ToleranceError
 from .specfun import expint_e1
@@ -226,7 +225,9 @@ def rates_quadrature(p: SystemParams, omega: float, t: float) -> float:
     1.4e-5 with a passing error estimate).
 
     This routine is deliberately independent of the closed-form path (no
-    shared special functions) so the two can validate each other.
+    shared special functions) so the two can validate each other.  It is
+    the only user of ``scipy.integrate``, which it imports on its first
+    call in a process (~0.4 s) so that importing the package does not.
 
     Raises
     ------
@@ -241,6 +242,7 @@ def rates_quadrature(p: SystemParams, omega: float, t: float) -> float:
         raise DomainError(f"rates defined for finite t >= 0, got t={t}")
     if not math.isfinite(omega):
         raise DomainError(f"omega must be finite, got {omega}")
+    from scipy.integrate import quad
     if t == 0.0:
         return 0.0
     a = 1.0 / p.omega_c

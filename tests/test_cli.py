@@ -248,7 +248,7 @@ def test_rates_csv(tmp_path, capsys):
     assert all(float(v) == 0.0 for v in rows[0][2:])
     assert column(rows, header, "gamma1").min() < 0.0
     assert column(rows, header, "gamma3").min() >= 0.0
-    assert "wrote 2001 rows" in capsys.readouterr().out
+    assert "wrote 2001 rows" in capsys.readouterr().err
 
 
 def test_rates_cells_match_library_values(tmp_path):
@@ -400,12 +400,16 @@ def test_exit_code_config_error_for_unusable_grid(tmp_path, capsys, flag,
     assert not out.exists()
 
 
-def test_module_entry_point_runs_without_warnings():
+def checkout_env() -> dict[str, str]:
+    """os.environ with this checkout's src/ first on PYTHONPATH."""
     src = pathlib.Path(spinboson.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
+def test_module_entry_point_runs_without_warnings():
     proc = subprocess.run([sys.executable, "-W", "error", "-m",
-                           "spinboson.cli", "--help"], env=env,
+                           "spinboson.cli", "--help"], env=checkout_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "usage: spinboson" in proc.stdout
@@ -492,6 +496,21 @@ def test_output_to_fifo_is_written_in_place(tmp_path):
     assert data.count(b"\n") == 12
     assert stat.S_ISFIFO(fifo.stat().st_mode)
     assert list(tmp_path.iterdir()) == [fifo]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"),
+                    reason="needs /dev/stdout")
+def test_csv_to_stdout_pipe_is_only_the_csv(tmp_path):
+    # the status line goes to stderr, so a piped CSV carries nothing else
+    args = ["rates", "--t-max", "0.003"]
+    proc = subprocess.run([sys.executable, "-m", "spinboson.cli", *args,
+                           "--out", "/dev/stdout"], env=checkout_env(),
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = tmp_path / "r.csv"
+    assert main([*args, "--out", str(out)]) == 0
+    assert proc.stdout == out.read_bytes()
+    assert proc.stderr == b"wrote 4 rows to /dev/stdout\n"
 
 
 def test_os_error_while_computing_is_not_a_write_error(tmp_path,

@@ -51,6 +51,21 @@ def test_kernel_initial_values_and_identity():
     assert np.max(np.abs(k.g - (k.f + np.exp(-k.eta)))) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 1234, 1235, 50_001])
+@pytest.mark.parametrize("kind", ["random", "negative_zero", "signed_zeros"])
+def test_cumulative_simpson_matches_scipy_bit_for_bit(n, kind):
+    from scipy.integrate import cumulative_simpson
+    rng = np.random.default_rng(n)
+    y = {"random": rng.standard_normal(n),
+         "negative_zero": np.full(n, -0.0),
+         "signed_zeros": np.resize([0.0, -0.0], n)}[kind]
+    for x in (np.arange(n) * 1e-3, np.cumsum(rng.uniform(0.5, 2.0, n))):
+        got = dynamics._cumulative_simpson(y, x)
+        want = cumulative_simpson(y, x=x, initial=0.0)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_build_kernels_grid_error():
     with pytest.raises(GridError):
         build_kernels(fig_params(), 1.0, 0.3)

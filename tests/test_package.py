@@ -1,11 +1,19 @@
-"""The package's export list: every public name resolves."""
+"""The package: every exported name resolves, and the import stays light."""
 
+import json
 import os
 import pathlib
 import subprocess
 import sys
 
 import spinboson
+
+
+def checkout_env() -> dict[str, str]:
+    """os.environ with this checkout's src/ first on PYTHONPATH."""
+    src = pathlib.Path(spinboson.__file__).resolve().parents[1]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
 
 
 def test_every_exported_name_resolves():
@@ -16,12 +24,41 @@ def test_every_exported_name_resolves():
 
 
 def test_star_import_succeeds():
-    src = pathlib.Path(spinboson.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-c",
          "from spinboson import *; print(len(__import__('spinboson').__all__))"],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=checkout_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) == len(spinboson.__all__)
+
+
+IMPORT_FOOTPRINT = """
+import json, os, sys
+import spinboson, spinboson.cli
+from spinboson import SystemParams, rates_quadrature
+seen = ["scipy.integrate" in sys.modules]
+for command, extra in (("rates", []), ("evolve", []),
+                       ("unravel", ["--n-traj", "100"]),
+                       ("recoherence-map", []), ("blp", [])):
+    out = [] if command == "blp" else \\
+        ["--out", os.path.join(sys.argv[1], command + ".csv")]
+    assert spinboson.cli.main([command, "--t-max", "1", *extra, *out]) == 0
+seen.append("scipy.integrate" in sys.modules)
+value = rates_quadrature(SystemParams.from_ratios(0.3, 10.0, 0.01), 10.0, 2.5)
+seen.append("scipy.integrate" in sys.modules)
+print(json.dumps({"seen": seen, "value": value}))
+"""
+
+
+def test_import_leaves_out_scipy_integrate(tmp_path):
+    # scipy.integrate costs ~40% of the import; only the quadrature oracle
+    # needs it, and loads it on its first call
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_FOOTPRINT, str(tmp_path)],
+        env=checkout_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["seen"] == [False, False, True]
+    expected = spinboson.rates_quadrature(
+        spinboson.SystemParams.from_ratios(0.3, 10.0, 0.01), 10.0, 2.5)
+    assert report["value"] == expected
