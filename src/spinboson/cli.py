@@ -30,7 +30,7 @@ from .dynamics import (DensityMatrix, apply_map_series, blp_measure,
                        build_kernels, recoherence_mask)
 from .errors import ConfigError, GridError, SpinBosonError
 from .model import SystemParams, rate_table, uniform_grid
-from .nmqj import run_unraveling
+from .nmqj import MAX_N_TRAJ, run_unraveling
 
 COMMANDS = ("rates", "evolve", "unravel", "recoherence-map", "blp")
 
@@ -63,7 +63,7 @@ class RunConfig:
     seed: int = 1
     output_path: str = ""
     emit_stride: int = 1
-    workers: int = 1
+    workers: int = 1            # validated; no computation reads it
 
     def validate(self) -> None:
         self.system_params()
@@ -89,7 +89,11 @@ class RunConfig:
             raise ConfigError(str(err)) from err
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+#: each RunConfig key's value type, read off its default
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+
+#: command-line flags that are not "--" + the key with "-" for "_"
+_FLAGS = {"output_path": "--out", "emit_stride": "--stride"}
 
 
 def parse_config(text: str) -> dict:
@@ -108,12 +112,7 @@ def parse_config(text: str) -> dict:
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            if key == "output_path":
-                values[key] = val
-            elif key in ("n_traj", "seed", "emit_stride", "workers"):
-                values[key] = int(val)
-            else:
-                values[key] = float(val)
+            values[key] = _FIELD_TYPES[key](val)
         except ValueError as err:
             raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") \
                 from err
@@ -256,11 +255,12 @@ def cmd_evolve(cfg: RunConfig, write) -> int:
 
 
 def cmd_unravel(cfg: RunConfig, write) -> int:
-    if cfg.n_traj < 100:
-        raise ConfigError(f"n_traj must be >= 100 for unravel, got {cfg.n_traj}")
+    if not 100 <= cfg.n_traj <= MAX_N_TRAJ:
+        raise ConfigError(f"n_traj must be in 100..{MAX_N_TRAJ} for unravel, "
+                          f"got {cfg.n_traj}")
     p = cfg.system_params()
     r = run_unraveling(p, cfg.n_traj, cfg.t_max, cfg.dt, cfg.seed,
-                       stride=cfg.emit_stride, workers=cfg.workers)
+                       stride=cfg.emit_stride)
     re, im = r.rho_pm.real, r.rho_pm.imag
     columns = [r.times, p.omega0 * r.times, r.rho_pp, re, im, np.hypot(re, im),
                *r.fractions.T, r.se_rho_pp, r.se_re_rho_pm, r.se_count_diff]
@@ -291,7 +291,7 @@ def cmd_recoherence_map(cfg: RunConfig, write) -> int:
 
 def cmd_blp(cfg: RunConfig) -> int:
     """Print blp_measure and its BLP_RATIOS table.  Ignores dt, emit_stride
-    and output_path (blp_measure's step is t_max/round(500*t_max*omega_c)),
+    and output_path (blp_measure's step is t_max/round(500*t_max)),
     but RunConfig.validate still requires dt to divide t_max."""
     p = cfg.system_params()
     measure = blp_measure(p, cfg.t_max)
@@ -327,16 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         sp = sub.add_parser(name, help=f"run the {name} computation")
         sp.add_argument("--config", help="flat key=value config file")
-        sp.add_argument("--epsilon-over-delta", type=float, dest="epsilon_over_delta")
-        sp.add_argument("--omega0-over-omegac", type=float, dest="omega0_over_omegac")
-        sp.add_argument("--alpha", type=float)
-        sp.add_argument("--t-max", type=float, dest="t_max")
-        sp.add_argument("--dt", type=float)
-        sp.add_argument("--n-traj", type=int, dest="n_traj")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--out", dest="output_path")
-        sp.add_argument("--stride", type=int, dest="emit_stride")
-        sp.add_argument("--workers", type=int)
+        for key, kind in _FIELD_TYPES.items():
+            flag = _FLAGS.get(key, "--" + key.replace("_", "-"))
+            sp.add_argument(flag, type=kind, dest=key)
     return parser
 
 
@@ -364,7 +357,7 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_negative_values(argv))
-    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    overrides = {key: getattr(args, key) for key in _FIELD_TYPES}
     try:
         cfg = load_config(args.config, overrides, args.command)
         if args.command == "blp":

@@ -103,8 +103,7 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(pieces) + 0.0))
 
 
-def build_kernels(p: SystemParams, t_max: float, h: float,
-                  rates: dict[str, np.ndarray] | None = None) -> KernelTable:
+def build_kernels(p: SystemParams, t_max: float, h: float) -> KernelTable:
     """Integrate the channel rates into the kernel table on a uniform grid.
 
     eta integrates gamma1 + gamma2; zeta integrates their half sum plus
@@ -118,14 +117,9 @@ def build_kernels(p: SystemParams, t_max: float, h: float,
     Simpson rule on unequal intervals over the shared grid (trapezoid
     below 3 points), matching ``scipy.integrate.cumulative_simpson``
     bit for bit.
-
-    ``rates`` may carry a precomputed rate_table(p, grid) to avoid
-    re-evaluating rates when the caller already has them.
     """
     grid = uniform_grid(t_max, h)
-    r = rate_table(p, grid) if rates is None else rates
-    if len(r["gamma1"]) != len(grid):
-        raise GridError("precomputed rates do not match the grid")
+    r = rate_table(p, grid)
     g12 = r["gamma1"] + r["gamma2"]
     eta = _cumulative_simpson(g12, grid)
     zeta = _cumulative_simpson(0.5 * g12 + 2.0 * r["gamma3"], grid)
@@ -302,8 +296,8 @@ def pair_directions(n: int) -> np.ndarray:
     return np.vstack([axes, pts])
 
 
-def blp_measure(p: SystemParams, t_max: float, pair_samples: int = 64,
-                h: float | None = None) -> float:
+def blp_measure(p: SystemParams, t_max: float,
+                pair_samples: int = 64) -> float:
     """Trace-distance non-Markovianity: max integrated information backflow.
 
     For each antipodal pure pair +-n the trace distance is propagated with
@@ -314,14 +308,12 @@ def blp_measure(p: SystemParams, t_max: float, pair_samples: int = 64,
     g - f = e^{-eta}, so the distance is
     sqrt(n_z^2 e^{-2 eta} + (n_x^2 + n_y^2) e^{-2 zeta}).
 
-    ``h`` defaults to t_max/round(t_max/0.002) in units of 1/omega_c
-    (the kernels vary on the 1/omega_c scale, so this oversamples).
+    The time step is t_max/round(t_max/0.002), at least two steps (the
+    kernels vary over times of order 1/omega_c = 1, so this oversamples).
     """
     if not math.isfinite(t_max):
         raise DomainError(f"t_max must be finite, got {t_max}")
-    if h is None:
-        h = t_max / max(2, round(t_max / (0.002 / p.omega_c)))
-    k = build_kernels(p, t_max, h)
+    k = build_kernels(p, t_max, t_max / max(2, round(t_max / 0.002)))
     pop, coh = np.exp(-2.0 * k.eta), np.exp(-2.0 * k.zeta)
     best = 0.0
     for nx, ny, nz in pair_directions(pair_samples):

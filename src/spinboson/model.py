@@ -16,8 +16,8 @@ omega0 = sqrt(epsilon^2 + delta^2) and g0 is the zero-frequency
 independent double-integral quadrature oracle for them, and utilities for
 locating the times where a rate changes sign.
 
-Everything is expressed in units of omega_c (omega_c = 1 by default);
-times are in units of 1/omega_c.
+All quantities are in units of the bath cutoff omega_c, so omega_c = 1
+throughout: frequencies and rates in omega_c, times in 1/omega_c.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ SECULAR_RATIO_WARNING = 5.0
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Two-level system and coupling parameters (units of omega_c).
+    """Two-level system and coupling parameters.
 
     ``omega0`` is derived, never stored: sqrt(epsilon^2 + delta^2).
     """
@@ -51,7 +51,6 @@ class SystemParams:
     epsilon: float
     delta: float
     alpha: float
-    omega_c: float = 1.0
 
     def __post_init__(self) -> None:
         if not (self.delta > 0.0) or not math.isfinite(self.delta):
@@ -60,21 +59,18 @@ class SystemParams:
             raise DomainError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.alpha < 0.0 or not math.isfinite(self.alpha):
             raise DomainError(f"alpha must be >= 0, got {self.alpha}")
-        if not (self.omega_c > 0.0) or not math.isfinite(self.omega_c):
-            raise DomainError(f"omega_c must be > 0, got {self.omega_c}")
         w0 = self.omega0
         if not w0 * w0 >= sys.float_info.min:
             raise DomainError(
                 f"omega0 = {w0:g} is too small: the channel weights divide "
                 "by omega0**2, which underflows")
-        ratio = w0 / self.omega_c
-        if ratio > MAX_OMEGA0_RATIO:
+        if w0 > MAX_OMEGA0_RATIO:
             raise DomainError(
-                f"omega0/omega_c = {ratio:g} exceeds the supported maximum "
+                f"omega0/omega_c = {w0:g} exceeds the supported maximum "
                 f"{MAX_OMEGA0_RATIO:g} (rate evaluation would overflow)")
-        if ratio < SECULAR_RATIO_WARNING:
+        if w0 < SECULAR_RATIO_WARNING:
             warnings.warn(
-                f"omega0/omega_c = {ratio:g} < {SECULAR_RATIO_WARNING:g}: "
+                f"omega0/omega_c = {w0:g} < {SECULAR_RATIO_WARNING:g}: "
                 "the secular weak-coupling rates are derived for a system "
                 "frequency well above the bath cutoff", stacklevel=2)
 
@@ -85,11 +81,11 @@ class SystemParams:
 
     @classmethod
     def from_ratios(cls, epsilon_over_delta: float, omega0_over_omegac: float,
-                    alpha: float, omega_c: float = 1.0) -> "SystemParams":
+                    alpha: float) -> "SystemParams":
         """Build params from the ratio parametrization used by the figures.
 
         epsilon and delta are chosen so that omega0 = omega0_over_omegac
-        * omega_c exactly while epsilon/delta matches the requested ratio.
+        exactly while epsilon/delta matches the requested ratio.
         """
         if not 0.0 <= epsilon_over_delta < math.inf:
             raise DomainError(
@@ -97,10 +93,9 @@ class SystemParams:
         if not 0.0 < omega0_over_omegac < math.inf:
             raise DomainError(
                 f"omega0_over_omegac must be > 0, got {omega0_over_omegac}")
-        omega0 = omega0_over_omegac * omega_c
-        delta = omega0 / math.hypot(1.0, epsilon_over_delta)
+        delta = omega0_over_omegac / math.hypot(1.0, epsilon_over_delta)
         epsilon = epsilon_over_delta * delta
-        return cls(epsilon=epsilon, delta=delta, alpha=alpha, omega_c=omega_c)
+        return cls(epsilon=epsilon, delta=delta, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -126,15 +121,15 @@ def rate_table(p: SystemParams, tgrid: np.ndarray) -> dict[str, np.ndarray]:
     """Sample all rates on a time grid; returns arrays keyed like RateSet.
 
     This is the package's one closed-form rate evaluation.  With
-    x = omega0*t and y = omega0/omega_c, the Si/Ci combinations of the
-    closed form reduce to E1 at +-y + ix, which is evaluated directly:
+    y = omega0 and x = y*t, the Si/Ci combinations of the closed form
+    reduce to E1 at +-y + ix, which is evaluated directly:
 
     * gamma_plus (downward, at +omega0) uses pi + Im E1(-y + ix).  The E1
       form is stable for all y <= 300, where the naive Si/Ci bracket loses
       all significant digits to cancellation against the e^{-y} prefactor.
     * gamma_minus (upward, at -omega0) uses -Im[e^{y} E1(y - ix)]; the
       product never overflows for y <= 300 because E1(y - ix) ~ e^{-y}/|z|.
-    * gamma_zero (pure dephasing) is alpha*omega_c^2*t / (1 + omega_c^2 t^2).
+    * gamma_zero (pure dephasing) is alpha*t / (1 + t^2).
 
     Every rate vanishes at t = 0, which is handled explicitly: no special
     function is evaluated at its singular point.
@@ -142,14 +137,13 @@ def rate_table(p: SystemParams, tgrid: np.ndarray) -> dict[str, np.ndarray]:
     tgrid = np.asarray(tgrid, dtype=float)
     if tgrid.size and not tgrid.min() >= 0.0:  # also catches NaN
         raise DomainError(f"rates defined for t >= 0, got t={tgrid.min()}")
-    w0, wc, alpha = p.omega0, p.omega_c, p.alpha
-    y = w0 / wc
-    wct = wc * tgrid
+    y, alpha = p.omega0, p.alpha
     live = tgrid > 0.0
-    x, u = w0 * tgrid[live], wct[live]
-    lorentz = alpha * wc / (1.0 + u * u)
+    u = tgrid[live]
+    x = y * u
+    lorentz = alpha / (1.0 + u * u)
     cos_x, sin_x = np.cos(x), np.sin(x)
-    scale = alpha * y * wc
+    scale = alpha * y
     gp = np.zeros(tgrid.shape)
     gm = np.zeros(tgrid.shape)
     gp[live] = lorentz * (u * cos_x - sin_x) + scale * math.exp(-y) \
@@ -158,9 +152,9 @@ def rate_table(p: SystemParams, tgrid: np.ndarray) -> dict[str, np.ndarray]:
         * expint_e1(y - 1j * x).imag
     if not (np.all(np.isfinite(gp)) and np.all(np.isfinite(gm))):
         raise DomainError("non-finite rate in table")
-    g0 = alpha * wc * wct / (1.0 + wct * wct)
-    wt = p.delta * p.delta / (4.0 * w0 * w0)
-    wz = p.epsilon * p.epsilon / (4.0 * w0 * w0)
+    g0 = alpha * tgrid / (1.0 + tgrid * tgrid)
+    wt = p.delta * p.delta / (4.0 * y * y)
+    wz = p.epsilon * p.epsilon / (4.0 * y * y)
     return {"gamma_plus": gp, "gamma_minus": gm, "gamma_zero": g0,
             "gamma1": wt * gp, "gamma2": wt * gm, "gamma3": wz * g0}
 
@@ -211,14 +205,14 @@ def rates_quadrature(p: SystemParams, omega: float, t: float) -> float:
     omega')t'].  The inner frequency integral has a closed rational form
     for the Ohmic density,
 
-        int_0^inf (alpha/2) w e^{-w/wc} cos[(omega - w)t'] dw
-            = (alpha/2) [cos(omega t')(a^2 - t'^2) + 2 a t' sin(omega t')]
-              / (a^2 + t'^2)^2,        a = 1/omega_c,
+        int_0^inf (alpha/2) w e^{-w} cos[(omega - w)t'] dw
+            = (alpha/2) [cos(omega t')(1 - t'^2) + 2 t' sin(omega t')]
+              / (1 + t'^2)^2,
 
     leaving a single oscillatory time integral.  Its rational x cos and
     rational x sin parts are integrated separately with QUADPACK's
     oscillatory weights (``quad(..., weight="cos"|"sin", wvar=omega)``),
-    over the geometric pieces 0, a, 2a, 4a, ..., t.  Each piece spans at
+    over the geometric pieces 0, 1, 2, 4, ..., t.  Each piece spans at
     most a factor two in t', so the rational factor stays smooth on it
     however many periods it holds; one weighted call over [0, t] loses
     the tail at large t (at t = 1e9 it returns 3.9e-11 for a rate of
@@ -235,7 +229,7 @@ def rates_quadrature(p: SystemParams, omega: float, t: float) -> float:
         If t is negative or not finite, or omega is not finite.
     ToleranceError
         If the evaluation budget is exhausted, or the summed absolute
-        error estimate exceeds 1e-10 * omega_c or is not finite, or the
+        error estimate exceeds 1e-10 or is not finite, or the
         result is not finite.
     """
     if not 0.0 <= t < math.inf:
@@ -245,25 +239,24 @@ def rates_quadrature(p: SystemParams, omega: float, t: float) -> float:
     from scipy.integrate import quad
     if t == 0.0:
         return 0.0
-    a = 1.0 / p.omega_c
     alpha = p.alpha
 
     def cos_part(tp: float) -> float:
-        d2 = a * a + tp * tp
-        return 0.5 * alpha * (a * a - tp * tp) / (d2 * d2)
+        d2 = 1.0 + tp * tp
+        return 0.5 * alpha * (1.0 - tp * tp) / (d2 * d2)
 
     def sin_part(tp: float) -> float:
-        d2 = a * a + tp * tp
-        return alpha * a * tp / (d2 * d2)
+        d2 = 1.0 + tp * tp
+        return alpha * tp / (d2 * d2)
 
     edges = [0.0]
-    edge = a
+    edge = 1.0
     while edge < t:
         edges.append(edge)
         edge *= 2.0
     edges.append(t)
     n_calls = 2 * (len(edges) - 1)
-    tol_total = 1e-10 * p.omega_c
+    tol_total = 1e-10
     total = 0.0
     err_total = 0.0
     evals = 0
@@ -293,13 +286,13 @@ def rates_quadrature(p: SystemParams, omega: float, t: float) -> float:
 def sign_changes(p: SystemParams, channel: int, t_max: float) -> list[float]:
     """Times in (0, t_max] where a channel rate crosses zero.
 
-    Brackets on a grid of step 0.01/omega_c and refines each bracket by
-    plain bisection on the sign to 1e-8/omega_c; all brackets advance
-    together, one rate_table call per bisection step.  Bisection decisions
-    depend only on the sign of the rate, so for channels 1 and 2 the
-    returned times are bit-identical across any epsilon/delta at fixed
-    omega0/omega_c (the channel weights are positive constants).  A
-    bracketing grid of more than MAX_GRID_POINTS points raises GridError.
+    Brackets on a grid of step 0.01 and refines each bracket by plain
+    bisection on the sign to 1e-8; all brackets advance together, one
+    rate_table call per bisection step.  Bisection decisions depend only
+    on the sign of the rate, so for channels 1 and 2 the returned times
+    are bit-identical across any epsilon/delta at fixed omega0 (the
+    channel weights are positive constants).  A bracketing grid of more
+    than MAX_GRID_POINTS points raises GridError.
     """
     if not 0.0 < t_max < math.inf:
         raise DomainError(f"t_max must be finite and > 0, got {t_max}")
@@ -307,7 +300,7 @@ def sign_changes(p: SystemParams, channel: int, t_max: float) -> list[float]:
         raise DomainError(f"channel must be 1, 2, or 3, got {channel}")
 
     key = f"gamma{channel}"
-    step = 0.01 / p.omega_c
+    step = 0.01
     if t_max / step > MAX_GRID_POINTS:
         raise GridError(f"t_max = {t_max:g} needs {t_max / step:g} bracketing "
                         f"points, beyond the grid cap of {MAX_GRID_POINTS}")
@@ -325,9 +318,8 @@ def sign_changes(p: SystemParams, channel: int, t_max: float) -> list[float]:
     bracket = f_lo * f_hi < 0.0
     lo, hi = t[:-1][bracket], t[1:][bracket]
     sign_lo = np.copysign(1.0, f_lo[bracket])
-    tol = 1e-8 / p.omega_c
     while True:
-        active = np.flatnonzero(hi - lo > tol)
+        active = np.flatnonzero(hi - lo > 1e-8)
         if not active.size:
             break
         mid = 0.5 * (lo[active] + hi[active])

@@ -51,7 +51,7 @@ from .model import RateSet, SystemParams, rate_table, uniform_grid
 PSI0, PSI0_PH, PLUS, MINUS = 0, 1, 2, 3
 
 #: largest ensemble a step can draw (numpy's multinomial takes int64 counts)
-_INT64_MAX = 2 ** 63 - 1
+MAX_N_TRAJ = 2 ** 63 - 1
 
 #: upper bound on dt * (|g1| + |g2| + 2 |g3|) for a first-order step
 STEP_PROBABILITY_BOUND = 0.1
@@ -217,15 +217,11 @@ class UnravelingSnapshot:
 
 @dataclass(frozen=True, eq=False)
 class UnravelingResult:
-    """A run's parameters and its recorded rows as columns; row k is the
-    ensemble after step ``steps[k]``."""
+    """A run's recorded rows as columns, and the ensemble size n_traj the
+    fractions divide by; row k is the ensemble after step ``steps[k]``.
+    The run's other inputs are not kept: the caller passed them."""
 
-    params: SystemParams
     n_traj: int
-    dt: float
-    seed: int
-    stride: int
-    workers: int
     steps: np.ndarray = field(repr=False)
     times: np.ndarray = field(repr=False)
     counts: np.ndarray = field(repr=False)
@@ -290,29 +286,26 @@ def _columns(n: int, rows: list) -> dict[str, np.ndarray]:
 
 
 def run_unraveling(p: SystemParams, n_traj: int, t_max: float, dt: float,
-                   seed: int, stride: int = 1,
-                   workers: int = 1) -> UnravelingResult:
+                   seed: int, stride: int = 1) -> UnravelingResult:
     """Evolve an ensemble of n_traj members from the equal superposition.
 
     Rows are recorded at t = 0 and every ``stride`` steps thereafter (the
     final time is always included).  A step is one step_ensemble call plus
     the representative's drift: count-level multinomial draws from a
     single PCG64 stream seeded with ``seed`` modulo 2**64, so a run costs
-    the same for any n_traj up to 2**63 - 1 and is bit-identical for a
-    given seed.  ``workers`` is validated (>= 1) and recorded on the
-    result but has no effect.
+    the same for any n_traj up to MAX_N_TRAJ = 2**63 - 1 and is
+    bit-identical for a given seed.
 
     Errors raised mid-run are re-raised with the failing time attached.
     """
-    if not 100 <= n_traj <= _INT64_MAX:
+    if not 100 <= n_traj <= MAX_N_TRAJ:
         raise DomainError(f"need 100 <= n_traj <= 2**63 - 1, got {n_traj}")
-    if stride < 1 or workers < 1:
-        raise DomainError("stride and workers must be >= 1")
+    if stride < 1:
+        raise DomainError("stride must be >= 1")
     grid = uniform_grid(t_max, dt)
     n_steps = len(grid) - 1
     table = rate_table(p, grid)
-    seed = int(seed) & _MASK64
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
 
     finite = np.isfinite([col[:n_steps] for col in table.values()]).all(0)
     n_ok = int(finite.argmin()) if not finite.all() else n_steps
@@ -346,9 +339,8 @@ def run_unraveling(p: SystemParams, n_traj: int, t_max: float, dt: float,
         _columns(n_traj, rows)          # a recorded row's error comes first
         raise
     columns = _columns(n_traj, rows)
-    return UnravelingResult(params=p, n_traj=n_traj, dt=dt, seed=seed,
-                            stride=stride, workers=workers,
-                            times=grid[columns["steps"]], **columns)
+    return UnravelingResult(n_traj=n_traj, times=grid[columns["steps"]],
+                            **columns)
 
 
 def count_difference_series(result: UnravelingResult

@@ -1,5 +1,7 @@
 """CLI tests: config handling, CSV emission, exit codes, determinism."""
 
+import argparse
+import dataclasses
 import hashlib
 import math
 import os
@@ -16,7 +18,8 @@ import spinboson.cli as cli
 from spinboson import ConfigError, StepError, SystemParams
 from spinboson.cli import (BLP_RATIOS, COMMANDS, DEFAULT_OUTPUT, DEFAULT_T_MAX,
                            RunConfig, _fmt, _initial_state, _strided,
-                           emit_config, load_config, main, parse_config)
+                           build_parser, emit_config, load_config, main,
+                           parse_config)
 from spinboson.dynamics import (apply_map_series, build_kernels,
                                 recoherence_mask)
 from spinboson.model import rate_table
@@ -114,6 +117,24 @@ def test_config_missing_file():
 def test_config_system_params_errors_become_config_errors():
     with pytest.raises(ConfigError):
         RunConfig(omega0_over_omegac=301.0).system_params()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_flag_table_is_run_config(command):
+    # each command takes --config plus exactly one flag per RunConfig
+    # field, and "--flag <default>" parses back to the default with the
+    # default's type (--n-traj 10000 gives the int 10000)
+    sub, = (a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a.option_strings for a in sub.choices[command]._actions
+             if a.dest not in ("help", "config")}
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    assert flags.keys() == defaults.keys()
+    for key, default in defaults.items():
+        flag, = flags[key]
+        value = getattr(build_parser().parse_args(
+            [command, flag, str(default)]), key)
+        assert value == default and type(value) is type(default), flag
 
 
 # --- CSV helpers -----------------------------------------------------------
@@ -341,9 +362,10 @@ def test_unravel_rejects_small_ensembles(tmp_path, capsys):
 
 def test_unravel_rejects_ensembles_beyond_int64(tmp_path, capsys):
     out = tmp_path / "u.csv"
+    # README lists 100..2**63-1 as the key's range: a configuration error
     assert main(["unravel", "--n-traj", "100000000000000000000", "--t-max",
-                 "0.01", "--out", str(out)]) == 3
-    assert "n_traj" in capsys.readouterr().err
+                 "0.01", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: n_traj ")
     assert not out.exists()
 
 
@@ -449,6 +471,7 @@ def test_output_checked_before_computing(tmp_path, monkeypatch, capsys):
     (["unravel", "--n-traj", "50"], 2),        # raised after the file opens
     (["unravel", "--alpha", "100", "--t-max", "2", "--dt", "0.05",
       "--n-traj", "100"], 3),
+    (["unravel", "--n-traj", str(2 ** 63)], 2),
 ])
 def test_failed_run_leaves_no_file(tmp_path, argv, code):
     assert main([*argv, "--out", str(tmp_path / "u.csv")]) == code

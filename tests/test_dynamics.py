@@ -304,7 +304,7 @@ def blp_reference(p: SystemParams, t_max: float) -> float:
     The pair is rho = (I +- n.sigma)/2; the trace distance of two qubit
     states is hypot(d rho_pp, |d rho_pm|).
     """
-    h = t_max / round(t_max / (0.002 / p.omega_c))
+    h = t_max / round(t_max / 0.002)
     k = build_kernels(p, t_max, h)
     best = 0.0
     for nx, ny, nz in dynamics.pair_directions(32):

@@ -313,8 +313,6 @@ def test_run_validation():
         run_unraveling(p, 99, 1.0, 1e-3, seed=1)
     with pytest.raises(DomainError):
         run_unraveling(p, 100, 1.0, 1e-3, seed=1, stride=0)
-    with pytest.raises(DomainError):
-        run_unraveling(p, 100, 1.0, 1e-3, seed=1, workers=0)
     with pytest.raises(DomainError):                  # beyond int64 counts
         run_unraveling(p, 2 ** 63, 1.0, 1e-3, seed=1)
     with pytest.raises(GridError):
@@ -374,16 +372,6 @@ def test_run_deterministic_for_fixed_seed():
     assert c.snapshots[-1].counts[0] < 100_000
     assert any(sc.counts != sd.counts
                for sc, sd in zip(c.snapshots, d.snapshots))
-
-
-def test_run_worker_partition_invariant():
-    p = fig_params(alpha=0.05)
-    runs = [run_unraveling(p, 2000, 1.0, 1e-3, seed=9, stride=200, workers=w)
-            for w in (1, 2, 7)]
-    for other in runs[1:]:
-        for sa, sb in zip(runs[0].snapshots, other.snapshots):
-            assert sa.counts == sb.counts
-            assert sa.rho.rho_pp == sb.rho.rho_pp
 
 
 def test_run_seed_is_reduced_modulo_64_bits():
