@@ -12,9 +12,9 @@ from .specfun import expint_e1, sin_cos_integral
 from .model import (MAX_OMEGA0_RATIO, RateSet, SystemParams, rate_table,
                     rates_closed_form, rates_quadrature, sign_changes,
                     uniform_grid)
-from .dynamics import (DensityMatrix, KernelTable, apply_map,
-                       apply_map_series, blp_measure, build_kernels,
-                       ode_oracle, pair_directions, recoherence_mask)
+from .dynamics import (DensityMatrix, KernelTable, apply_map_series,
+                       blp_measure, build_kernels, ode_oracle,
+                       pair_directions, recoherence_mask)
 from .nmqj import (PureState, UnravelingResult, UnravelingSnapshot,
                    count_difference_series, deterministic_step,
                    equal_superposition, member_uniforms, run_unraveling,
@@ -28,7 +28,7 @@ __all__ = [
     "expint_e1", "sin_cos_integral",
     "MAX_OMEGA0_RATIO", "RateSet", "SystemParams", "rate_table",
     "rates_closed_form", "rates_quadrature", "sign_changes", "uniform_grid",
-    "DensityMatrix", "KernelTable", "apply_map", "apply_map_series",
+    "DensityMatrix", "KernelTable", "apply_map_series",
     "blp_measure", "build_kernels", "ode_oracle", "pair_directions",
     "recoherence_mask",
     "PureState", "UnravelingResult", "UnravelingSnapshot",

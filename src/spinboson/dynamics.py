@@ -2,10 +2,11 @@
 
 Two independent propagation routes are provided on purpose:
 
-* :func:`build_kernels` + :func:`apply_map` — the analytic dynamical map.
-  Its four kernel functions (eta, zeta, f, g) are cumulative integrals of
-  the channel rates on a uniform grid, and the map acts elementwise on
-  (rho_pp, rho_mm, rho_pm).
+* :func:`build_kernels` + :func:`apply_map_series` — the analytic
+  dynamical map.  Its four kernel functions (eta, zeta, f, g) are
+  cumulative integrals of the channel rates on a uniform grid; the map
+  acts on (rho_pp, rho_pm) at every grid time and checks positivity
+  there, since negative rates can drive it out of the state space.
 * :func:`ode_oracle` — direct Runge-Kutta integration of the dissipator
   built from the three channel operators lifted to a 4x4 superoperator.
   It shares nothing with the map construction beyond the rate functions
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, GridError, StepError, ToleranceError
+from .errors import DomainError, StepError, ToleranceError
 from .model import SystemParams, rate_table, uniform_grid
 
 #: |eta| or |zeta| beyond which exp(+-kernel) leaves double range safely
@@ -54,10 +55,6 @@ class DensityMatrix:
         for name, v in (("rho_pp", self.rho_pp), ("rho_mm", self.rho_mm)):
             if not -1e-12 <= v <= 1.0 + 1e-12:
                 raise DomainError(f"{name} = {v!r} outside [0, 1]")
-
-    def determinant(self) -> float:
-        """det(rho) = rho_pp*rho_mm - |rho_pm|^2 (negative => unphysical)."""
-        return self.rho_pp * self.rho_mm - abs(self.rho_pm) ** 2
 
 
 @dataclass(frozen=True)
@@ -133,37 +130,24 @@ def build_kernels(p: SystemParams, t_max: float, h: float) -> KernelTable:
     return KernelTable(grid=grid, eta=eta, zeta=zeta, f=f, g=g)
 
 
-def apply_map(k: KernelTable, rho0: DensityMatrix, t: float) -> DensityMatrix:
-    """Propagate rho0 to grid time t with the analytic map.
-
-    Raises GridError for off-grid or non-finite t (no interpolation) and
-    StepError if the result is unphysical (negative determinant beyond
-    tolerance).
-    """
-    h = float(k.grid[1] - k.grid[0])
-    i = int(round(t / h)) if math.isfinite(t) else -1
-    if i < 0 or i >= len(k.grid) or abs(k.grid[i] - t) > 1e-9:
-        raise GridError(f"t={t} is not on the kernel grid "
-                        f"(step {h}, max {k.grid[-1]})")
-    g, f = float(k.g[i]), float(k.f[i])
-    rho = DensityMatrix(rho_pp=g * rho0.rho_pp + f * rho0.rho_mm,
-                        rho_mm=(1.0 - g) * rho0.rho_pp + (1.0 - f) * rho0.rho_mm,
-                        rho_pm=math.exp(-k.zeta[i]) * complex(rho0.rho_pm))
-    if rho.determinant() < -1e-10:
-        raise StepError(f"map output not positive at t={t}: "
-                        f"det={rho.determinant():.3e}")
-    return rho
-
-
 def apply_map_series(k: KernelTable, rho0: DensityMatrix
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized apply_map over the whole kernel grid.
+    """Propagate rho0 with the analytic map to every kernel grid time.
 
     Returns (rho_pp array, rho_pm complex array); rho_mm is 1 - rho_pp
-    by trace preservation.
+    by trace preservation.  Raises StepError at the first grid time where
+    the output is not positive: det = rho_pp (1 - rho_pp) - |rho_pm|^2
+    below -1e-10, or not a number.  A trace-one state passing this check
+    also has its populations within about 1e-10 of [0, 1].
     """
     rho_pp = k.g * rho0.rho_pp + k.f * rho0.rho_mm
     rho_pm = np.exp(-k.zeta) * complex(rho0.rho_pm)
+    det = rho_pp * (1.0 - rho_pp) - (rho_pm.real ** 2 + rho_pm.imag ** 2)
+    bad = np.flatnonzero(~(det >= -1e-10))  # also catches NaN
+    if bad.size:
+        i = bad[0]
+        raise StepError(f"map output not positive at t={float(k.grid[i])}: "
+                        f"det={float(det[i]):.3e}")
     return rho_pp, rho_pm
 
 
@@ -296,17 +280,16 @@ def pair_directions(n: int) -> np.ndarray:
     return np.vstack([axes, pts])
 
 
-def blp_measure(p: SystemParams, t_max: float,
-                pair_samples: int = 64) -> float:
+def blp_measure(p: SystemParams, t_max: float) -> float:
     """Trace-distance non-Markovianity: max integrated information backflow.
 
     For each antipodal pure pair +-n the trace distance is propagated with
     the analytic map, its time derivative sigma is formed by central
     differences, and the positive part is integrated with the trapezoid
-    rule; the measure is the maximum over the sampled pairs.  The map sends
-    the pair's difference to (e^{-eta} n_z, e^{-zeta} (n_x - i n_y)), since
-    g - f = e^{-eta}, so the distance is
-    sqrt(n_z^2 e^{-2 eta} + (n_x^2 + n_y^2) e^{-2 zeta}).
+    rule; the measure is the maximum over the 64 pairs of
+    pair_directions(64).  The map sends the pair's difference to
+    (e^{-eta} n_z, e^{-zeta} (n_x - i n_y)), since g - f = e^{-eta}, so
+    the distance is sqrt(n_z^2 e^{-2 eta} + (n_x^2 + n_y^2) e^{-2 zeta}).
 
     The time step is t_max/round(t_max/0.002), at least two steps (the
     kernels vary over times of order 1/omega_c = 1, so this oversamples).
@@ -316,7 +299,7 @@ def blp_measure(p: SystemParams, t_max: float,
     k = build_kernels(p, t_max, t_max / max(2, round(t_max / 0.002)))
     pop, coh = np.exp(-2.0 * k.eta), np.exp(-2.0 * k.zeta)
     best = 0.0
-    for nx, ny, nz in pair_directions(pair_samples):
+    for nx, ny, nz in pair_directions(64):
         dist = np.sqrt(nz * nz * pop + (nx * nx + ny * ny) * coh)
         sigma = np.gradient(dist, k.grid)
         best = max(best, float(np.trapezoid(np.maximum(sigma, 0.0), k.grid)))

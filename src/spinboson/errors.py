@@ -19,11 +19,11 @@ class ToleranceError(SpinBosonError):
 
 
 class GridError(SpinBosonError):
-    """A time or parameter grid is inconsistent (bad step, off-grid query)."""
+    """A time or parameter grid is inconsistent (bad step or size)."""
 
 
 class StepError(SpinBosonError):
-    """A propagation step failed sanity checks (norm or trace drift)."""
+    """A propagated state failed sanity checks (norm, trace, positivity)."""
 
 
 class ProbabilityError(SpinBosonError):

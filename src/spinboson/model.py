@@ -132,7 +132,8 @@ def rate_table(p: SystemParams, tgrid: np.ndarray) -> dict[str, np.ndarray]:
     * gamma_zero (pure dephasing) is alpha*t / (1 + t^2).
 
     Every rate vanishes at t = 0, which is handled explicitly: no special
-    function is evaluated at its singular point.
+    function is evaluated at its singular point.  A non-finite rate raises
+    DomainError naming its column (first in RateSet order) and first time.
     """
     tgrid = np.asarray(tgrid, dtype=float)
     if tgrid.size and not tgrid.min() >= 0.0:  # also catches NaN
@@ -150,13 +151,17 @@ def rate_table(p: SystemParams, tgrid: np.ndarray) -> dict[str, np.ndarray]:
         * (math.pi + expint_e1(-y + 1j * x).imag)
     gm[live] = lorentz * (u * cos_x + sin_x) - scale * math.exp(y) \
         * expint_e1(y - 1j * x).imag
-    if not (np.all(np.isfinite(gp)) and np.all(np.isfinite(gm))):
-        raise DomainError("non-finite rate in table")
     g0 = alpha * tgrid / (1.0 + tgrid * tgrid)
     wt = p.delta * p.delta / (4.0 * y * y)
     wz = p.epsilon * p.epsilon / (4.0 * y * y)
-    return {"gamma_plus": gp, "gamma_minus": gm, "gamma_zero": g0,
-            "gamma1": wt * gp, "gamma2": wt * gm, "gamma3": wz * g0}
+    table = {"gamma_plus": gp, "gamma_minus": gm, "gamma_zero": g0,
+             "gamma1": wt * gp, "gamma2": wt * gm, "gamma3": wz * g0}
+    for name, col in table.items():
+        bad = np.flatnonzero(~np.isfinite(col))
+        if bad.size:
+            raise DomainError(f"rate {name} is not finite at "
+                              f"t={float(tgrid[bad[0]])}")
+    return table
 
 
 def rates_closed_form(p: SystemParams, t: float) -> RateSet:

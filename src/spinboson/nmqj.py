@@ -100,7 +100,7 @@ class PureState:
 
     def __post_init__(self) -> None:
         n = abs(self.a_plus) ** 2 + abs(self.a_minus) ** 2
-        if abs(n - 1.0) > 1e-12:
+        if not abs(n - 1.0) <= 1e-12:            # also catches NaN
             raise DomainError(f"state norm^2 = {n!r}, must be 1")
 
     @property
@@ -125,7 +125,7 @@ def _drift(a_plus, a_minus, grow_plus, grow_minus, budget):
                         f"{STEP_PROBABILITY_BOUND}")
     ap, am = a_plus * grow_plus, a_minus * grow_minus
     norm = math.sqrt(abs(ap) ** 2 + abs(am) ** 2)
-    if norm < 1e-6:
+    if not norm >= 1e-6:                        # also catches NaN
         raise StepError(f"pre-normalization norm {norm:.3g} < 1e-6")
     return ap / norm, am / norm
 
@@ -307,16 +307,14 @@ def run_unraveling(p: SystemParams, n_traj: int, t_max: float, dt: float,
     table = rate_table(p, grid)
     rng = np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
 
-    finite = np.isfinite([col[:n_steps] for col in table.values()]).all(0)
-    n_ok = int(finite.argmin()) if not finite.all() else n_steps
-    g1, g2, g3 = (table[k][:n_ok] for k in ("gamma1", "gamma2", "gamma3"))
+    g1, g2, g3 = (table[k][:-1] for k in ("gamma1", "gamma2", "gamma3"))
     s = equal_superposition()
     ap, am, pp, pm = s.a_plus, s.a_minus, s.p_plus, s.p_minus
     counts = (n_traj, 0, 0, 0)
     rows = [(0, counts, ap, am)]
     try:
         for i, r1, r2, r3, budget, grow_p, grow_m in zip(
-                range(n_ok), g1.tolist(), g2.tolist(), g3.tolist(),
+                range(n_steps), g1.tolist(), g2.tolist(), g3.tolist(),
                 (dt * (np.abs(g1) + np.abs(g2) + 2.0 * np.abs(g3))).tolist(),
                 (1.0 - 0.5 * dt * (g1 + g3)).tolist(),
                 (1.0 - 0.5 * dt * (g2 + g3)).tolist()):
@@ -326,15 +324,12 @@ def run_unraveling(p: SystemParams, n_traj: int, t_max: float, dt: float,
             except (StepError, ProbabilityError) as err:
                 raise type(err)(f"at t = {grid[i]:.6g}: {err}") from err
             pp, pm = abs(ap) ** 2, abs(am) ** 2
-            if abs(pp + pm - 1.0) > 1e-12:
+            if not abs(pp + pm - 1.0) <= 1e-12:
                 PureState(ap, am)               # raises its norm error
             if sum(counts) != n_traj or min(counts) < 0:
                 raise DomainError(f"counts {counts} do not sum to n={n_traj}")
             if (i + 1) % stride == 0 or i == n_steps - 1:
                 rows.append((i + 1, counts, ap, am))
-        if n_ok < n_steps:                      # raises its finiteness error
-            RateSet(t=float(grid[n_ok]),
-                    **{k: float(col[n_ok]) for k, col in table.items()})
     except SpinBosonError:
         _columns(n_traj, rows)          # a recorded row's error comes first
         raise

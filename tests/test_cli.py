@@ -472,7 +472,14 @@ def test_output_checked_before_computing(tmp_path, monkeypatch, capsys):
     (["unravel", "--alpha", "100", "--t-max", "2", "--dt", "0.05",
       "--n-traj", "100"], 3),
     (["unravel", "--n-traj", str(2 ** 63)], 2),
+    # alpha*t overflows: gamma_zero is NaN from the third row on
+    (["rates", "--alpha", "1e10", "--t-max", repr(2.0 ** 1000),
+      "--dt", repr(2.0 ** 990)], 3),
+    # strong coupling at zero bias drives the map out of the state space
+    (["evolve", "--epsilon-over-delta", "0", "--omega0-over-omegac", "0.5",
+      "--alpha", "3", "--t-max", "10"], 3),
 ])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
 def test_failed_run_leaves_no_file(tmp_path, argv, code):
     assert main([*argv, "--out", str(tmp_path / "u.csv")]) == code
     assert list(tmp_path.iterdir()) == []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spinboson import (DensityMatrix, DomainError, GridError, StepError,
-                       SystemParams, apply_map, apply_map_series, blp_measure,
+                       SystemParams, apply_map_series, blp_measure,
                        build_kernels, ode_oracle, pair_directions,
                        rate_table, recoherence_mask)
 import spinboson.dynamics as dynamics
@@ -39,7 +39,7 @@ def test_density_matrix_validation():
     with pytest.raises(DomainError):
         DensityMatrix(rho_pp=1.2, rho_mm=-0.2, rho_pm=0.0)
     rho = DensityMatrix(rho_pp=0.25, rho_mm=0.75, rho_pm=0.1j)
-    assert rho.determinant() == pytest.approx(0.25 * 0.75 - 0.01)
+    assert (rho.rho_pp, rho.rho_mm, rho.rho_pm) == (0.25, 0.75, 0.1j)
 
 
 # --- kernels and the analytic map ----------------------------------------
@@ -74,43 +74,45 @@ def test_build_kernels_grid_error():
 def test_map_identity_at_zero():
     k = build_kernels(fig_params(), 1.0, 1e-3)
     rho0 = DensityMatrix(rho_pp=0.3, rho_mm=0.7, rho_pm=0.2 - 0.1j)
-    out = apply_map(k, rho0, 0.0)
-    assert out.rho_pp == rho0.rho_pp
-    assert out.rho_pm == rho0.rho_pm
-
-
-def test_map_off_grid_time_rejected():
-    k = build_kernels(fig_params(), 1.0, 1e-3)
-    for t in (0.00035, 1.5, -1e-3, math.nan, math.inf, -math.inf):
-        with pytest.raises(GridError):
-            apply_map(k, plus_minus_super(), t)
+    rho_pp, rho_pm = apply_map_series(k, rho0)
+    assert rho_pp[0] == rho0.rho_pp
+    assert rho_pm[0] == rho0.rho_pm
 
 
 def test_map_trace_exact_and_positive():
     k = build_kernels(fig_params(), 5.0, 1e-3)
     rho0 = DensityMatrix(rho_pp=0.9, rho_mm=0.1, rho_pm=0.25 + 0.1j)
-    for t in (0.5, 2.0, 5.0):
-        out = apply_map(k, rho0, t)
-        assert out.rho_pp + out.rho_mm == 1.0
-        assert out.determinant() >= -1e-10
-
-
-@pytest.mark.parametrize("rho0", [
-    DensityMatrix(rho_pp=0.5, rho_mm=0.5, rho_pm=0.5),
-    DensityMatrix(rho_pp=0.9, rho_mm=0.1, rho_pm=0.25 + 0.1j),
-    DensityMatrix(rho_pp=0.0, rho_mm=1.0, rho_pm=0.0),
-])
-def test_map_matches_map_series_at_every_grid_point(rho0):
-    # the scalar map and the vectorized series share only the kernel table;
-    # the population is the same expression, the rest differ in rounding
-    # (math.exp vs np.exp, 1 - rho_pp vs the (1-g), (1-f) mixture)
-    k = build_kernels(fig_params(0.3, alpha=0.05), 5.0, 1e-3)
     rho_pp, rho_pm = apply_map_series(k, rho0)
-    for i, t in enumerate(k.grid.tolist()):
-        out = apply_map(k, rho0, t)
-        assert out.rho_pp == rho_pp[i]
-        assert abs(out.rho_mm - (1.0 - rho_pp[i])) <= 1e-15
-        assert abs(out.rho_pm - rho_pm[i]) <= 1e-15
+    for i in (500, 2000, 5000):
+        out = DensityMatrix(rho_pp[i], 1.0 - rho_pp[i], rho_pm[i])
+        assert out.rho_pp + out.rho_mm == 1.0
+        assert out.rho_pp * out.rho_mm - abs(out.rho_pm) ** 2 >= -1e-10
+
+
+def test_map_names_first_non_positive_time():
+    # outside weak coupling at zero bias the populations leave [0, 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = SystemParams.from_ratios(0.0, 0.5, 3.0)
+    k = build_kernels(p, 10.0, 0.01)
+    rho0 = plus_minus_super()
+    pp = k.g * rho0.rho_pp + k.f * rho0.rho_mm
+    pm = np.exp(-k.zeta) * rho0.rho_pm
+    det = pp * (1.0 - pp) - np.abs(pm) ** 2
+    i = int(np.argmax(det < -1e-10))
+    assert i > 0 and det[i - 1] >= -1e-10   # the row before it passes
+    assert pp.min() < 0.0
+    with pytest.raises(StepError) as err:
+        apply_map_series(k, rho0)
+    assert str(err.value) == (f"map output not positive at "
+                              f"t={float(k.grid[i])}: det={det[i]:.3e}")
+
+
+def test_map_rejects_nan_kernels():
+    k = build_kernels(fig_params(), 1.0, 1e-3)
+    k.f[7] = math.nan
+    with pytest.raises(StepError, match=r"at t=0\.007: det=nan$"):
+        apply_map_series(k, DensityMatrix(rho_pp=0.2, rho_mm=0.8, rho_pm=0.1))
 
 
 def test_zero_bias_halves_zeta():
@@ -138,12 +140,12 @@ def test_map_vs_ode_oracle_standing():
     h = 1e-3
     k = build_kernels(p, 2.0, h)
     traj = ode_oracle(p, plus_minus_super(), 2.0, h)
+    rho_pp, rho_pm = apply_map_series(k, plus_minus_super())
     worst = 0.0
     for i in range(0, len(traj), 100):
-        m = apply_map(k, plus_minus_super(), float(k.grid[i]))
         o = traj[i]
-        worst = max(worst, abs(m.rho_pp - o.rho_pp), abs(m.rho_mm - o.rho_mm),
-                    abs(m.rho_pm - o.rho_pm))
+        worst = max(worst, abs(rho_pp[i] - o.rho_pp),
+                    abs((1.0 - rho_pp[i]) - o.rho_mm), abs(rho_pm[i] - o.rho_pm))
     assert worst <= 1e-6
 
 
@@ -330,15 +332,17 @@ def test_blp_matches_pairwise_trace_distances(monkeypatch, ratio, polar):
     directions = pair_directions(32)[0 if polar else 1:]
     monkeypatch.setattr(dynamics, "pair_directions", lambda n: directions)
     p = fig_params(ratio)
-    measure = blp_measure(p, 5.0, pair_samples=32)
+    measure = blp_measure(p, 5.0)
     assert measure > 1e-5
     assert measure == pytest.approx(blp_reference(p, 5.0), rel=1e-10)
 
 
-def test_blp_insensitive_to_pair_count():
+def test_blp_insensitive_to_pair_count(monkeypatch):
     p = fig_params()
-    a = blp_measure(p, 20.0, pair_samples=32)
-    b = blp_measure(p, 20.0, pair_samples=64)
+    b = blp_measure(p, 20.0)
+    directions = pair_directions(32)
+    monkeypatch.setattr(dynamics, "pair_directions", lambda n: directions)
+    a = blp_measure(p, 20.0)
     # the extremal pairs are the prepended axes, so refining the
     # Fibonacci fan must not change the maximum
     assert a == pytest.approx(b, rel=1e-12)

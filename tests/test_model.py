@@ -1,6 +1,7 @@
 """Model-layer tests: parameters, rates, crossings."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -160,6 +161,26 @@ def test_rateset_rejects_non_finite():
     with pytest.raises(DomainError):
         RateSet(t=1.0, gamma_plus=math.nan, gamma_minus=0.0, gamma_zero=0.0,
                 gamma1=0.0, gamma2=0.0, gamma3=0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_rate_table_names_first_non_finite_column(monkeypatch):
+    # alpha*t overflows from t = 2 dt on: gamma_zero and gamma3 turn NaN
+    # there while gamma_plus and gamma_minus stay finite
+    p, dt = fig_params(alpha=1e10), 2.0 ** 990
+    grid = np.arange(1025) * dt
+    with pytest.raises(DomainError, match=re.escape(
+            f"rate gamma_zero is not finite at t={2 * dt}")):
+        rate_table(p, grid)
+    # a later non-finite value in an earlier column is named first
+    def e1_nan_at_end(z):
+        out = np.zeros(z.shape, dtype=complex)
+        out[-1] = complex(math.nan, math.nan)
+        return out
+    monkeypatch.setattr(model, "expint_e1", e1_nan_at_end)
+    with pytest.raises(DomainError, match=re.escape(
+            f"rate gamma_plus is not finite at t={1024 * dt}")):
+        rate_table(p, grid)
 
 
 # --- quadrature oracle ---------------------------------------------------

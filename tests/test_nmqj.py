@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import spinboson.nmqj as nmqj
 from spinboson import (DensityMatrix, DomainError, GridError,
                        ProbabilityError, PureState, RateSet, StepError,
-                       SystemParams, apply_map, apply_map_series,
+                       SystemParams, apply_map_series,
                        build_kernels, count_difference_series,
                        deterministic_step, equal_superposition,
                        member_uniforms, run_unraveling, step_ensemble)
@@ -78,6 +78,14 @@ def test_pure_state_validation():
     s = equal_superposition()
     assert s.p_plus == pytest.approx(0.5, rel=1e-14)
     assert s.p_minus == pytest.approx(0.5, rel=1e-14)
+
+
+def test_nan_state_and_nan_drift_rejected():
+    # NaN fails every comparison, so each check is written to fail on it
+    with pytest.raises(DomainError, match="norm"):
+        PureState(math.nan, 0.0)
+    with pytest.raises(StepError, match="norm nan"):
+        deterministic_step(equal_superposition(), zero_rates(), math.nan)
 
 
 def test_drift_identity_when_rates_vanish():
@@ -345,14 +353,14 @@ def test_run_drift_matches_deterministic_step():
         assert (r.a_plus[i + 1], r.a_minus[i + 1]) == (s.a_plus, s.a_minus)
 
 
-def test_run_rejects_non_finite_rates(monkeypatch):
+def test_run_nan_rate_stops_the_drift(monkeypatch):
+    # rate_table rejects non-finite rates; past it, a NaN still stops the run
     def table_with_nan(p, grid):
         table = rate_table(p, grid)
         table["gamma2"][3] = math.nan
         return table
     monkeypatch.setattr(nmqj, "rate_table", table_with_nan)
-    with pytest.raises(DomainError,
-                       match="rate gamma2 is not finite at t=0.003"):
+    with pytest.raises(StepError, match="at t = 0.003: .* norm nan"):
         run_unraveling(fig_params(), 100, 0.01, 1e-3, seed=1)
 
 
@@ -445,8 +453,8 @@ def test_run_estimator_is_unbiased():
     p = fig_params(alpha=0.05)
     t_max, dt, n, n_seeds = 1.5, 1e-3, 400, 50
     k = build_kernels(p, t_max, dt)
-    target = apply_map(k, DensityMatrix(rho_pp=0.5, rho_mm=0.5, rho_pm=0.5),
-                       t_max)
+    pp_map, pm_map = apply_map_series(
+        k, DensityMatrix(rho_pp=0.5, rho_mm=0.5, rho_pm=0.5))
 
     pp_obs, re_obs = [], []
     for seed in range(n_seeds):
@@ -456,6 +464,6 @@ def test_run_estimator_is_unbiased():
         re_obs.append(last.rho.rho_pm.real)
     pp_obs, re_obs = np.array(pp_obs), np.array(re_obs)
 
-    for obs, ref in ((pp_obs, target.rho_pp), (re_obs, target.rho_pm.real)):
+    for obs, ref in ((pp_obs, pp_map[-1]), (re_obs, pm_map[-1].real)):
         sem = float(obs.std(ddof=1)) / math.sqrt(n_seeds)
         assert abs(float(obs.mean()) - ref) < 3.0 * sem + 1e-12
