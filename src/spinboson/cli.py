@@ -72,8 +72,8 @@ class RunConfig:
         except GridError as err:
             raise ConfigError(f"bad time grid t_max={self.t_max}, "
                               f"dt={self.dt}: {err}") from err
-        if self.n_traj < 1:
-            raise ConfigError(f"n_traj must be >= 1, got {self.n_traj}")
+        if not 100 <= self.n_traj <= MAX_N_TRAJ:
+            raise ConfigError(f"n_traj {self.n_traj} not in 100..{MAX_N_TRAJ}")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
         if self.emit_stride < 1:
@@ -255,9 +255,6 @@ def cmd_evolve(cfg: RunConfig, write) -> int:
 
 
 def cmd_unravel(cfg: RunConfig, write) -> int:
-    if not 100 <= cfg.n_traj <= MAX_N_TRAJ:
-        raise ConfigError(f"n_traj must be in 100..{MAX_N_TRAJ} for unravel, "
-                          f"got {cfg.n_traj}")
     p = cfg.system_params()
     r = run_unraveling(p, cfg.n_traj, cfg.t_max, cfg.dt, cfg.seed,
                        stride=cfg.emit_stride)
@@ -308,7 +305,7 @@ def cmd_blp(cfg: RunConfig) -> int:
         print(f"{_fmt(r)},{_fmt(m)}")
     mean = float(np.mean(values))
     spread = float(np.std(values) / mean) if mean > 0.0 else 0.0
-    print(f"relative_spread = {_fmt(spread)}")
+    print(f"relative_spread = {_fmt(spread)}", flush=True)
     return 0
 
 
@@ -361,7 +358,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, overrides, args.command)
         if args.command == "blp":
-            return cmd_blp(cfg)
+            try:
+                return cmd_blp(cfg)
+            except OSError as err:      # Python flushes stdout again at exit
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                raise ConfigError(f"cannot write stdout: {err.strerror}") from err
         with _csv_file(cfg.output_path) as write:
             n = _CSV_RUNNERS[args.command](cfg, write)
         # stderr: the CSV itself may be going to stdout

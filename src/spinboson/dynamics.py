@@ -4,9 +4,9 @@ Two independent propagation routes are provided on purpose:
 
 * :func:`build_kernels` + :func:`apply_map_series` — the analytic
   dynamical map.  Its four kernel functions (eta, zeta, f, g) are
-  cumulative integrals of the channel rates on a uniform grid; the map
-  acts on (rho_pp, rho_pm) at every grid time and checks positivity
-  there, since negative rates can drive it out of the state space.
+  cumulative integrals of the channel rates on a uniform grid, checked
+  there for complete positivity, which negative rates can break; the
+  map acts on (rho_pp, rho_pm) at every grid time.
 * :func:`ode_oracle` — direct Runge-Kutta integration of the dissipator
   built from the three channel operators lifted to a 4x4 superoperator.
   It shares nothing with the map construction beyond the rate functions
@@ -41,7 +41,8 @@ class DensityMatrix:
     """Two-level density matrix in the energy eigenbasis {psi_+, psi_-}.
 
     Stores the upper population, lower population, and the upper-right
-    coherence; the lower-left coherence is implied by Hermiticity.
+    coherence; the lower-left coherence is implied by Hermiticity.  A unit
+    trace and rho_pp rho_mm - |rho_pm|^2 >= -1e-10 make it a state.
     """
 
     rho_pp: float
@@ -52,17 +53,17 @@ class DensityMatrix:
         if abs(self.rho_pp + self.rho_mm - 1.0) > 1e-12:
             raise DomainError(
                 f"trace must be 1: rho_pp + rho_mm = {self.rho_pp + self.rho_mm!r}")
-        for name, v in (("rho_pp", self.rho_pp), ("rho_mm", self.rho_mm)):
-            if not -1e-12 <= v <= 1.0 + 1e-12:
-                raise DomainError(f"{name} = {v!r} outside [0, 1]")
+        det = self.rho_pp * self.rho_mm - abs(self.rho_pm) ** 2
+        if not det >= -1e-10:                   # also catches NaN
+            raise DomainError(f"state not positive: det = {det!r}")
 
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Kernel samples eta, zeta, f, g on a uniform time grid.
+    """Kernel samples eta, zeta, f, g of a CP map on a uniform time grid.
 
-    Immutable after construction; all reads are thread-safe.  The identity
-    g(t) = f(t) + e^{-eta(t)} holds pointwise by construction, which makes
+    Read-only arrays: reads are thread-safe and a checked table cannot be
+    edited.  g = f + e^{-eta} holds pointwise by construction, which makes
     M(0) the identity and the population block column-stochastic.
     """
 
@@ -110,13 +111,20 @@ def build_kernels(p: SystemParams, t_max: float, h: float) -> KernelTable:
         f(t) = e^{-eta(t)} * int_0^t gamma2(s) e^{+eta(s)} ds,
 
     (so that df/dt = -(gamma1+gamma2) f + gamma2 with f(0) = 0); and
-    g = f + e^{-eta}.  All cumulative integrals use the three-point
-    Simpson rule on unequal intervals over the shared grid (trapezoid
-    below 3 points), matching ``scipy.integrate.cumulative_simpson``
-    bit for bit.
+    g = f + e^{-eta}.  All cumulative integrals are _cumulative_simpson
+    over the shared grid.
+
+    The map is completely positive (CP) iff its Choi matrix is positive
+    semidefinite (Choi, Linear Algebra Appl. 10, 285 (1975)): 0 <= f, g <= 1
+    and e^{-2 zeta} <= g (1 - f).  StepError names the first grid time and
+    condition failing by more than 1e-10 or not a number.
     """
     grid = uniform_grid(t_max, h)
-    r = rate_table(p, grid)
+    return _kernels(grid, rate_table(p, grid))
+
+
+def _kernels(grid: np.ndarray, r: dict[str, np.ndarray]) -> KernelTable:
+    """build_kernels on a grid and its rate_table."""
     g12 = r["gamma1"] + r["gamma2"]
     eta = _cumulative_simpson(g12, grid)
     zeta = _cumulative_simpson(0.5 * g12 + 2.0 * r["gamma3"], grid)
@@ -127,6 +135,16 @@ def build_kernels(p: SystemParams, t_max: float, h: float) -> KernelTable:
     exp_minus_eta = np.exp(-eta)
     f = exp_minus_eta * _cumulative_simpson(r["gamma2"] * np.exp(eta), grid)
     g = f + exp_minus_eta
+    margins = {"f >= 0": f, "f <= 1": 1.0 - f, "g >= 0": g, "g <= 1": 1.0 - g,
+               "exp(-2 zeta) <= g (1 - f)": g * (1.0 - f) - np.exp(-2.0 * zeta)}
+    ok = np.array(list(margins.values())) >= -1e-10      # NaN fails
+    if not ok.all():
+        i = int(np.argmin(ok.all(axis=0)))          # the first failing time
+        name = list(margins)[np.argmin(ok[:, i])]   # and condition there
+        raise StepError(f"map not completely positive at t={float(grid[i])}: "
+                        f"{name} fails")
+    for a in (grid, eta, zeta, f, g):
+        a.flags.writeable = False
     return KernelTable(grid=grid, eta=eta, zeta=zeta, f=f, g=g)
 
 
@@ -135,20 +153,10 @@ def apply_map_series(k: KernelTable, rho0: DensityMatrix
     """Propagate rho0 with the analytic map to every kernel grid time.
 
     Returns (rho_pp array, rho_pm complex array); rho_mm is 1 - rho_pp
-    by trace preservation.  Raises StepError at the first grid time where
-    the output is not positive: det = rho_pp (1 - rho_pp) - |rho_pm|^2
-    below -1e-10, or not a number.  A trace-one state passing this check
-    also has its populations within about 1e-10 of [0, 1].
+    by trace preservation.  A CP table maps every state to a state.
     """
-    rho_pp = k.g * rho0.rho_pp + k.f * rho0.rho_mm
-    rho_pm = np.exp(-k.zeta) * complex(rho0.rho_pm)
-    det = rho_pp * (1.0 - rho_pp) - (rho_pm.real ** 2 + rho_pm.imag ** 2)
-    bad = np.flatnonzero(~(det >= -1e-10))  # also catches NaN
-    if bad.size:
-        i = bad[0]
-        raise StepError(f"map output not positive at t={float(k.grid[i])}: "
-                        f"det={float(det[i]):.3e}")
-    return rho_pp, rho_pm
+    return k.g * rho0.rho_pp + k.f * rho0.rho_mm, \
+        np.exp(-k.zeta) * complex(rho0.rho_pm)
 
 
 # --- ODE oracle ---------------------------------------------------------

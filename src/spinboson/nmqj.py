@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import (DomainError, ProbabilityError, SpinBosonError,
                      StepError)
-from .dynamics import DensityMatrix
+from .dynamics import DensityMatrix, _kernels
 from .model import RateSet, SystemParams, rate_table, uniform_grid
 
 # ensemble class codes
@@ -264,16 +264,15 @@ def _columns(n: int, rows: list) -> dict[str, np.ndarray]:
     ap, am = np.array(ap, dtype=float), np.array(am, dtype=float)
     rep, cd = q0 + qph, q0 - qph
     rho_pp, rho_mm = rep * pp + qp, rep * pm + qm
-    ok = ((np.abs(rho_pp + rho_mm - 1.0) <= 1e-12)
-          & (np.minimum(rho_pp, rho_mm) >= -1e-12)
-          & (np.maximum(rho_pp, rho_mm) <= 1.0 + 1e-12))
-    for k in np.flatnonzero(~ok):
-        DensityMatrix(float(rho_pp[k]), float(rho_mm[k]), 0.0)
     # a+ conj(a-) of real amplitudes; the complex products leave +0.0 in
     # the imaginary part of rho_pm
     cross = ap * am
     rho_pm = np.zeros(len(cd), dtype=complex)
     rho_pm.real = cd * cross
+    det = rho_pp * rho_mm - np.array([x ** 2 for x in rho_pm.real.tolist()])
+    ok = (np.abs(rho_pp + rho_mm - 1.0) <= 1e-12) & (det >= -1e-10)
+    for k in np.flatnonzero(~ok):
+        DensityMatrix(float(rho_pp[k]), float(rho_mm[k]), complex(rho_pm[k]))
     var_pp = rep * pp * pp + qp - np.array([x ** 2 for x in rho_pp.tolist()])
     var_cd = rep - cd * cd
     se_cd = np.sqrt(np.where(var_cd > 0.0, var_cd, 0.0) / float(n))
@@ -296,7 +295,8 @@ def run_unraveling(p: SystemParams, n_traj: int, t_max: float, dt: float,
     the same for any n_traj up to MAX_N_TRAJ = 2**63 - 1 and is
     bit-identical for a given seed.
 
-    Errors raised mid-run are re-raised with the failing time attached.
+    The rates are first checked for a CP map, as in build_kernels.  Errors
+    raised mid-run are re-raised with the failing time attached.
     """
     if not 100 <= n_traj <= MAX_N_TRAJ:
         raise DomainError(f"need 100 <= n_traj <= 2**63 - 1, got {n_traj}")
@@ -305,6 +305,7 @@ def run_unraveling(p: SystemParams, n_traj: int, t_max: float, dt: float,
     grid = uniform_grid(t_max, dt)
     n_steps = len(grid) - 1
     table = rate_table(p, grid)
+    _kernels(grid, table)
     rng = np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
 
     g1, g2, g3 = (table[k][:-1] for k in ("gamma1", "gamma2", "gamma3"))

@@ -83,6 +83,8 @@ def test_config_parser_rejects_bad_lines(text):
     ("dt", -1e-3),
     ("dt", 0.3),                      # does not divide t_max=50
     ("n_traj", 0),
+    ("n_traj", 99),                   # every command, not only unravel
+    ("n_traj", 2 ** 63),
     ("seed", -1),
     ("seed", 1 << 64),
     ("emit_stride", 0),
@@ -467,8 +469,14 @@ def test_output_checked_before_computing(tmp_path, monkeypatch, capsys):
     assert err.startswith(f"config error: cannot write {out}: ")
 
 
+#: zero bias and strong coupling: the map stops being completely positive
+#: (f < 0) at t = 4.526 for alpha 3 and at t = 6.252 for alpha 1.5
+NOT_CP = {a: ["--epsilon-over-delta", "0", "--omega0-over-omegac", "0.5",
+              "--alpha", str(a), "--t-max", "10"] for a in (1.5, 3.0)}
+
+
 @pytest.mark.parametrize("argv,code", [
-    (["unravel", "--n-traj", "50"], 2),        # raised after the file opens
+    (["unravel", "--n-traj", "50"], 2),
     (["unravel", "--alpha", "100", "--t-max", "2", "--dt", "0.05",
       "--n-traj", "100"], 3),
     (["unravel", "--n-traj", str(2 ** 63)], 2),
@@ -476,8 +484,10 @@ def test_output_checked_before_computing(tmp_path, monkeypatch, capsys):
     (["rates", "--alpha", "1e10", "--t-max", repr(2.0 ** 1000),
       "--dt", repr(2.0 ** 990)], 3),
     # strong coupling at zero bias drives the map out of the state space
-    (["evolve", "--epsilon-over-delta", "0", "--omega0-over-omegac", "0.5",
-      "--alpha", "3", "--t-max", "10"], 3),
+    (["evolve", *NOT_CP[3.0]], 3),
+    (["unravel", *NOT_CP[3.0], "--n-traj", "1000"], 3),
+    (["evolve", *NOT_CP[1.5]], 3),
+    (["rates", "--n-traj", "50", "--t-max", "1"], 2),  # validated everywhere
 ])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
 def test_failed_run_leaves_no_file(tmp_path, argv, code):
@@ -582,11 +592,31 @@ def test_exit_code_config_error_from_file(tmp_path, capsys):
 
 
 def test_exit_code_numerical_error(tmp_path, capsys):
-    # strong coupling on a coarse step grid trips the per-step budget
-    assert main(["unravel", "--alpha", "100", "--t-max", "2", "--dt", "0.05",
-                 "--n-traj", "100", "--out", str(tmp_path / "u.csv")]) == 3
+    # a completely positive map on a coarse step grid trips the step budget
+    assert main(["unravel", "--epsilon-over-delta", "3", "--alpha", "2",
+                 "--t-max", "2", "--dt", "0.25", "--n-traj", "100",
+                 "--out", str(tmp_path / "u.csv")]) == 3
     err = capsys.readouterr().err
-    assert "numerical error" in err and "at t = " in err
+    assert err.startswith("numerical error: at t = 0.75: dt too large")
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_blp_exits_3_when_the_map_is_not_cp(capsys):
+    assert main(["blp", *NOT_CP[3.0]]) == 3
+    assert capsys.readouterr() == ("", "numerical error: map not completely "
+                                   "positive at t=4.526: f >= 0 fails\n")
+
+
+def test_blp_to_closed_stdout_is_config_error():
+    # the reader is gone before blp writes: exit 2 with one stderr line, no
+    # traceback and no "Exception ignored" from Python's flush at exit
+    proc = subprocess.Popen([sys.executable, "-m", "spinboson.cli", "blp",
+                             "--t-max", "1"], env=checkout_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 2
+    assert err == b"config error: cannot write stdout: Broken pipe\n"
 
 
 def test_default_output_paths(tmp_path, monkeypatch):

@@ -1,16 +1,20 @@
 """Dynamics tests: kernels, analytic map, ODE oracle, recoherence, BLP."""
 
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinboson import (DensityMatrix, DomainError, GridError, StepError,
                        SystemParams, apply_map_series, blp_measure,
                        build_kernels, ode_oracle, pair_directions,
-                       rate_table, recoherence_mask)
+                       rate_table, recoherence_mask, run_unraveling)
 import spinboson.dynamics as dynamics
+import spinboson.nmqj as nmqj
 
 FIG_RATIO = 1.0 / (2.0 * math.sqrt(3.0))
 REVIVAL_RATIO = 1.0 / (2.0 * math.sqrt(7.0))
@@ -40,6 +44,17 @@ def test_density_matrix_validation():
         DensityMatrix(rho_pp=1.2, rho_mm=-0.2, rho_pm=0.0)
     rho = DensityMatrix(rho_pp=0.25, rho_mm=0.75, rho_pm=0.1j)
     assert (rho.rho_pp, rho.rho_mm, rho.rho_pm) == (0.25, 0.75, 0.1j)
+
+
+def test_density_matrix_rejects_non_positive_and_nan():
+    # unit trace, populations in [0, 1], but |rho_pm|^2 > rho_pp rho_mm
+    with pytest.raises(DomainError, match="not positive: det = -99.75$"):
+        DensityMatrix(rho_pp=0.5, rho_mm=0.5, rho_pm=10.0)
+    with pytest.raises(DomainError, match="not positive: det = nan$"):
+        DensityMatrix(rho_pp=0.5, rho_mm=0.5, rho_pm=complex(0.0, math.nan))
+    # the boundary: pure states and det within 1e-10 of zero pass
+    DensityMatrix(rho_pp=0.5, rho_mm=0.5, rho_pm=0.5j)
+    DensityMatrix(rho_pp=1.0 + 5e-11, rho_mm=-5e-11, rho_pm=0.0)
 
 
 # --- kernels and the analytic map ----------------------------------------
@@ -90,29 +105,74 @@ def test_map_trace_exact_and_positive():
 
 
 def test_map_names_first_non_positive_time():
-    # outside weak coupling at zero bias the populations leave [0, 1]
+    # outside weak coupling at zero bias f turns negative: |psi_-> would
+    # map to a negative population, so the map is not completely positive
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         p = SystemParams.from_ratios(0.0, 0.5, 3.0)
-    k = build_kernels(p, 10.0, 0.01)
-    rho0 = plus_minus_super()
-    pp = k.g * rho0.rho_pp + k.f * rho0.rho_mm
-    pm = np.exp(-k.zeta) * rho0.rho_pm
-    det = pp * (1.0 - pp) - np.abs(pm) ** 2
-    i = int(np.argmax(det < -1e-10))
-    assert i > 0 and det[i - 1] >= -1e-10   # the row before it passes
-    assert pp.min() < 0.0
     with pytest.raises(StepError) as err:
-        apply_map_series(k, rho0)
-    assert str(err.value) == (f"map output not positive at "
-                              f"t={float(k.grid[i])}: det={det[i]:.3e}")
+        build_kernels(p, 10.0, 1e-3)
+    assert str(err.value) == \
+        "map not completely positive at t=4.526: f >= 0 fails"
+    # f from its own formula: the first row below -1e-10 is t = 4.526
+    grid = np.arange(10_001) * 1e-3
+    r = rate_table(p, grid)
+    eta = dynamics._cumulative_simpson(r["gamma1"] + r["gamma2"], grid)
+    f = np.exp(-eta) * dynamics._cumulative_simpson(
+        r["gamma2"] * np.exp(eta), grid)
+    i = int(np.argmax(f < -1e-10))
+    assert grid[i] == 4.526 and f[i - 1] >= -1e-10
+    # the grid up to the row before that time passes every condition
+    k = build_kernels(p, 4.525, 1e-3)
+    assert 0.0 <= k.f[-1] < 1e-4
 
 
-def test_map_rejects_nan_kernels():
-    k = build_kernels(fig_params(), 1.0, 1e-3)
-    k.f[7] = math.nan
-    with pytest.raises(StepError, match=r"at t=0\.007: det=nan$"):
-        apply_map_series(k, DensityMatrix(rho_pp=0.2, rho_mm=0.8, rho_pm=0.1))
+def test_map_rejects_nan_kernels(monkeypatch):
+    # a NaN rate past rate_table's own finiteness check fails the CP check
+    # at its grid time, in build_kernels and before a run's first step
+    def table_with_nan(p, grid):
+        table = rate_table(p, grid)
+        table["gamma2"][3] = math.nan
+        return table
+    for module in (dynamics, nmqj):
+        monkeypatch.setattr(module, "rate_table", table_with_nan)
+    message = r"^map not completely positive at t=0\.003: f >= 0 fails$"
+    with pytest.raises(StepError, match=message):
+        build_kernels(fig_params(), 0.01, 1e-3)
+    with pytest.raises(StepError, match=message):
+        run_unraveling(fig_params(), 100, 0.01, 1e-3, seed=1)
+
+
+def test_kernel_table_is_read_only():
+    k = build_kernels(fig_params(), 0.1, 1e-3)
+    for a in (k.grid, k.eta, k.zeta, k.f, k.g):
+        with pytest.raises(ValueError, match="read-only"):
+            a[1] = 0.5
+
+
+@functools.cache
+def cp_tables():
+    """Kernel tables that pass the CP check, weak to moderate coupling."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return [build_kernels(SystemParams.from_ratios(r, w0, a), 10.0, 0.01)
+                for r, w0, a in ((FIG_RATIO, 10.0, 0.01), (0.0, 0.5, 1.0),
+                                 (0.3, 2.0, 0.5), (1.0, 150.0, 0.1),
+                                 (0.1, 10.0, 1.0))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=st.integers(0, 4), r=st.floats(0.0, 1.0),
+       theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2.0 * math.pi))
+def test_cp_table_maps_states_to_states(table, r, theta, phi):
+    # the Bloch vector r (sin theta cos phi, sin theta sin phi, cos theta)
+    x, y = r * math.sin(theta) * np.array([math.cos(phi), math.sin(phi)])
+    z = r * math.cos(theta)
+    rho0 = DensityMatrix(rho_pp=(1.0 + z) / 2.0, rho_mm=(1.0 - z) / 2.0,
+                         rho_pm=complex(x, -y) / 2.0)
+    rho_pp, rho_pm = apply_map_series(cp_tables()[table], rho0)
+    det = rho_pp * (1.0 - rho_pp) - np.abs(rho_pm) ** 2
+    assert det.min() >= -1e-10
 
 
 def test_zero_bias_halves_zeta():
