@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from spinboson import (DensityMatrix, DomainError, GridError, StepError,
                        SystemParams, apply_map_series, blp_measure,
                        build_kernels, ode_oracle, pair_directions,
-                       rate_table, recoherence_mask, run_unraveling)
+                       rate_table, recoherence_mask)
 import spinboson.dynamics as dynamics
-import spinboson.nmqj as nmqj
 
 FIG_RATIO = 1.0 / (2.0 * math.sqrt(3.0))
 REVIVAL_RATIO = 1.0 / (2.0 * math.sqrt(7.0))
@@ -129,18 +128,15 @@ def test_map_names_first_non_positive_time():
 
 def test_map_rejects_nan_kernels(monkeypatch):
     # a NaN rate past rate_table's own finiteness check fails the CP check
-    # at its grid time, in build_kernels and before a run's first step
+    # at its grid time
     def table_with_nan(p, grid):
         table = rate_table(p, grid)
         table["gamma2"][3] = math.nan
         return table
-    for module in (dynamics, nmqj):
-        monkeypatch.setattr(module, "rate_table", table_with_nan)
-    message = r"^map not completely positive at t=0\.003: f >= 0 fails$"
-    with pytest.raises(StepError, match=message):
+    monkeypatch.setattr(dynamics, "rate_table", table_with_nan)
+    with pytest.raises(StepError, match=r"^map not completely positive at "
+                       r"t=0\.003: f >= 0 fails$"):
         build_kernels(fig_params(), 0.01, 1e-3)
-    with pytest.raises(StepError, match=message):
-        run_unraveling(fig_params(), 100, 0.01, 1e-3, seed=1)
 
 
 def test_kernel_table_is_read_only():

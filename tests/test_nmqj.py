@@ -353,6 +353,19 @@ def test_run_drift_matches_deterministic_step():
         assert (r.a_plus[i + 1], r.a_minus[i + 1]) == (s.a_plus, s.a_minus)
 
 
+def test_run_nan_rate_stops_the_drift(monkeypatch):
+    # rate_table rejects non-finite rates; past it, a NaN fails the CP check
+    # on the rate table before the first drift step
+    def table_with_nan(p, grid):
+        table = rate_table(p, grid)
+        table["gamma2"][3] = math.nan
+        return table
+    monkeypatch.setattr(nmqj, "rate_table", table_with_nan)
+    with pytest.raises(StepError, match=r"^map not completely positive at "
+                       r"t=0\.003: f >= 0 fails$"):
+        run_unraveling(fig_params(), 100, 0.01, 1e-3, seed=1)
+
+
 def test_run_deterministic_for_fixed_seed():
     p = fig_params()
     a = run_unraveling(p, 500, 1.0, 1e-3, seed=42, stride=100)
