@@ -9,11 +9,11 @@ regions, and a trace-distance non-Markovianity measure.
 from .errors import (ConfigError, DomainError, GridError, ProbabilityError,
                      SpinBosonError, StepError, ToleranceError)
 from .specfun import expint_e1, sin_cos_integral
-from .model import (MAX_OMEGA0_RATIO, RateSet, SystemParams, rate_table,
-                    rates_closed_form, rates_quadrature, sign_changes,
-                    uniform_grid)
+from .model import (MAX_OMEGA0_RATIO, RateSet, SystemParams, channel_rates,
+                    rate_table, rates_closed_form, rates_quadrature,
+                    sign_changes, uniform_grid)
 from .dynamics import (DensityMatrix, KernelTable, apply_map_series,
-                       blp_measure, build_kernels, ode_oracle,
+                       blp_measure, blp_step, build_kernels, ode_oracle,
                        pair_directions, recoherence_mask)
 from .nmqj import (PureState, UnravelingResult, UnravelingSnapshot,
                    count_difference_series, deterministic_step,
@@ -26,11 +26,12 @@ __all__ = [
     "ConfigError", "DomainError", "GridError", "ProbabilityError",
     "SpinBosonError", "StepError", "ToleranceError",
     "expint_e1", "sin_cos_integral",
-    "MAX_OMEGA0_RATIO", "RateSet", "SystemParams", "rate_table",
-    "rates_closed_form", "rates_quadrature", "sign_changes", "uniform_grid",
+    "MAX_OMEGA0_RATIO", "RateSet", "SystemParams", "channel_rates",
+    "rate_table", "rates_closed_form", "rates_quadrature", "sign_changes",
+    "uniform_grid",
     "DensityMatrix", "KernelTable", "apply_map_series",
-    "blp_measure", "build_kernels", "ode_oracle", "pair_directions",
-    "recoherence_mask",
+    "blp_measure", "blp_step", "build_kernels", "ode_oracle",
+    "pair_directions", "recoherence_mask",
     "PureState", "UnravelingResult", "UnravelingSnapshot",
     "count_difference_series", "deterministic_step", "equal_superposition",
     "member_uniforms", "run_unraveling", "step_ensemble",

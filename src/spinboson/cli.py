@@ -27,9 +27,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dynamics import (DensityMatrix, apply_map_series, blp_measure,
-                       build_kernels, recoherence_mask)
+                       blp_step, build_kernels, recoherence_mask)
 from .errors import ConfigError, GridError, SpinBosonError
-from .model import SystemParams, rate_table, uniform_grid
+from .model import SystemParams, channel_rates, rate_table, uniform_grid
 from .nmqj import MAX_N_TRAJ, run_unraveling
 
 COMMANDS = ("rates", "evolve", "unravel", "recoherence-map", "blp")
@@ -288,8 +288,14 @@ def cmd_recoherence_map(cfg: RunConfig, write) -> int:
 
 def cmd_blp(cfg: RunConfig) -> int:
     """Print blp_measure and its BLP_RATIOS table.  Ignores dt, emit_stride
-    and output_path (blp_measure's step is t_max/round(500*t_max)),
-    but RunConfig.validate still requires dt to divide t_max."""
+    and output_path (blp_measure's step is blp_step(t_max) =
+    t_max/max(2, round(t_max/0.002))), but RunConfig.validate still
+    requires dt to divide t_max.
+
+    The ratio rows share one bare rate table: the bare rates depend on
+    omega0 and alpha only, so E1 is evaluated once for the four rows, and
+    each row's channel_rates still pass build_kernels' CP check.
+    """
     p = cfg.system_params()
     measure = blp_measure(p, cfg.t_max)
     print(f"blp_measure = {_fmt(measure)}  "
@@ -297,10 +303,14 @@ def cmd_blp(cfg: RunConfig) -> int:
           f"omega0/omega_c = {_fmt(cfg.omega0_over_omegac)}, "
           f"alpha = {_fmt(cfg.alpha)}, t_max = {_fmt(cfg.t_max)})")
     print("eps_over_delta,blp_measure")
+    # ratio 0 puts omega0 at exactly omega0_over_omegac
+    bare = rate_table(SystemParams.from_ratios(0.0, cfg.omega0_over_omegac,
+                                               cfg.alpha),
+                      uniform_grid(cfg.t_max, blp_step(cfg.t_max)))
     values = []
     for r in BLP_RATIOS:
-        m = blp_measure(SystemParams.from_ratios(r, cfg.omega0_over_omegac,
-                                                 cfg.alpha), cfg.t_max)
+        p_r = SystemParams.from_ratios(r, cfg.omega0_over_omegac, cfg.alpha)
+        m = blp_measure(p_r, cfg.t_max, rates=channel_rates(p_r, bare))
         values.append(m)
         print(f"{_fmt(r)},{_fmt(m)}")
     mean = float(np.mean(values))

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, StepError, ToleranceError
+from .errors import DomainError, GridError, StepError, ToleranceError
 from .model import SystemParams, rate_table, uniform_grid
 
 #: |eta| or |zeta| beyond which exp(+-kernel) leaves double range safely
@@ -101,7 +101,8 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(pieces) + 0.0))
 
 
-def build_kernels(p: SystemParams, t_max: float, h: float) -> KernelTable:
+def build_kernels(p: SystemParams, t_max: float, h: float,
+                  rates: dict[str, np.ndarray] | None = None) -> KernelTable:
     """Integrate the channel rates into the kernel table on a uniform grid.
 
     eta integrates gamma1 + gamma2; zeta integrates their half sum plus
@@ -118,9 +119,19 @@ def build_kernels(p: SystemParams, t_max: float, h: float) -> KernelTable:
     semidefinite (Choi, Linear Algebra Appl. 10, 285 (1975)): 0 <= f, g <= 1
     and e^{-2 zeta} <= g (1 - f).  StepError names the first grid time and
     condition failing by more than 1e-10 or not a number.
+
+    ``rates``, if given, is p's rate_table on this grid, computed once by
+    the caller (for instance by channel_rates from shared bare rates); a
+    table whose length does not match the grid raises GridError.
     """
     grid = uniform_grid(t_max, h)
-    return _kernels(grid, rate_table(p, grid))
+    if rates is None:
+        rates = rate_table(p, grid)
+    elif any(len(rates[k]) != len(grid) for k in ("gamma1", "gamma2",
+                                                   "gamma3")):
+        raise GridError(f"rate table does not hold the grid's {len(grid)} "
+                        "points")
+    return _kernels(grid, rates)
 
 
 def _kernels(grid: np.ndarray, r: dict[str, np.ndarray]) -> KernelTable:
@@ -288,7 +299,16 @@ def pair_directions(n: int) -> np.ndarray:
     return np.vstack([axes, pts])
 
 
-def blp_measure(p: SystemParams, t_max: float) -> float:
+def blp_step(t_max: float) -> float:
+    """blp_measure's time step: t_max/round(t_max/0.002), at least two steps.
+
+    The kernels vary over times of order 1/omega_c = 1, so this oversamples.
+    """
+    return t_max / max(2, round(t_max / 0.002))
+
+
+def blp_measure(p: SystemParams, t_max: float,
+                rates: dict[str, np.ndarray] | None = None) -> float:
     """Trace-distance non-Markovianity: max integrated information backflow.
 
     For each antipodal pure pair +-n the trace distance is propagated with
@@ -299,16 +319,32 @@ def blp_measure(p: SystemParams, t_max: float) -> float:
     (e^{-eta} n_z, e^{-zeta} (n_x - i n_y)), since g - f = e^{-eta}, so
     the distance is sqrt(n_z^2 e^{-2 eta} + (n_x^2 + n_y^2) e^{-2 zeta}).
 
-    The time step is t_max/round(t_max/0.002), at least two steps (the
-    kernels vary over times of order 1/omega_c = 1, so this oversamples).
+    The kernels are build_kernels(p, t_max, blp_step(t_max), rates).
+    sigma and its integral are np.gradient(dist, grid) and
+    np.trapezoid(max(sigma, 0), grid) bit for bit, with the grid-only
+    coefficients of both computed once for the 64 pairs.
     """
     if not math.isfinite(t_max):
         raise DomainError(f"t_max must be finite, got {t_max}")
-    k = build_kernels(p, t_max, t_max / max(2, round(t_max / 0.002)))
+    k = build_kernels(p, t_max, blp_step(t_max), rates)
     pop, coh = np.exp(-2.0 * k.eta), np.exp(-2.0 * k.zeta)
+    dx = np.diff(k.grid)
+    uniform = bool((dx == dx[0]).all())     # np.gradient's scalar-step form
+    if not uniform:
+        dx1, dx2 = dx[:-1], dx[1:]
+        a = -dx2 / (dx1 * (dx1 + dx2))
+        b = (dx2 - dx1) / (dx1 * dx2)
+        c = dx1 / (dx2 * (dx1 + dx2))
+    sigma = np.empty_like(k.grid)
     best = 0.0
     for nx, ny, nz in pair_directions(64):
         dist = np.sqrt(nz * nz * pop + (nx * nx + ny * ny) * coh)
-        sigma = np.gradient(dist, k.grid)
-        best = max(best, float(np.trapezoid(np.maximum(sigma, 0.0), k.grid)))
+        if uniform:
+            sigma[1:-1] = (dist[2:] - dist[:-2]) / (2.0 * dx[0])
+        else:
+            sigma[1:-1] = a * dist[:-2] + b * dist[1:-1] + c * dist[2:]
+        sigma[0] = (dist[1] - dist[0]) / dx[0]
+        sigma[-1] = (dist[-1] - dist[-2]) / dx[-1]
+        np.maximum(sigma, 0.0, out=sigma)
+        best = max(best, float((dx * (sigma[1:] + sigma[:-1]) / 2.0).sum()))
     return best

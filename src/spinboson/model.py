@@ -152,16 +152,31 @@ def rate_table(p: SystemParams, tgrid: np.ndarray) -> dict[str, np.ndarray]:
     gm[live] = lorentz * (u * cos_x + sin_x) - scale * math.exp(y) \
         * expint_e1(y - 1j * x).imag
     g0 = alpha * tgrid / (1.0 + tgrid * tgrid)
-    wt = p.delta * p.delta / (4.0 * y * y)
-    wz = p.epsilon * p.epsilon / (4.0 * y * y)
-    table = {"gamma_plus": gp, "gamma_minus": gm, "gamma_zero": g0,
-             "gamma1": wt * gp, "gamma2": wt * gm, "gamma3": wz * g0}
+    table = channel_rates(p, {"gamma_plus": gp, "gamma_minus": gm,
+                              "gamma_zero": g0})
     for name, col in table.items():
         bad = np.flatnonzero(~np.isfinite(col))
         if bad.size:
             raise DomainError(f"rate {name} is not finite at "
                               f"t={float(tgrid[bad[0]])}")
     return table
+
+
+def channel_rates(p: SystemParams, bare: dict[str, np.ndarray]
+                  ) -> dict[str, np.ndarray]:
+    """The rate table of p from bare rates gamma_plus/minus/zero.
+
+    gamma1, gamma2 = delta^2/(4 omega0^2) * (gamma_plus, gamma_minus) and
+    gamma3 = epsilon^2/(4 omega0^2) * gamma_zero.  The bare rates depend on
+    omega0 and alpha only, so one rate_table's bare columns serve every
+    epsilon/delta at that omega0.
+    """
+    y = p.omega0
+    wt = p.delta * p.delta / (4.0 * y * y)
+    wz = p.epsilon * p.epsilon / (4.0 * y * y)
+    gp, gm, g0 = bare["gamma_plus"], bare["gamma_minus"], bare["gamma_zero"]
+    return {"gamma_plus": gp, "gamma_minus": gm, "gamma_zero": g0,
+            "gamma1": wt * gp, "gamma2": wt * gm, "gamma3": wz * g0}
 
 
 def rates_closed_form(p: SystemParams, t: float) -> RateSet:

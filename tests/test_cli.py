@@ -391,6 +391,21 @@ def test_recoherence_map_csv(tmp_path):
 
 # --- blp command -----------------------------------------------------------
 
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+#: blp stdout, byte for byte: every printed digit of the measure and of its
+#: ratio rows, which share one bare rate table
+BLP_GOLDEN = {(): "blp_default.txt",
+              ("--t-max", "5", "--epsilon-over-delta", "0.3"):
+                  "blp_t_max_5_eps_0.3.txt"}
+
+
+@pytest.mark.parametrize("args", BLP_GOLDEN)
+def test_blp_golden_stdout(capsys, args):
+    assert main(["blp", *args]) == 0
+    assert capsys.readouterr().out == (FIXTURES / BLP_GOLDEN[args]).read_text()
+
+
 def test_blp_prints_measure_and_spread(capsys):
     assert main(["blp", "--t-max", "5", "--dt", "0.001"]) == 0
     outp = capsys.readouterr().out

@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinboson import (DensityMatrix, DomainError, GridError, StepError,
-                       SystemParams, apply_map_series, blp_measure,
-                       build_kernels, ode_oracle, pair_directions,
-                       rate_table, recoherence_mask)
+                       SystemParams, apply_map_series, blp_measure, blp_step,
+                       build_kernels, channel_rates, ode_oracle,
+                       pair_directions, rate_table, recoherence_mask,
+                       uniform_grid)
 import spinboson.dynamics as dynamics
+from spinboson.cli import BLP_RATIOS
 
 FIG_RATIO = 1.0 / (2.0 * math.sqrt(3.0))
 REVIVAL_RATIO = 1.0 / (2.0 * math.sqrt(7.0))
@@ -83,6 +85,33 @@ def test_cumulative_simpson_matches_scipy_bit_for_bit(n, kind):
 def test_build_kernels_grid_error():
     with pytest.raises(GridError):
         build_kernels(fig_params(), 1.0, 0.3)
+
+
+def test_build_kernels_rejects_a_table_of_the_wrong_length():
+    p = fig_params()
+    rates = rate_table(p, uniform_grid(1.0, 1e-3))
+    with pytest.raises(GridError, match="hold the grid's 501 points"):
+        build_kernels(p, 1.0, 2e-3, rates=rates)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("ratio,omega0,alpha", [
+    (FIG_RATIO, 10.0, 0.01), (0.3, 10.0, 0.05), (0.0, 2.0, 0.5)])
+def test_build_kernels_is_fourth_order_in_h(ratio, omega0, alpha):
+    # eta, zeta, f and g against a fine-step table to t = 10; at h = 1e-3
+    # the errors (~6e-15) reach rounding, so the fit uses coarser steps
+    p = SystemParams.from_ratios(ratio, omega0, alpha)
+    h_ref, steps = 1.25e-4, (8e-3, 4e-3, 2e-3)
+
+    def kernels(h):
+        k = build_kernels(p, 10.0, h)
+        return np.stack([k.eta, k.zeta, k.f, k.g])
+
+    ref = kernels(h_ref)
+    errors = [np.abs(kernels(h) - ref[:, ::round(h / h_ref)]).max()
+              for h in steps]
+    order = np.polyfit(np.log(steps), np.log(errors), 1)[0]
+    assert 3.8 <= order <= 4.2
 
 
 def test_map_identity_at_zero():
@@ -354,6 +383,64 @@ def test_blp_positive_with_negative_rates():
 def test_blp_non_finite_horizon(t_max):
     with pytest.raises(DomainError):
         blp_measure(fig_params(), t_max)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("omega0", [0.5, 2.0, 10.0, 150.0])
+def test_blp_shared_bare_table_matches_per_call_rates(omega0):
+    # blp's ratio rows: one rate_table at omega0, reweighted per ratio
+    t_max = 5.0
+    grid = uniform_grid(t_max, blp_step(t_max))
+    bare = rate_table(SystemParams.from_ratios(0.0, omega0, 0.3), grid)
+    off_nominal = []
+    for r in BLP_RATIOS:
+        p = SystemParams.from_ratios(r, omega0, 0.3)
+        shared = blp_measure(p, t_max, rates=channel_rates(p, bare))
+        if p.omega0 == omega0:
+            assert shared == blp_measure(p, t_max)
+        else:
+            # the per-call bare rates are at an omega0 one ulp off
+            off_nominal.append(r)
+            assert shared == pytest.approx(blp_measure(p, t_max), rel=1e-12)
+    if omega0 == 10.0:
+        assert off_nominal == [0.2]       # omega0 = 9.999999999999998
+
+
+def blp_gradient_trapezoid(p: SystemParams, t_max: float) -> float:
+    """blp_measure's pair loop as np.gradient and np.trapezoid calls."""
+    k = build_kernels(p, t_max, t_max / max(2, round(t_max / 0.002)))
+    pop, coh = np.exp(-2.0 * k.eta), np.exp(-2.0 * k.zeta)
+    best = 0.0
+    for nx, ny, nz in pair_directions(64):
+        dist = np.sqrt(nz * nz * pop + (nx * nx + ny * ny) * coh)
+        sigma = np.gradient(dist, k.grid)
+        best = max(best, float(np.trapezoid(np.maximum(sigma, 0.0), k.grid)))
+    return best
+
+
+#: on a grid of step 131/2**16 (about 0.002) every i*h is exact, so the
+#: spacing is exactly uniform and np.gradient takes its scalar-step branch
+EXACT_STEP = 131 / 2 ** 16
+
+#: the two-step floor 0.004; grids ending just past the first backflow (at
+#: t = 0.022 for omega0 150 and 0.338 for omega0 10), where the measure
+#: sums a few trapezoids and one ulp of sigma shows, on uneven and on
+#: exactly uniform spacing; and the long horizons
+GUARD_T_MAX = (0.004, 0.01, 0.028, 0.34, 13 * EXACT_STEP, 172 * EXACT_STEP,
+               5.0, 50.0)
+
+
+@pytest.mark.parametrize("ratio,omega0,alpha", [
+    (FIG_RATIO, 10.0, 0.01), (0.3, 10.0, 0.05), (0.0, 150.0, 0.01)])
+def test_blp_loop_is_numpy_gradient_and_trapezoid_bit_for_bit(ratio, omega0,
+                                                             alpha):
+    p = SystemParams.from_ratios(ratio, omega0, alpha)
+    uniform = []
+    for t_max in GUARD_T_MAX:
+        assert blp_measure(p, t_max) == blp_gradient_trapezoid(p, t_max)
+        dx = np.diff(uniform_grid(t_max, blp_step(t_max)))
+        uniform.append(bool((dx == dx[0]).all()))
+    assert uniform == [True, True, False, False, True, True, False, False]
 
 
 def blp_reference(p: SystemParams, t_max: float) -> float:
