@@ -13,7 +13,7 @@ from .model import (MAX_OMEGA0_RATIO, RateSet, SystemParams, channel_rates,
                     rate_table, rates_closed_form, rates_quadrature,
                     sign_changes, uniform_grid)
 from .dynamics import (DensityMatrix, KernelTable, apply_map_series,
-                       blp_measure, blp_step, build_kernels, ode_oracle,
+                       blp_measure, build_kernels, ode_oracle,
                        pair_directions, recoherence_mask)
 from .nmqj import (PureState, UnravelingResult, UnravelingSnapshot,
                    count_difference_series, deterministic_step,
@@ -30,8 +30,8 @@ __all__ = [
     "rate_table", "rates_closed_form", "rates_quadrature", "sign_changes",
     "uniform_grid",
     "DensityMatrix", "KernelTable", "apply_map_series",
-    "blp_measure", "blp_step", "build_kernels", "ode_oracle",
-    "pair_directions", "recoherence_mask",
+    "blp_measure", "build_kernels", "ode_oracle", "pair_directions",
+    "recoherence_mask",
     "PureState", "UnravelingResult", "UnravelingSnapshot",
     "count_difference_series", "deterministic_step", "equal_superposition",
     "member_uniforms", "run_unraveling", "step_ensemble",

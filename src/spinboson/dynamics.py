@@ -120,9 +120,10 @@ def build_kernels(p: SystemParams, t_max: float, h: float,
     and e^{-2 zeta} <= g (1 - f).  StepError names the first grid time and
     condition failing by more than 1e-10 or not a number.
 
-    ``rates``, if given, is p's rate_table on this grid, computed once by
-    the caller (for instance by channel_rates from shared bare rates); a
-    table whose length does not match the grid raises GridError.
+    ``rates``, if given, must be p's rate_table on this grid, computed once
+    by the caller (for instance by channel_rates from shared bare rates).
+    Only the length of its gamma1..gamma3 columns is checked: GridError if
+    it differs from the grid's.
     """
     grid = uniform_grid(t_max, h)
     if rates is None:
@@ -299,6 +300,11 @@ def pair_directions(n: int) -> np.ndarray:
     return np.vstack([axes, pts])
 
 
+#: pairs per np.gradient call in blp_measure: 4 rows of the 25 001-point
+#: t_max = 50 grid are 0.8 MB, where all 64 at once add ~45 MB to the peak
+PAIR_BLOCK = 4
+
+
 def blp_step(t_max: float) -> float:
     """blp_measure's time step: t_max/round(t_max/0.002), at least two steps.
 
@@ -319,32 +325,20 @@ def blp_measure(p: SystemParams, t_max: float,
     (e^{-eta} n_z, e^{-zeta} (n_x - i n_y)), since g - f = e^{-eta}, so
     the distance is sqrt(n_z^2 e^{-2 eta} + (n_x^2 + n_y^2) e^{-2 zeta}).
 
-    The kernels are build_kernels(p, t_max, blp_step(t_max), rates).
-    sigma and its integral are np.gradient(dist, grid) and
-    np.trapezoid(max(sigma, 0), grid) bit for bit, with the grid-only
-    coefficients of both computed once for the 64 pairs.
+    The kernels are build_kernels(p, t_max, blp_step(t_max), rates).  The
+    pairs go through np.gradient and np.trapezoid PAIR_BLOCK rows at a
+    time, so those work out their grid coefficients once per block rather
+    than once per pair, while a block's rows stay under a megabyte.
     """
     if not math.isfinite(t_max):
         raise DomainError(f"t_max must be finite, got {t_max}")
     k = build_kernels(p, t_max, blp_step(t_max), rates)
     pop, coh = np.exp(-2.0 * k.eta), np.exp(-2.0 * k.zeta)
-    dx = np.diff(k.grid)
-    uniform = bool((dx == dx[0]).all())     # np.gradient's scalar-step form
-    if not uniform:
-        dx1, dx2 = dx[:-1], dx[1:]
-        a = -dx2 / (dx1 * (dx1 + dx2))
-        b = (dx2 - dx1) / (dx1 * dx2)
-        c = dx1 / (dx2 * (dx1 + dx2))
-    sigma = np.empty_like(k.grid)
+    pairs = pair_directions(64)
     best = 0.0
-    for nx, ny, nz in pair_directions(64):
+    for i in range(0, len(pairs), PAIR_BLOCK):
+        nx, ny, nz = pairs[i:i + PAIR_BLOCK].T[:, :, None]
         dist = np.sqrt(nz * nz * pop + (nx * nx + ny * ny) * coh)
-        if uniform:
-            sigma[1:-1] = (dist[2:] - dist[:-2]) / (2.0 * dx[0])
-        else:
-            sigma[1:-1] = a * dist[:-2] + b * dist[1:-1] + c * dist[2:]
-        sigma[0] = (dist[1] - dist[0]) / dx[0]
-        sigma[-1] = (dist[-1] - dist[-2]) / dx[-1]
-        np.maximum(sigma, 0.0, out=sigma)
-        best = max(best, float((dx * (sigma[1:] + sigma[:-1]) / 2.0).sum()))
+        sigma = np.maximum(np.gradient(dist, k.grid, axis=1), 0.0)
+        best = max(best, float(np.trapezoid(sigma, k.grid, axis=1).max()))
     return best

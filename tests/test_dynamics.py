@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinboson import (DensityMatrix, DomainError, GridError, StepError,
-                       SystemParams, apply_map_series, blp_measure, blp_step,
+                       SystemParams, apply_map_series, blp_measure,
                        build_kernels, channel_rates, ode_oracle,
                        pair_directions, rate_table, recoherence_mask,
                        uniform_grid)
 import spinboson.dynamics as dynamics
+from spinboson.dynamics import blp_step
 from spinboson.cli import BLP_RATIOS
 
 FIG_RATIO = 1.0 / (2.0 * math.sqrt(3.0))
