@@ -27,9 +27,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dynamics import (DensityMatrix, apply_map_series, blp_measure,
-                       blp_step, build_kernels, recoherence_mask)
+                       blp_sweep, build_kernels, recoherence_mask)
 from .errors import ConfigError, GridError, SpinBosonError
-from .model import SystemParams, channel_rates, rate_table, uniform_grid
+from .model import SystemParams, rate_table, uniform_grid
 from .nmqj import MAX_N_TRAJ, run_unraveling
 
 COMMANDS = ("rates", "evolve", "unravel", "recoherence-map", "blp")
@@ -288,13 +288,11 @@ def cmd_recoherence_map(cfg: RunConfig, write) -> int:
 
 def cmd_blp(cfg: RunConfig) -> int:
     """Print blp_measure and its BLP_RATIOS table.  Ignores dt, emit_stride
-    and output_path (blp_measure's step is blp_step(t_max) =
-    t_max/max(2, round(t_max/0.002))), but RunConfig.validate still
-    requires dt to divide t_max.
+    and output_path (blp_measure picks its own step), but
+    RunConfig.validate still requires dt to divide t_max.
 
-    The ratio rows share one bare rate table: the bare rates depend on
-    omega0 and alpha only, so E1 is evaluated once for the four rows, and
-    each row's channel_rates still pass build_kernels' CP check.
+    The ratio rows come from blp_sweep, which evaluates E1 once for all
+    four; each row is printed before the next is computed.
     """
     p = cfg.system_params()
     measure = blp_measure(p, cfg.t_max)
@@ -304,13 +302,9 @@ def cmd_blp(cfg: RunConfig) -> int:
           f"alpha = {_fmt(cfg.alpha)}, t_max = {_fmt(cfg.t_max)})")
     print("eps_over_delta,blp_measure")
     # ratio 0 puts omega0 at exactly omega0_over_omegac
-    bare = rate_table(SystemParams.from_ratios(0.0, cfg.omega0_over_omegac,
-                                               cfg.alpha),
-                      uniform_grid(cfg.t_max, blp_step(cfg.t_max)))
+    p0 = SystemParams.from_ratios(0.0, cfg.omega0_over_omegac, cfg.alpha)
     values = []
-    for r in BLP_RATIOS:
-        p_r = SystemParams.from_ratios(r, cfg.omega0_over_omegac, cfg.alpha)
-        m = blp_measure(p_r, cfg.t_max, rates=channel_rates(p_r, bare))
+    for r, m in zip(BLP_RATIOS, blp_sweep(p0, cfg.t_max, BLP_RATIOS)):
         values.append(m)
         print(f"{_fmt(r)},{_fmt(m)}")
     mean = float(np.mean(values))

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, GridError, StepError, ToleranceError
-from .model import SystemParams, rate_table, uniform_grid
+from .errors import DomainError, StepError, ToleranceError
+from .model import SystemParams, channel_rates, rate_table, uniform_grid
 
 #: |eta| or |zeta| beyond which exp(+-kernel) leaves double range safely
 _KERNEL_EXP_LIMIT = 600.0
@@ -101,8 +101,7 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(pieces) + 0.0))
 
 
-def build_kernels(p: SystemParams, t_max: float, h: float,
-                  rates: dict[str, np.ndarray] | None = None) -> KernelTable:
+def build_kernels(p: SystemParams, t_max: float, h: float) -> KernelTable:
     """Integrate the channel rates into the kernel table on a uniform grid.
 
     eta integrates gamma1 + gamma2; zeta integrates their half sum plus
@@ -119,27 +118,20 @@ def build_kernels(p: SystemParams, t_max: float, h: float,
     semidefinite (Choi, Linear Algebra Appl. 10, 285 (1975)): 0 <= f, g <= 1
     and e^{-2 zeta} <= g (1 - f).  StepError names the first grid time and
     condition failing by more than 1e-10 or not a number.
-
-    ``rates``, if given, must be p's rate_table on this grid, computed once
-    by the caller (for instance by channel_rates from shared bare rates).
-    Only the length of its gamma1..gamma3 columns is checked: GridError if
-    it differs from the grid's.
     """
     grid = uniform_grid(t_max, h)
-    if rates is None:
-        rates = rate_table(p, grid)
-    elif any(len(rates[k]) != len(grid) for k in ("gamma1", "gamma2",
-                                                   "gamma3")):
-        raise GridError(f"rate table does not hold the grid's {len(grid)} "
-                        "points")
-    return _kernels(grid, rates)
+    return _kernels(grid, rate_table(p, grid))
+
+
+def _zeta_rate(r: dict[str, np.ndarray]) -> np.ndarray:
+    """d zeta/dt = (gamma1 + gamma2)/2 + 2 gamma3, the coherence decay rate."""
+    return 0.5 * (r["gamma1"] + r["gamma2"]) + 2.0 * r["gamma3"]
 
 
 def _kernels(grid: np.ndarray, r: dict[str, np.ndarray]) -> KernelTable:
-    """build_kernels on a grid and its rate_table."""
-    g12 = r["gamma1"] + r["gamma2"]
-    eta = _cumulative_simpson(g12, grid)
-    zeta = _cumulative_simpson(0.5 * g12 + 2.0 * r["gamma3"], grid)
+    """build_kernels on a grid and a rate table of it."""
+    eta = _cumulative_simpson(r["gamma1"] + r["gamma2"], grid)
+    zeta = _cumulative_simpson(_zeta_rate(r), grid)
     if np.max(np.abs(eta)) > _KERNEL_EXP_LIMIT or \
             np.max(np.abs(zeta)) > _KERNEL_EXP_LIMIT:
         raise ToleranceError("kernel exponent exceeds double-precision range; "
@@ -214,7 +206,7 @@ def ode_oracle(p: SystemParams, rho0: DensityMatrix, t_max: float,
     The propagators are built batched, a block of steps at a time, and
     applied in sequence.  The trace is checked once over the finished
     trajectory: StepError names the first grid time where |tr - 1| exceeds
-    1e-8 or is not a number.
+    1e-12, DensityMatrix's bound, or is not a number.
 
     Returns the trajectory on the same grid build_kernels would use, as a
     list of DensityMatrix (index i is time i*h).
@@ -241,7 +233,7 @@ def ode_oracle(p: SystemParams, rho0: DensityMatrix, t_max: float,
             v[i + 1] = prop @ v[i]
 
     trace = v[:, 0].real + v[:, 3].real
-    bad = np.flatnonzero(~(np.abs(trace - 1.0) <= 1e-8))  # also catches NaN
+    bad = np.flatnonzero(~(np.abs(trace - 1.0) <= 1e-12))  # also catches NaN
     if bad.size:
         i = bad[0]
         raise StepError(f"trace drifted to {float(trace[i])!r} at t={grid[i]}")
@@ -250,7 +242,19 @@ def ode_oracle(p: SystemParams, rho0: DensityMatrix, t_max: float,
                                   v[:, 1].tolist())]
 
 
-# --- recoherence regions -----------------------------------------------
+# --- the epsilon/delta sweep -------------------------------------------
+
+def _bias_sweep(p: SystemParams, grid: np.ndarray, ratios):
+    """Yield the rate table on grid at each epsilon/delta in ratios, at p's
+    omega0 and alpha: the bare rates depend on those two only, so one
+    rate_table at ratio 0 (omega0 exactly p.omega0) serves every ratio,
+    weighted by its channel_rates.  DomainError for a ratio below 0.
+    """
+    bare = rate_table(SystemParams.from_ratios(0.0, p.omega0, p.alpha), grid)
+    for r in ratios:
+        yield channel_rates(SystemParams.from_ratios(r, p.omega0, p.alpha),
+                            bare)
+
 
 def recoherence_mask(p: SystemParams, tgrid: np.ndarray,
                      ratios: np.ndarray) -> np.ndarray:
@@ -259,22 +263,11 @@ def recoherence_mask(p: SystemParams, tgrid: np.ndarray,
     Entry (i, j) is True where d zeta/dt < 0 at ratio r_i and time t_j,
     i.e. where the coherence magnitude |rho_pm| grows for any initial
     state with nonzero coherence.  omega0 is held at p.omega0 for every
-    row (epsilon and delta are recomputed per ratio), so the bare rates
-    are computed once and only the channel weights vary.
+    row: the rows are _bias_sweep's, so E1 is evaluated once.
     """
-    tgrid = np.asarray(tgrid, dtype=float)
-    ratios = np.asarray(ratios, dtype=float)
-    if np.any(ratios < 0.0):
-        raise DomainError("epsilon/delta ratios must be >= 0")
-    base = rate_table(p, tgrid)
-    gpm = base["gamma_plus"] + base["gamma_minus"]
-    g0 = base["gamma_zero"]
     mask = np.empty((len(ratios), len(tgrid)), dtype=bool)
-    for i, r in enumerate(ratios):
-        r2 = r * r
-        # d zeta/dt = eps^2/(2 w0^2) g0 + delta^2/(8 w0^2) (gp + gm)
-        zdot = (r2 / (2.0 * (1.0 + r2))) * g0 + (1.0 / (8.0 * (1.0 + r2))) * gpm
-        mask[i] = zdot < 0.0
+    for i, r in enumerate(_bias_sweep(p, tgrid, ratios)):
+        mask[i] = _zeta_rate(r) < 0.0
     return mask
 
 
@@ -305,16 +298,17 @@ def pair_directions(n: int) -> np.ndarray:
 PAIR_BLOCK = 4
 
 
-def blp_step(t_max: float) -> float:
+def _blp_step(t_max: float) -> float:
     """blp_measure's time step: t_max/round(t_max/0.002), at least two steps.
 
     The kernels vary over times of order 1/omega_c = 1, so this oversamples.
     """
+    if not math.isfinite(t_max):
+        raise DomainError(f"t_max must be finite, got {t_max}")
     return t_max / max(2, round(t_max / 0.002))
 
 
-def blp_measure(p: SystemParams, t_max: float,
-                rates: dict[str, np.ndarray] | None = None) -> float:
+def blp_measure(p: SystemParams, t_max: float) -> float:
     """Trace-distance non-Markovianity: max integrated information backflow.
 
     For each antipodal pure pair +-n the trace distance is propagated with
@@ -324,15 +318,26 @@ def blp_measure(p: SystemParams, t_max: float,
     pair_directions(64).  The map sends the pair's difference to
     (e^{-eta} n_z, e^{-zeta} (n_x - i n_y)), since g - f = e^{-eta}, so
     the distance is sqrt(n_z^2 e^{-2 eta} + (n_x^2 + n_y^2) e^{-2 zeta}).
-
-    The kernels are build_kernels(p, t_max, blp_step(t_max), rates).  The
-    pairs go through np.gradient and np.trapezoid PAIR_BLOCK rows at a
-    time, so those work out their grid coefficients once per block rather
-    than once per pair, while a block's rows stay under a megabyte.
     """
-    if not math.isfinite(t_max):
-        raise DomainError(f"t_max must be finite, got {t_max}")
-    k = build_kernels(p, t_max, blp_step(t_max), rates)
+    return _backflow(build_kernels(p, t_max, _blp_step(t_max)))
+
+
+def blp_sweep(p: SystemParams, t_max: float, ratios):
+    """Yield blp_measure at each epsilon/delta in ratios (see _bias_sweep):
+    one rate_table serves every row, each row's kernels pass build_kernels'
+    complete-positivity check, and a row is computed when it is asked for.
+    """
+    grid = uniform_grid(t_max, _blp_step(t_max))
+    for r in _bias_sweep(p, grid, ratios):
+        yield _backflow(_kernels(grid, r))
+
+
+def _backflow(k: KernelTable) -> float:
+    """blp_measure's backflow on kernel table k.  The pairs go through
+    np.gradient and np.trapezoid PAIR_BLOCK rows at a time, so those work
+    out their grid coefficients once per block rather than once per pair,
+    while a block's rows stay under a megabyte.
+    """
     pop, coh = np.exp(-2.0 * k.eta), np.exp(-2.0 * k.zeta)
     pairs = pair_directions(64)
     best = 0.0

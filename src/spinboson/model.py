@@ -64,7 +64,8 @@ class SystemParams:
             raise DomainError(
                 f"omega0 = {w0:g} is too small: the channel weights divide "
                 "by omega0**2, which underflows")
-        if w0 > MAX_OMEGA0_RATIO:
+        # from_ratios lands up to 2 ulps above the omega0 it is given
+        if w0 > MAX_OMEGA0_RATIO * (1.0 + 4.0 * sys.float_info.epsilon):
             raise DomainError(
                 f"omega0/omega_c = {w0:g} exceeds the supported maximum "
                 f"{MAX_OMEGA0_RATIO:g} (rate evaluation would overflow)")

@@ -15,11 +15,11 @@ import pytest
 
 import spinboson
 import spinboson.cli as cli
-from spinboson import ConfigError, StepError, SystemParams
+from spinboson import ConfigError, DomainError, StepError, SystemParams
 from spinboson.cli import (BLP_RATIOS, COMMANDS, DEFAULT_OUTPUT, DEFAULT_T_MAX,
-                           RunConfig, _fmt, _initial_state, _strided,
-                           build_parser, emit_config, load_config, main,
-                           parse_config)
+                           RATIO_GRID_MAX, RATIO_GRID_STEP, RunConfig, _fmt,
+                           _initial_state, _strided, build_parser,
+                           emit_config, load_config, main, parse_config)
 from spinboson.dynamics import (apply_map_series, build_kernels,
                                 recoherence_mask)
 from spinboson.model import rate_table
@@ -387,6 +387,49 @@ def test_recoherence_map_csv(tmp_path):
     # t = 0 sits outside the region for every ratio (rates vanish there)
     t = column(rows, header, "t")
     assert np.all(flags[t == 0.0] == 0.0)
+
+
+#: sha256 of recoherence-map CSVs, as written.  in_region is the sign of
+#: d zeta/dt, so a last-ulp change of the rates moves a byte only where
+#: d zeta/dt is within an ulp of 0.  At omega0/omega_c 300 some ratio rows'
+#: params land an ulp or two above the supported maximum
+RECOHERENCE_GOLDEN_SHA256 = {
+    ():
+        "84762c85b2f78d3bcb2f309bc3c2649a01ad9151129745a366fc153229ca7cd3",
+    ("--omega0-over-omegac", "0.5", "--alpha", "0.3"):
+        "498d3952558c1843864b2e16260ce5fee7266998f28f86e8b48ae1b46bd4fb2a",
+    ("--omega0-over-omegac", "150", "--t-max", "5"):
+        "517f17b359714d713e80b2de05ee2844ea233eb013ea92729d83473d309732de",
+    ("--omega0-over-omegac", "300"):
+        "310302fa1b27f6aca10721e1dc0c7c06813f19abf3aff3efe4f1e19305889c34",
+}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_recoherence_map_golden_sha256(tmp_path):
+    got = {}
+    for args in RECOHERENCE_GOLDEN_SHA256:
+        out = tmp_path / "m.csv"
+        assert main(["recoherence-map", *args, "--out", str(out)]) == 0
+        got[args] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == RECOHERENCE_GOLDEN_SHA256
+
+
+def test_omega0_cap_admits_from_ratios_rounding(tmp_path):
+    # from_ratios lands up to 2 ulps above the omega0 it is given (13 of
+    # the map's 81 ratios at 300); the cap allows 5 ulps at 300
+    n_r = round(RATIO_GRID_MAX / RATIO_GRID_STEP)
+    ratios = [*(np.arange(n_r + 1) * RATIO_GRID_STEP).tolist(), *BLP_RATIOS]
+    above = [r for r in ratios
+             if SystemParams.from_ratios(r, 300.0, 0.01).omega0 > 300.0]
+    assert len(above) == 13 and 0.025 in above
+    SystemParams(epsilon=0.0, delta=300.0 + 5 * math.ulp(300.0), alpha=0.01)
+    with pytest.raises(DomainError, match="exceeds the supported maximum"):
+        SystemParams(epsilon=0.0, delta=300.0 + 6 * math.ulp(300.0),
+                     alpha=0.01)
+    assert main(["rates", "--omega0-over-omegac", "300",
+                 "--epsilon-over-delta", "0.025",
+                 "--out", str(tmp_path / "r.csv")]) == 0
 
 
 # --- blp command -----------------------------------------------------------

@@ -10,12 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinboson import (DensityMatrix, DomainError, GridError, StepError,
-                       SystemParams, apply_map_series, blp_measure,
-                       build_kernels, channel_rates, ode_oracle,
-                       pair_directions, rate_table, recoherence_mask,
-                       uniform_grid)
+                       SystemParams, apply_map_series, blp_measure, blp_sweep,
+                       build_kernels, ode_oracle, pair_directions, rate_table,
+                       recoherence_mask, uniform_grid)
 import spinboson.dynamics as dynamics
-from spinboson.dynamics import blp_step
 from spinboson.cli import BLP_RATIOS
 
 FIG_RATIO = 1.0 / (2.0 * math.sqrt(3.0))
@@ -86,13 +84,6 @@ def test_cumulative_simpson_matches_scipy_bit_for_bit(n, kind):
 def test_build_kernels_grid_error():
     with pytest.raises(GridError):
         build_kernels(fig_params(), 1.0, 0.3)
-
-
-def test_build_kernels_rejects_a_table_of_the_wrong_length():
-    p = fig_params()
-    rates = rate_table(p, uniform_grid(1.0, 1e-3))
-    with pytest.raises(GridError, match="hold the grid's 501 points"):
-        build_kernels(p, 1.0, 2e-3, rates=rates)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -245,20 +236,24 @@ def test_ode_oracle_constant_without_coupling():
 
 def test_ode_oracle_names_first_trace_drift(monkeypatch):
     # a dephasing channel that also drains rho_pp without refilling rho_mm:
-    # d(tr)/dt = -gamma3 rho_pp, so |tr - 1| = rho_pp(0) (1 - e^{-Gamma})
-    # with Gamma = wz alpha ln(1 + t^2) / 2 in closed form (omega_c = 1)
-    leak = np.zeros((3, 4, 4))
-    leak[2, 0, 0] = -1.0
-    monkeypatch.setattr(dynamics, "_CHANNEL_SUPEROPS", leak)
+    # d(tr)/dt = -s gamma3 rho_pp, so |tr - 1| = rho_pp(0) (1 - e^{-s Gamma})
+    # with Gamma = wz alpha ln(1 + t^2) / 2 in closed form (omega_c = 1).
+    # The check is DensityMatrix's 1e-12: s = 1 passes it at the first step
+    # and s = 1e-4 at a later one, with a drift far below 1e-8
     p = fig_params(ratio=1.0)
     h = 1e-3
-    t = np.arange(1, 101) * h
+    t = np.arange(101) * h
     wz = p.epsilon ** 2 / (4.0 * p.omega0 ** 2)
-    drift = 0.5 * -np.expm1(-0.5 * wz * p.alpha * np.log1p(t * t))
-    k = int(np.argmax(drift > 1e-8))
-    assert drift[k - 1] < 0.9e-8 and drift[k] > 1.1e-8  # no borderline step
-    with pytest.raises(StepError, match=rf"at t={t[k]}$"):
-        ode_oracle(p, plus_minus_super(), 0.1, h)
+    for s, first in ((1.0, 1), (1e-4, 6)):
+        leak = np.zeros((3, 4, 4))
+        leak[2, 0, 0] = -s
+        monkeypatch.setattr(dynamics, "_CHANNEL_SUPEROPS", leak)
+        drift = 0.5 * -np.expm1(-0.5 * s * wz * p.alpha * np.log1p(t * t))
+        k = int(np.argmax(drift > 1e-12))
+        assert k == first
+        assert drift[k - 1] < 0.9e-12 and drift[k] > 1.1e-12  # not borderline
+        with pytest.raises(StepError, match=rf"at t={t[k]}$"):
+            ode_oracle(p, plus_minus_super(), 0.1, h)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -384,19 +379,20 @@ def test_blp_positive_with_negative_rates():
 def test_blp_non_finite_horizon(t_max):
     with pytest.raises(DomainError):
         blp_measure(fig_params(), t_max)
+    with pytest.raises(DomainError):
+        next(blp_sweep(fig_params(), t_max, BLP_RATIOS))
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("omega0", [0.5, 2.0, 10.0, 150.0])
 def test_blp_shared_bare_table_matches_per_call_rates(omega0):
-    # blp's ratio rows: one rate_table at omega0, reweighted per ratio
+    # blp_sweep: one rate_table at omega0, reweighted per ratio
     t_max = 5.0
-    grid = uniform_grid(t_max, blp_step(t_max))
-    bare = rate_table(SystemParams.from_ratios(0.0, omega0, 0.3), grid)
+    rows = blp_sweep(SystemParams.from_ratios(0.0, omega0, 0.3), t_max,
+                     BLP_RATIOS)
     off_nominal = []
-    for r in BLP_RATIOS:
+    for r, shared in zip(BLP_RATIOS, rows, strict=True):
         p = SystemParams.from_ratios(r, omega0, 0.3)
-        shared = blp_measure(p, t_max, rates=channel_rates(p, bare))
         if p.omega0 == omega0:
             assert shared == blp_measure(p, t_max)
         else:
@@ -405,6 +401,13 @@ def test_blp_shared_bare_table_matches_per_call_rates(omega0):
             assert shared == pytest.approx(blp_measure(p, t_max), rel=1e-12)
     if omega0 == 10.0:
         assert off_nominal == [0.2]       # omega0 = 9.999999999999998
+
+
+def test_blp_sweep_yields_each_row_before_the_next_fails():
+    rows = blp_sweep(fig_params(0.0), 1.0, [0.1, -0.1])
+    assert next(rows) == blp_measure(fig_params(0.1), 1.0)
+    with pytest.raises(DomainError, match="epsilon_over_delta must be >= 0"):
+        next(rows)
 
 
 def blp_gradient_trapezoid(p: SystemParams, t_max: float) -> float:
@@ -439,7 +442,7 @@ def test_blp_loop_is_numpy_gradient_and_trapezoid_bit_for_bit(ratio, omega0,
     uniform = []
     for t_max in GUARD_T_MAX:
         assert blp_measure(p, t_max) == blp_gradient_trapezoid(p, t_max)
-        dx = np.diff(uniform_grid(t_max, blp_step(t_max)))
+        dx = np.diff(uniform_grid(t_max, dynamics._blp_step(t_max)))
         uniform.append(bool((dx == dx[0]).all()))
     assert uniform == [True, True, False, False, True, True, False, False]
 
