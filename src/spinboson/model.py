@@ -139,28 +139,48 @@ def rate_table(p: SystemParams, tgrid: np.ndarray) -> dict[str, np.ndarray]:
     tgrid = np.asarray(tgrid, dtype=float)
     if tgrid.size and not tgrid.min() >= 0.0:  # also catches NaN
         raise DomainError(f"rates defined for t >= 0, got t={tgrid.min()}")
+    return channel_rates(p, {name: _bare_rate(p, tgrid, name)
+                             for name in _BARE_RATES})
+
+
+#: the bare rate that channel k weights is _BARE_RATES[k - 1]
+_BARE_RATES = ("gamma_plus", "gamma_minus", "gamma_zero")
+
+
+def _bare_rate(p: SystemParams, tgrid: np.ndarray, name: str) -> np.ndarray:
+    """One bare column of rate_table on tgrid >= 0; DomainError at its
+    first non-finite value.  A finite bare rate times its channel weight
+    (at most 1/4) is finite, so this checks the channel column too.
+    """
     y, alpha = p.omega0, p.alpha
-    live = tgrid > 0.0
-    u = tgrid[live]
-    x = y * u
-    lorentz = alpha / (1.0 + u * u)
-    cos_x, sin_x = np.cos(x), np.sin(x)
-    scale = alpha * y
-    gp = np.zeros(tgrid.shape)
-    gm = np.zeros(tgrid.shape)
-    gp[live] = lorentz * (u * cos_x - sin_x) + scale * math.exp(-y) \
-        * (math.pi + expint_e1(-y + 1j * x).imag)
-    gm[live] = lorentz * (u * cos_x + sin_x) - scale * math.exp(y) \
-        * expint_e1(y - 1j * x).imag
-    g0 = alpha * tgrid / (1.0 + tgrid * tgrid)
-    table = channel_rates(p, {"gamma_plus": gp, "gamma_minus": gm,
-                              "gamma_zero": g0})
-    for name, col in table.items():
-        bad = np.flatnonzero(~np.isfinite(col))
-        if bad.size:
-            raise DomainError(f"rate {name} is not finite at "
-                              f"t={float(tgrid[bad[0]])}")
-    return table
+    if name == "gamma_zero":
+        col = alpha * tgrid / (1.0 + tgrid * tgrid)
+    else:
+        live = tgrid > 0.0
+        u = tgrid[live]
+        x = y * u
+        lorentz = alpha / (1.0 + u * u)
+        col = np.zeros(tgrid.shape)
+        if name == "gamma_plus":
+            col[live] = lorentz * (u * np.cos(x) - np.sin(x)) \
+                + alpha * y * math.exp(-y) \
+                * (math.pi + expint_e1(-y + 1j * x).imag)
+        else:
+            col[live] = lorentz * (u * np.cos(x) + np.sin(x)) \
+                - alpha * y * math.exp(y) * expint_e1(y - 1j * x).imag
+    bad = np.flatnonzero(~np.isfinite(col))
+    if bad.size:
+        raise DomainError(f"rate {name} is not finite at "
+                          f"t={float(tgrid[bad[0]])}")
+    return col
+
+
+def _channel_weights(p: SystemParams) -> tuple[float, float, float]:
+    """Weights of channels 1, 2, 3 on their bare rates: delta^2/(4 omega0^2)
+    twice, then epsilon^2/(4 omega0^2)."""
+    y = p.omega0
+    wt = p.delta * p.delta / (4.0 * y * y)
+    return wt, wt, p.epsilon * p.epsilon / (4.0 * y * y)
 
 
 def channel_rates(p: SystemParams, bare: dict[str, np.ndarray]
@@ -172,12 +192,10 @@ def channel_rates(p: SystemParams, bare: dict[str, np.ndarray]
     omega0 and alpha only, so one rate_table's bare columns serve every
     epsilon/delta at that omega0.
     """
-    y = p.omega0
-    wt = p.delta * p.delta / (4.0 * y * y)
-    wz = p.epsilon * p.epsilon / (4.0 * y * y)
+    w1, w2, w3 = _channel_weights(p)
     gp, gm, g0 = bare["gamma_plus"], bare["gamma_minus"], bare["gamma_zero"]
     return {"gamma_plus": gp, "gamma_minus": gm, "gamma_zero": g0,
-            "gamma1": wt * gp, "gamma2": wt * gm, "gamma3": wz * g0}
+            "gamma1": w1 * gp, "gamma2": w2 * gm, "gamma3": w3 * g0}
 
 
 def rates_closed_form(p: SystemParams, t: float) -> RateSet:
@@ -307,33 +325,39 @@ def rates_quadrature(p: SystemParams, omega: float, t: float) -> float:
 def sign_changes(p: SystemParams, channel: int, t_max: float) -> list[float]:
     """Times in (0, t_max] where a channel rate crosses zero.
 
+    A channel rate is its bare rate (gamma_plus, gamma_minus, gamma_zero
+    for channels 1, 2, 3) times a constant weight >= 0, so with a nonzero
+    weight the two have the same sign, and only the bare column is
+    evaluated: one E1 per time for channels 1 and 2, none for channel 3.
     Brackets on a grid of step 0.01 and refines each bracket by plain
     bisection on the sign to 1e-8; all brackets advance together, one
-    rate_table call per bisection step.  Bisection decisions depend only
-    on the sign of the rate, so for channels 1 and 2 the returned times
-    are bit-identical across any epsilon/delta at fixed omega0 (the
-    channel weights are positive constants).  A bracketing grid of more
-    than MAX_GRID_POINTS points raises GridError.
+    evaluation per bisection step.  So for channels 1 and 2 the returned
+    times are bit-identical across any epsilon/delta at fixed omega0.  A
+    rate that is identically zero (a zero weight, or a zero bare rate at
+    every bracketing point, as at alpha = 0) has no crossings.  A
+    bracketing grid of more than MAX_GRID_POINTS points raises GridError.
     """
     if not 0.0 < t_max < math.inf:
         raise DomainError(f"t_max must be finite and > 0, got {t_max}")
     if channel not in (1, 2, 3):
         raise DomainError(f"channel must be 1, 2, or 3, got {channel}")
 
-    key = f"gamma{channel}"
+    name = _BARE_RATES[channel - 1]
     step = 0.01
     if t_max / step > MAX_GRID_POINTS:
         raise GridError(f"t_max = {t_max:g} needs {t_max / step:g} bracketing "
                         f"points, beyond the grid cap of {MAX_GRID_POINTS}")
     n = int(math.ceil(t_max / step))
-    if n < 2:
+    if n < 2 or _channel_weights(p)[channel - 1] == 0.0:
         return []
     # rates all vanish at t=0; bracketing starts at t = step and ends at
     # the first grid point that reaches t_max
     t = np.arange(1, n + 1) * step
     t[1:] = np.minimum(t[1:], t_max)
     t = t[:np.count_nonzero(t[1:] < t_max) + 2]
-    f = rate_table(p, t)[key]
+    f = _bare_rate(p, t, name)
+    if not f.any():
+        return []
     f_lo, f_hi = f[:-1], f[1:]
     exact = t[:-1][f_lo == 0.0]
     bracket = f_lo * f_hi < 0.0
@@ -344,7 +368,7 @@ def sign_changes(p: SystemParams, channel: int, t_max: float) -> list[float]:
         if not active.size:
             break
         mid = 0.5 * (lo[active] + hi[active])
-        same = np.copysign(1.0, rate_table(p, mid)[key]) == sign_lo[active]
+        same = np.copysign(1.0, _bare_rate(p, mid, name)) == sign_lo[active]
         lo[active[same]] = mid[same]
         hi[active[~same]] = mid[~same]
     return np.sort(np.concatenate([exact, 0.5 * (lo + hi)])).tolist()

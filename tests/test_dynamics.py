@@ -279,6 +279,29 @@ def test_ode_oracle_is_fourth_order():
     assert 12.0 <= coarse / fine <= 20.0
 
 
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 2000])
+def test_ode_oracle_across_block_boundaries(n):
+    # the steps are multiplied up in blocks of _ODE_BLOCK_STEPS (128): a
+    # lone step, one short of a block, a block, one past it and many blocks
+    p, h = fig_params(), 1e-3
+    traj = ode_oracle(p, plus_minus_super(), n * h, h)
+    rho_pp, rho_pm = apply_map_series(build_kernels(p, n * h, h),
+                                      plus_minus_super())
+    assert len(traj) == n + 1
+    assert np.abs(np.array([s.rho_pp for s in traj]) - rho_pp).max() <= 1e-12
+    assert np.abs(np.array([s.rho_mm for s in traj])
+                  - (1.0 - rho_pp)).max() <= 1e-12
+    assert np.abs(np.array([s.rho_pm for s in traj]) - rho_pm).max() <= 1e-12
+
+
+def test_ode_oracle_trace_drift_stays_small():
+    # criterion 5's figure-bias trajectory: applying the propagators one
+    # by one drifts 2.2e-14 here, a prefix scan of the plain I + E 3.0e-13
+    traj = ode_oracle(fig_params(), plus_minus_super(), 50.0, 1e-3)
+    trace = np.array([s.rho_pp + s.rho_mm for s in traj])
+    assert np.abs(trace - 1.0).max() <= 1e-13
+
+
 def test_near_pure_dephasing_limit():
     # delta -> 0 limit: populations frozen, |rho_pm| = exp(-2 int gamma3)/2
     p = SystemParams(epsilon=10.0, delta=1e-6, alpha=0.01)

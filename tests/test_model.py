@@ -1,6 +1,8 @@
 """Model-layer tests: parameters, rates, crossings."""
 
+import json
 import math
+import pathlib
 import re
 import warnings
 
@@ -297,6 +299,52 @@ def test_crossings_of_bare_rate_independent_of_ratio():
     lists = [sign_changes(fig_params(ratio=r), 1, 1.6)
              for r in (0.0, 0.1, 0.3)]
     assert lists[0] == lists[1] == lists[2]
+
+
+def test_sign_changes_figure_crossings_pinned():
+    # channels 1 and 2 at the figure parameters on (0, 50], recorded from
+    # the bisection on whole rate tables; evaluating the bare column alone
+    # must not move them
+    path = pathlib.Path(__file__).parent / "fixtures" / \
+        "sign_changes_figure_t50.json"
+    expected = json.loads(path.read_text())
+    for channel in (1, 2):
+        assert sign_changes(fig_params(), channel, 50.0) == \
+            expected[f"gamma{channel}"]
+
+
+def test_sign_changes_of_a_zero_rate_are_empty():
+    # alpha = 0 makes every rate 0 at every time, and epsilon = 0 gives
+    # channel 3 a zero weight: no zero point of such a rate is a crossing
+    for channel in (1, 2, 3):
+        assert sign_changes(fig_params(ratio=0.3, alpha=0.0), channel,
+                            5.0) == []
+    assert sign_changes(fig_params(ratio=0.0), 3, 50.0) == []
+
+
+@pytest.mark.parametrize("channel, e1_per_time", [(1, 1), (2, 1), (3, 0)])
+def test_sign_changes_evaluates_only_its_bare_rate(monkeypatch, channel,
+                                                   e1_per_time):
+    e1, bare = model.expint_e1, model._bare_rate
+    e1_points, times = [], []
+
+    def counting_e1(z):
+        e1_points.append(np.size(z))
+        return e1(z)
+
+    def counting_bare(p, tgrid, name):
+        times.append(len(tgrid))
+        return bare(p, tgrid, name)
+
+    def no_table(p, tgrid):
+        raise AssertionError("sign_changes built a whole rate table")
+
+    monkeypatch.setattr(model, "expint_e1", counting_e1)
+    monkeypatch.setattr(model, "_bare_rate", counting_bare)
+    monkeypatch.setattr(model, "rate_table", no_table)
+    sign_changes(fig_params(), channel, 5.0)
+    assert sum(times) >= 499
+    assert sum(e1_points) == e1_per_time * sum(times)
 
 
 # --- shared grid helper --------------------------------------------------
