@@ -9,10 +9,12 @@ recoherence-map  coherence-growth region over (time, epsilon/delta)
 blp              trace-distance non-Markovianity measure + ratio table
 
 Configuration is a flat ``key=value`` text file; every key is also a
-command-line flag, and flags override file values.  All times are in
-units of 1/omega_c; every CSV carries both t and omega0*t columns.
-Floats are written with 12 significant digits.  Exit codes: 0 success,
-2 configuration error, 3 numerical error.
+command-line flag, flags override file values, and both are typed and
+checked alike.  All times are in units of 1/omega_c; every CSV carries both
+t and omega0*t columns.  Floats are written with 12 significant digits.
+Each ``cmd_*`` only computes, yielding its output text; ``main`` writes it,
+to ``--out`` or, for ``blp``, to stdout.  Exit codes: 0 success,
+2 configuration error (a bad time grid included), 3 numerical error.
 """
 
 from __future__ import annotations
@@ -31,18 +33,6 @@ from .dynamics import (DensityMatrix, apply_map_series, blp_measure,
 from .errors import ConfigError, GridError, SpinBosonError
 from .model import SystemParams, rate_table, uniform_grid
 from .nmqj import MAX_N_TRAJ, run_unraveling
-
-COMMANDS = ("rates", "evolve", "unravel", "recoherence-map", "blp")
-
-#: per-command default time horizons (1/omega_c): the rate structure and
-#: all jump activity live at omega_c*t of order one; long tails only pad
-#: the decay curves.
-DEFAULT_T_MAX = {"rates": 50.0, "evolve": 50.0, "unravel": 5.0,
-                 "recoherence-map": 2.0, "blp": 50.0}
-
-DEFAULT_OUTPUT = {"rates": "rates.csv", "evolve": "evolve.csv",
-                  "unravel": "unravel.csv",
-                  "recoherence-map": "recoherence_map.csv", "blp": ""}
 
 #: epsilon/delta sweep of the recoherence map and the blp table
 RATIO_GRID_STEP = 0.005
@@ -96,6 +86,18 @@ _FIELD_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 _FLAGS = {"output_path": "--out", "emit_stride": "--stride"}
 
 
+def _flag(key: str) -> str:
+    return _FLAGS.get(key, "--" + key.replace("_", "-"))
+
+
+def _typed(key: str, text: str, context: str):
+    """text as key's RunConfig type; a bad value is ConfigError(context)."""
+    try:
+        return _FIELD_TYPES[key](text)
+    except ValueError as err:
+        raise ConfigError(f"{context}: {text!r}") from err
+
+
 def parse_config(text: str) -> dict:
     """Parse flat key=value lines into typed RunConfig values."""
     values: dict = {}
@@ -111,11 +113,7 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        try:
-            values[key] = _FIELD_TYPES[key](val)
-        except ValueError as err:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") \
-                from err
+        values[key] = _typed(key, val, f"line {lineno}: bad value for {key}")
     return values
 
 
@@ -130,15 +128,17 @@ def emit_config(cfg: RunConfig) -> str:
 
 
 def load_config(path: str | None, overrides: dict, command: str) -> RunConfig:
-    base = {"t_max": DEFAULT_T_MAX[command],
-            "output_path": DEFAULT_OUTPUT[command]}
+    """command's defaults, then the file at path, then flags (None: unset)."""
+    _, t_max, output_path = COMMANDS[command]
+    base = {"t_max": t_max, "output_path": output_path}
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
                 base.update(parse_config(fh.read()))
         except OSError as err:
             raise ConfigError(f"cannot read config file {path}: {err}") from err
-    base.update({k: v for k, v in overrides.items() if v is not None})
+    base.update({k: _typed(k, v, f"bad value for {_flag(k)}")
+                 for k, v in overrides.items() if v is not None})
     cfg = RunConfig(**base)
     cfg.validate()
     return cfg
@@ -154,9 +154,10 @@ def _fmt(v: float) -> str:
 _CSV_CHUNK_ROWS = 1024
 
 
-def _csv_rows(columns, idx):
-    """Rows idx of the column arrays as CSV text, _CSV_CHUNK_ROWS at a time;
-    "%.12g" % v gives the same bytes as _fmt(v)."""
+def _csv_rows(header: list[str], columns, idx):
+    """The header line, then rows idx of the column arrays as CSV text,
+    _CSV_CHUNK_ROWS at a time; "%.12g" % v gives the same bytes as _fmt(v)."""
+    yield ",".join(header) + "\n"
     line = ",".join(["%.12g"] * len(columns)) + "\n"
     idx = np.asarray(idx)
     for start in range(0, len(idx), _CSV_CHUNK_ROWS):
@@ -207,33 +208,23 @@ def _csv_file(path: str):
         raise
 
 
-def _write_csv(write, header: list[str], text) -> int:
-    """Write the header and the text chunks; return the row count."""
-    write(",".join(header) + "\n")
-    n = 0
-    for chunk in text:
-        write(chunk)
-        n += chunk.count("\n")
-    return n
-
-
 def _strided(n_rows: int, stride: int) -> range:
     """Row indices 0, stride, 2*stride, ...; the last row always included."""
     return range(0, n_rows, stride) if (n_rows - 1) % stride == 0 else \
         [*range(0, n_rows, stride), n_rows - 1]
 
 
-# --- commands ------------------------------------------------------------
+# --- commands: each yields its output text and writes nothing ------------
 
-def cmd_rates(cfg: RunConfig, write) -> int:
+def cmd_rates(cfg: RunConfig):
     p = cfg.system_params()
     grid = uniform_grid(cfg.t_max, cfg.dt)
     r = rate_table(p, grid)
     names = ["gamma_plus", "gamma_minus", "gamma_zero", "gamma1", "gamma2",
              "gamma3"]
     columns = [grid, p.omega0 * grid, *(r[name] for name in names)]
-    return _write_csv(write, ["t", "omega0_t", *names],
-                      _csv_rows(columns, _strided(len(grid), cfg.emit_stride)))
+    yield from _csv_rows(["t", "omega0_t", *names], columns,
+                         _strided(len(grid), cfg.emit_stride))
 
 
 def _initial_state() -> DensityMatrix:
@@ -241,34 +232,32 @@ def _initial_state() -> DensityMatrix:
     return DensityMatrix(rho_pp=0.5, rho_mm=0.5, rho_pm=0.5)
 
 
-def cmd_evolve(cfg: RunConfig, write) -> int:
+def cmd_evolve(cfg: RunConfig):
     p = cfg.system_params()
     k = build_kernels(p, cfg.t_max, cfg.dt)
     rho_pp, rho_pm = apply_map_series(k, _initial_state())
     # np.hypot rounds as the scalar abs does; np.abs on an array may not
     columns = [k.grid, p.omega0 * k.grid, rho_pp, rho_pm.real, rho_pm.imag,
                np.hypot(rho_pm.real, rho_pm.imag)]
-    idx = _strided(len(k.grid), cfg.emit_stride)
-    return _write_csv(write,
-                      ["t", "omega0_t", "rho_pp", "re_rho_pm", "im_rho_pm",
-                       "abs_rho_pm"], _csv_rows(columns, idx))
+    yield from _csv_rows(["t", "omega0_t", "rho_pp", "re_rho_pm", "im_rho_pm",
+                          "abs_rho_pm"], columns,
+                         _strided(len(k.grid), cfg.emit_stride))
 
 
-def cmd_unravel(cfg: RunConfig, write) -> int:
+def cmd_unravel(cfg: RunConfig):
     p = cfg.system_params()
     r = run_unraveling(p, cfg.n_traj, cfg.t_max, cfg.dt, cfg.seed,
                        stride=cfg.emit_stride)
     re, im = r.rho_pm.real, r.rho_pm.imag
     columns = [r.times, p.omega0 * r.times, r.rho_pp, re, im, np.hypot(re, im),
                *r.fractions.T, r.se_rho_pp, r.se_re_rho_pm, r.se_count_diff]
-    return _write_csv(write,
-                      ["t", "omega0_t", "rho_pp", "re_rho_pm", "im_rho_pm",
-                       "abs_rho_pm", "n0", "n0_ph", "n_plus", "n_minus",
-                       "se_rho_pp", "se_re_rho_pm", "se_count_diff"],
-                      _csv_rows(columns, range(len(r.times))))
+    yield from _csv_rows(["t", "omega0_t", "rho_pp", "re_rho_pm", "im_rho_pm",
+                          "abs_rho_pm", "n0", "n0_ph", "n_plus", "n_minus",
+                          "se_rho_pp", "se_re_rho_pm", "se_count_diff"],
+                         columns, range(len(r.times)))
 
 
-def cmd_recoherence_map(cfg: RunConfig, write) -> int:
+def cmd_recoherence_map(cfg: RunConfig):
     p = cfg.system_params()
     grid = uniform_grid(cfg.t_max, cfg.dt)
     n_r = round(RATIO_GRID_MAX / RATIO_GRID_STEP)
@@ -278,45 +267,48 @@ def cmd_recoherence_map(cfg: RunConfig, write) -> int:
     # each time prefix and each ratio is formatted once, not once per row
     times = [f"{_fmt(t)},{_fmt(w)}," for t, w in
              zip(grid[idx].tolist(), (p.omega0 * grid)[idx].tolist())]
-    labels = [f"{_fmt(r)}," for r in ratios.tolist()]
-    return _write_csv(write,
-                      ["t", "omega0_t", "eps_over_delta", "in_region"],
-                      ("".join([f"{pre}{label}{m:d}\n" for pre, m in
-                                zip(times, row[idx].tolist())])
-                       for label, row in zip(labels, mask)))
+    yield "t,omega0_t,eps_over_delta,in_region\n"
+    for r, row in zip(ratios.tolist(), mask):
+        label = f"{_fmt(r)},"
+        yield "".join([f"{pre}{label}{m:d}\n"
+                       for pre, m in zip(times, row[idx].tolist())])
 
 
-def cmd_blp(cfg: RunConfig) -> int:
-    """Print blp_measure and its BLP_RATIOS table.  Ignores dt, emit_stride
-    and output_path (blp_measure picks its own step), but
+def cmd_blp(cfg: RunConfig):
+    """blp_measure and its BLP_RATIOS table, seven lines.  Ignores dt,
+    emit_stride and output_path (blp_measure picks its own step), but
     RunConfig.validate still requires dt to divide t_max.
 
     The ratio rows come from blp_sweep, which evaluates E1 once for all
-    four; each row is printed before the next is computed.
+    four; each row is yielded before the next is computed.
     """
     p = cfg.system_params()
     measure = blp_measure(p, cfg.t_max)
-    print(f"blp_measure = {_fmt(measure)}  "
-          f"(epsilon/delta = {_fmt(cfg.epsilon_over_delta)}, "
-          f"omega0/omega_c = {_fmt(cfg.omega0_over_omegac)}, "
-          f"alpha = {_fmt(cfg.alpha)}, t_max = {_fmt(cfg.t_max)})")
-    print("eps_over_delta,blp_measure")
+    yield (f"blp_measure = {_fmt(measure)}  "
+           f"(epsilon/delta = {_fmt(cfg.epsilon_over_delta)}, "
+           f"omega0/omega_c = {_fmt(cfg.omega0_over_omegac)}, "
+           f"alpha = {_fmt(cfg.alpha)}, t_max = {_fmt(cfg.t_max)})\n")
+    yield "eps_over_delta,blp_measure\n"
     # ratio 0 puts omega0 at exactly omega0_over_omegac
     p0 = SystemParams.from_ratios(0.0, cfg.omega0_over_omegac, cfg.alpha)
     values = []
     for r, m in zip(BLP_RATIOS, blp_sweep(p0, cfg.t_max, BLP_RATIOS)):
         values.append(m)
-        print(f"{_fmt(r)},{_fmt(m)}")
+        yield f"{_fmt(r)},{_fmt(m)}\n"
     mean = float(np.mean(values))
     spread = float(np.std(values) / mean) if mean > 0.0 else 0.0
-    print(f"relative_spread = {_fmt(spread)}", flush=True)
-    return 0
+    yield f"relative_spread = {_fmt(spread)}\n"
 
 
-#: the commands that write one CSV to output_path: (cfg, write) -> rows
-_CSV_RUNNERS = {"rates": cmd_rates, "evolve": cmd_evolve,
-                "unravel": cmd_unravel,
-                "recoherence-map": cmd_recoherence_map}
+#: name -> (runner, default t_max, default output_path; "": stdout).  The
+#: rate structure and all jump activity live at omega_c*t of order one;
+#: long tails only pad the decay curves.
+COMMANDS = {"rates": (cmd_rates, 50.0, "rates.csv"),
+            "evolve": (cmd_evolve, 50.0, "evolve.csv"),
+            "unravel": (cmd_unravel, 5.0, "unravel.csv"),
+            "recoherence-map": (cmd_recoherence_map, 2.0,
+                                "recoherence_map.csv"),
+            "blp": (cmd_blp, 50.0, "")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,9 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         sp = sub.add_parser(name, help=f"run the {name} computation")
         sp.add_argument("--config", help="flat key=value config file")
-        for key, kind in _FIELD_TYPES.items():
-            flag = _FLAGS.get(key, "--" + key.replace("_", "-"))
-            sp.add_argument(flag, type=kind, dest=key)
+        for key in _FIELD_TYPES:
+            sp.add_argument(_flag(key), dest=key)   # load_config types it
     return parser
 
 
@@ -361,18 +352,25 @@ def main(argv: list[str] | None = None) -> int:
     overrides = {key: getattr(args, key) for key in _FIELD_TYPES}
     try:
         cfg = load_config(args.config, overrides, args.command)
-        if args.command == "blp":
+        runner, _, default_output = COMMANDS[args.command]
+        if not default_output:
             try:
-                return cmd_blp(cfg)
+                for line in runner(cfg):
+                    sys.stdout.write(line)
+                sys.stdout.flush()
             except OSError as err:      # Python flushes stdout again at exit
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
                 raise ConfigError(f"cannot write stdout: {err.strerror}") from err
+            return 0
         with _csv_file(cfg.output_path) as write:
-            n = _CSV_RUNNERS[args.command](cfg, write)
+            n = -1                      # the header line is not a row
+            for chunk in runner(cfg):
+                write(chunk)
+                n += chunk.count("\n")
         # stderr: the CSV itself may be going to stdout
         print(f"wrote {n} rows to {cfg.output_path}", file=sys.stderr)
         return 0
-    except ConfigError as err:
+    except (ConfigError, GridError) as err:     # every grid is an input
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except SpinBosonError as err:

@@ -1,25 +1,30 @@
 """CLI tests: config handling, CSV emission, exit codes, determinism."""
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import math
 import os
 import pathlib
 import stat
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spinboson
 import spinboson.cli as cli
 from spinboson import ConfigError, DomainError, StepError, SystemParams
-from spinboson.cli import (BLP_RATIOS, COMMANDS, DEFAULT_OUTPUT, DEFAULT_T_MAX,
-                           RATIO_GRID_MAX, RATIO_GRID_STEP, RunConfig, _fmt,
-                           _initial_state, _strided, build_parser,
-                           emit_config, load_config, main, parse_config)
+from spinboson.cli import (BLP_RATIOS, COMMANDS, RATIO_GRID_MAX,
+                           RATIO_GRID_STEP, RunConfig, _fmt, _initial_state,
+                           _strided, build_parser, emit_config, load_config,
+                           main, parse_config)
 from spinboson.dynamics import (apply_map_series, build_kernels,
                                 recoherence_mask)
 from spinboson.model import rate_table
@@ -96,10 +101,10 @@ def test_config_validation(field, value):
 
 
 def test_config_defaults_per_command():
-    for command in COMMANDS:
+    for command, (_, t_max, output_path) in COMMANDS.items():
         cfg = load_config(None, {}, command)
-        assert cfg.t_max == DEFAULT_T_MAX[command]
-        assert cfg.output_path == DEFAULT_OUTPUT[command]
+        assert cfg.t_max == t_max
+        assert cfg.output_path == output_path
 
 
 def test_config_flag_overrides_file(tmp_path):
@@ -124,8 +129,8 @@ def test_config_system_params_errors_become_config_errors():
 @pytest.mark.parametrize("command", COMMANDS)
 def test_flag_table_is_run_config(command):
     # each command takes --config plus exactly one flag per RunConfig
-    # field, and "--flag <default>" parses back to the default with the
-    # default's type (--n-traj 10000 gives the int 10000)
+    # field; "--flag <default>" parses to the string, which load_config
+    # types back to the default (--n-traj 10000 gives the int 10000)
     sub, = (a for a in build_parser()._actions
             if isinstance(a, argparse._SubParsersAction))
     flags = {a.dest: a.option_strings for a in sub.choices[command]._actions
@@ -134,8 +139,10 @@ def test_flag_table_is_run_config(command):
     assert flags.keys() == defaults.keys()
     for key, default in defaults.items():
         flag, = flags[key]
-        value = getattr(build_parser().parse_args(
-            [command, flag, str(default)]), key)
+        text = getattr(build_parser().parse_args([command, flag, str(default)]),
+                       key)
+        assert text == str(default), flag
+        value = getattr(load_config(None, {key: text}, command), key)
         assert value == default and type(value) is type(default), flag
 
 
@@ -482,6 +489,34 @@ def test_exit_code_config_error_for_unusable_grid(tmp_path, capsys, flag,
     assert not out.exists()
 
 
+def test_blp_grid_beyond_the_cap_is_config_error(capsys):
+    # blp picks its own step; a t_max too long for that step is an input
+    # error, as a grid beyond the cap is on every other command
+    assert main(["blp", "--t-max", "1e5", "--dt", "1"]) == 2
+    assert capsys.readouterr() == ("", "config error: t_max/h = 5e+07 steps "
+                                   "exceeds the grid cap of 10000000 points\n")
+
+
+@pytest.mark.parametrize("flag,value", [("--n-traj", "1e3"),
+                                        ("--seed", "nan"),
+                                        ("--alpha", "abc"),
+                                        ("--stride", "1.5")])
+def test_bad_flag_value_is_config_error(tmp_path, capsys, flag, value):
+    # typed as a config file value is, and named by its flag
+    out = tmp_path / "u.csv"
+    assert main(["unravel", flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: bad value for {flag}: {value!r}\n"
+    assert not out.exists()
+
+
+def test_unknown_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rates", "--n-trajectories", "100"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def checkout_env() -> dict[str, str]:
     """os.environ with this checkout's src/ first on PYTHONPATH."""
     src = pathlib.Path(spinboson.__file__).resolve().parents[1]
@@ -514,6 +549,16 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, command, target):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write {out}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(CSV_COMMAND_ARGS))
+def test_empty_output_path_is_config_error(tmp_path, monkeypatch, capsys,
+                                           command):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, *CSV_COMMAND_ARGS[command], "--out", ""]) == 2
+    assert capsys.readouterr() == \
+        ("", "config error: output_path must not be empty\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_output_checked_before_computing(tmp_path, monkeypatch, capsys):
@@ -681,3 +726,65 @@ def test_default_output_paths(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["rates", "--t-max", "0.5", "--dt", "0.01"]) == 0
     assert (tmp_path / "rates.csv").exists()
+
+
+# --- fuzzing the flags -----------------------------------------------------
+
+#: values no flag accepts, or only some do: non-finite, zero, negative,
+#: huge and beyond int64
+_ODD_VALUES = ["inf", "-inf", "nan", "0", "-1", "-0.5", "1e300", "-1e300",
+               str(2 ** 63), str(2 ** 64)]
+
+#: per flag, the values drawn besides _ODD_VALUES.  Every t_max/dt pair
+#: that validates has at most 1,001 grid points (1e300/1e300 has two), and
+#: blp's own grid, at t_max <= 10, at most 5,001.
+FUZZ_VALUES = {
+    "--epsilon-over-delta": ["0.3", "3"],
+    "--omega0-over-omegac": ["10", "0.5", "150", "301", "1e-300"],
+    # at ratio 0 and omega0/omega_c 0.5 these map out of CP, as in NOT_CP
+    "--alpha": ["0.01", "1.5", "3"],
+    "--t-max": ["0.5", "2", "10"],
+    "--dt": ["0.01", "0.1", "0.5"],
+    # "1e3" reads as a float, not as an int
+    "--n-traj": ["100", "1000", str(2 ** 63 - 1), "1e3"],
+    "--seed": ["1", str(2 ** 64 - 1), "1e3"],
+    "--stride": ["1", "7", "1e3"],
+    "--workers": ["1", "8", "1e3"],   # starts nothing, so any value is cheap
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(list(COMMANDS)),
+       empty_out=st.sampled_from([False, False, False, True]),
+       flags=st.fixed_dictionaries({flag: st.none() | st.sampled_from(good)
+                                    for flag, good in FUZZ_VALUES.items()}),
+       odd=st.dictionaries(st.sampled_from(list(FUZZ_VALUES)),
+                           st.sampled_from(_ODD_VALUES), max_size=2))
+@example(command="unravel", empty_out=False, flags={}, odd={"--n-traj": "1e3"})
+@example(command="rates", empty_out=False, flags={}, odd={"--seed": "nan"})
+@example(command="evolve", empty_out=False, flags={}, odd={"--alpha": "abc"})
+@example(command="blp", empty_out=False, flags={},
+         odd={"--t-max": "1e300", "--dt": "1e300"})
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+def test_any_flag_values_end_in_an_exit_code(command, empty_out, flags, odd):
+    # t_max and dt default to a short grid, so every draw stays cheap
+    flags = {"--t-max": "0.5", "--dt": "0.01",
+             **{k: v for k, v in flags.items() if v is not None}, **odd}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = "" if empty_out else os.path.join(tmp, "out.csv")
+        argv = [command, *(t for kv in flags.items() for t in kv),
+                "--out", out]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+        left = os.listdir(tmp)
+    err = err.getvalue()
+    assert code in (0, 2, 3), argv
+    assert "Traceback" not in err, argv
+    if code:
+        assert err.splitlines()[-1].startswith(
+            ("config error: ", "numerical error: ")), (argv, err)
+        assert left == [], argv
+    else:
+        assert left == ([] if command == "blp" else ["out.csv"]), argv
