@@ -172,10 +172,10 @@ _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 _IDENTITY2 = np.eye(2)
 _IDENTITY4 = np.eye(4)
 
-#: RK4 steps whose propagators are built and multiplied together: a block
-#: costs log2 of it batched 4x4 matmuls and one pass of ode_oracle's loop,
-#: and bounds the (block, 4, 4) temporaries; 128 and 256 timed fastest of
-#: 64-512
+#: RK4 steps of a chain whose propagators are built and multiplied
+#: together: a block costs log2 of it batched 4x4 matmuls and one pass of
+#: _rk4_chain's loop, and bounds the (block, 4, 4) temporaries; 128-512
+#: timed within noise of each other on the two chains, 64 slowest
 _ODE_BLOCK_STEPS = 128
 
 
@@ -194,12 +194,49 @@ _CHANNEL_SUPEROPS = np.stack([_lindblad_superoperator(c)
 
 def ode_oracle(p: SystemParams, rho0: DensityMatrix, t_max: float,
                h: float) -> list[DensityMatrix]:
-    """Integrate the three-channel dissipator directly with classical RK4.
+    """Integrate the three-channel dissipator directly with RK4.
 
     The generator at each time is assembled from the channel operators as
     a 4x4 superoperator with the time-dependent rates as coefficients; no
-    kernel function enters.  Rates are sampled once on the half-step grid.
-    For the linear equation, one RK4 step is the matrix
+    kernel function enters.  RK4 runs at step 2h on two interleaved
+    chains, so every midpoint is a grid point: one over the even grid
+    indices, one over the odd ones after an RK4 step of h from t = 0.
+    Rates are sampled once, on the grid plus t = h/2.  The trace is
+    checked once over the finished trajectory: StepError names the first
+    grid time where |tr - 1| exceeds 1e-12, DensityMatrix's bound, or is
+    not a number.
+
+    Returns the trajectory on the same grid build_kernels would use, as a
+    list of DensityMatrix (index i is time i*h).
+    """
+    grid = uniform_grid(t_max, h)
+    n = len(grid) - 1
+    r = rate_table(p, np.append(grid, 0.5 * h))
+    coeffs = np.stack([r["gamma1"], r["gamma2"], r["gamma3"]], axis=1)
+
+    v = np.empty((n + 1, 4), dtype=complex)
+    v[0] = (rho0.rho_pp, rho0.rho_pm, complex(rho0.rho_pm).conjugate(),
+            rho0.rho_mm)
+    _rk4_chain(coeffs[[0, n + 1, 1]], h, v[:2])       # the odd chain's start
+    _rk4_chain(coeffs[:n + 1], 2.0 * h, v[0::2])
+    _rk4_chain(coeffs[1:n + 1], 2.0 * h, v[1::2])
+
+    trace = v[:, 0].real + v[:, 3].real
+    bad = np.flatnonzero(~(np.abs(trace - 1.0) <= 1e-12))  # also catches NaN
+    if bad.size:
+        i = bad[0]
+        raise StepError(f"trace drifted to {float(trace[i])!r} at t={grid[i]}")
+    return [DensityMatrix(rho_pp=pp, rho_mm=mm, rho_pm=pm)
+            for pp, mm, pm in zip(v[:, 0].real.tolist(), v[:, 3].real.tolist(),
+                                  v[:, 1].tolist())]
+
+
+def _rk4_chain(coeffs: np.ndarray, h: float, v: np.ndarray) -> None:
+    """Fill v[1:] by RK4 steps of h from v[0], in place.
+
+    coeffs[j] holds the channel rates at the chain's start time plus
+    j h/2, for j = 0, 1, ..., 2 (len(v) - 1) at least.  For the linear
+    equation, one RK4 step is the matrix
 
         P = I + h/6 (M0 + 2 K2 + 2 K3 + K4),   K2 = Mm (I + h/2 M0),
         K3 = Mm (I + h/2 K2),                  K4 = M1 (I + h K3),
@@ -211,24 +248,11 @@ def ode_oracle(p: SystemParams, rho0: DensityMatrix, t_max: float,
     products, later @ earlier, by (I + A)(I + B) = I + (A + B + AB); each
     state of the block is then v_start + E v_start.  A scan of the plain
     P rounds the small increments against I at every level: at the figure
-    parameters its trace drifts past 1e-12 at t = 170, where applying the
-    P one by one drifts 4e-13 by t = 1000 and this form 8e-15.  The trace
-    is checked once over the finished trajectory: StepError names the
-    first grid time where |tr - 1| exceeds 1e-12, DensityMatrix's bound,
-    or is not a number.
-
-    Returns the trajectory on the same grid build_kernels would use, as a
-    list of DensityMatrix (index i is time i*h).
+    parameters, on ode_oracle's chains, its trace drifts past 1e-12 at
+    t = 319, where applying the P one by one drifts 7e-14 by t = 1000 and
+    this form 3e-15.
     """
-    grid = uniform_grid(t_max, h)
-    n = len(grid) - 1
-    half_grid = np.arange(2 * n + 1) * (0.5 * h)
-    r = rate_table(p, half_grid)
-    coeffs = np.stack([r["gamma1"], r["gamma2"], r["gamma3"]], axis=1)
-
-    v = np.empty((n + 1, 4), dtype=complex)
-    v[0] = (rho0.rho_pp, rho0.rho_pm, complex(rho0.rho_pm).conjugate(),
-            rho0.rho_mm)
+    n = len(v) - 1
     for start in range(0, n, _ODE_BLOCK_STEPS):
         stop = min(start + _ODE_BLOCK_STEPS, n)
         gens = (coeffs[2 * start:2 * stop + 1]
@@ -243,15 +267,6 @@ def ode_oracle(p: SystemParams, rho0: DensityMatrix, t_max: float,
             e[d:] = e[d:] + e[:-d] + e[d:] @ e[:-d]
             d *= 2
         v[start + 1:stop + 1] = v[start] + e @ v[start]
-
-    trace = v[:, 0].real + v[:, 3].real
-    bad = np.flatnonzero(~(np.abs(trace - 1.0) <= 1e-12))  # also catches NaN
-    if bad.size:
-        i = bad[0]
-        raise StepError(f"trace drifted to {float(trace[i])!r} at t={grid[i]}")
-    return [DensityMatrix(rho_pp=pp, rho_mm=mm, rho_pm=pm)
-            for pp, mm, pm in zip(v[:, 0].real.tolist(), v[:, 3].real.tolist(),
-                                  v[:, 1].tolist())]
 
 
 # --- the epsilon/delta sweep -------------------------------------------

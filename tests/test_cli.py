@@ -703,6 +703,19 @@ def test_exit_code_numerical_error(tmp_path, capsys):
     assert err.startswith("numerical error: at t = 0.75: dt too large")
 
 
+def test_reversed_jump_budget_fails_at_large_n(tmp_path, capsys):
+    # a negative-rate window opens with only a few members left in the
+    # target class, so the reversed-jump probability (N_source/N_target)
+    # |gamma| dt passes the ladder's 0.5 budget; pinned as it stands
+    out = tmp_path / "u.csv"
+    assert main(["unravel", "--epsilon-over-delta", "0", "--n-traj",
+                 "10000000", "--seed", "1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.endswith(
+        "numerical error: at t = 0.48: total jump probability 0.531 > 0.5 "
+        "for class 2; reduce dt\n")
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_blp_exits_3_when_the_map_is_not_cp(capsys):
     assert main(["blp", *NOT_CP[3.0]]) == 3

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -147,6 +148,24 @@ def test_map_names_first_non_positive_time():
     assert 0.0 <= k.f[-1] < 1e-4
 
 
+def test_long_time_cp_failure_does_not_depend_on_h():
+    # the negative algebraic tail of gamma2 drives f to -9.7e-9 near
+    # t = 715: a loss of positivity of the second-order map itself, so the
+    # first failing time moves by at most a grid step when h is halved
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = SystemParams.from_ratios(FIG_RATIO, 2.0, 0.1)
+    with pytest.raises(StepError) as coarse:
+        build_kernels(p, 650.0, 0.01)
+    assert str(coarse.value) == \
+        "map not completely positive at t=598.35: f >= 0 fails"
+    with pytest.raises(StepError) as fine:
+        build_kernels(p, 650.0, 0.005)
+    m = re.fullmatch(r"map not completely positive at t=([\d.]+): "
+                     r"f >= 0 fails", str(fine.value))
+    assert m and abs(float(m[1]) - 598.35) <= 0.005
+
+
 def test_map_rejects_nan_kernels(monkeypatch):
     # a NaN rate past rate_table's own finiteness check fails the CP check
     # at its grid time
@@ -279,10 +298,13 @@ def test_ode_oracle_is_fourth_order():
     assert 12.0 <= coarse / fine <= 20.0
 
 
-@pytest.mark.parametrize("n", [1, 127, 128, 129, 2000])
+@pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 255, 256, 257, 258,
+                               259, 2000])
 def test_ode_oracle_across_block_boundaries(n):
-    # the steps are multiplied up in blocks of _ODE_BLOCK_STEPS (128): a
-    # lone step, one short of a block, a block, one past it and many blocks
+    # two interleaved chains of step 2h, each multiplied up in blocks of
+    # _ODE_BLOCK_STEPS (128) steps: a lone step of h, each chain's first
+    # step of 2h, a chain one short of a block, a block and one past it
+    # (n 255 to 259 for both chains), and many blocks
     p, h = fig_params(), 1e-3
     traj = ode_oracle(p, plus_minus_super(), n * h, h)
     rho_pp, rho_pm = apply_map_series(build_kernels(p, n * h, h),
@@ -294,9 +316,25 @@ def test_ode_oracle_across_block_boundaries(n):
     assert np.abs(np.array([s.rho_pm for s in traj]) - rho_pm).max() <= 1e-12
 
 
+def test_ode_oracle_reads_rates_on_its_grid_and_half_a_step(monkeypatch):
+    # the grid's n + 1 points plus t = h/2, in one rate_table call
+    calls = []
+
+    def counting_table(p, tgrid):
+        calls.append(np.asarray(tgrid).copy())
+        return rate_table(p, tgrid)
+
+    monkeypatch.setattr(dynamics, "rate_table", counting_table)
+    n, h = 1000, 1e-3
+    ode_oracle(fig_params(), plus_minus_super(), n * h, h)
+    assert len(calls) == 1
+    assert len(calls[0]) == n + 2
+    assert sorted(calls[0]) == sorted([*(np.arange(n + 1) * h), 0.5 * h])
+
+
 def test_ode_oracle_trace_drift_stays_small():
     # criterion 5's figure-bias trajectory: applying the propagators one
-    # by one drifts 2.2e-14 here, a prefix scan of the plain I + E 3.0e-13
+    # by one drifts 6.9e-15 here, a prefix scan of the plain I + E 1.5e-13
     traj = ode_oracle(fig_params(), plus_minus_super(), 50.0, 1e-3)
     trace = np.array([s.rho_pp + s.rho_mm for s in traj])
     assert np.abs(trace - 1.0).max() <= 1e-13
