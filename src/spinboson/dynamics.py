@@ -58,6 +58,20 @@ class DensityMatrix:
             raise DomainError(f"state not positive: det = {det!r}")
 
 
+def _check_states(rho_pp: np.ndarray, rho_mm: np.ndarray,
+                  rho_pm: np.ndarray) -> None:
+    """Raise DensityMatrix's DomainError for the first of these states that
+    its __post_init__ rejects, deciding as it does, in one array pass.
+    numpy's |rho_pm|^2 may differ from abs(rho_pm) ** 2 in the last bits,
+    far below 1e-15 where the trace passes (|rho_pm|^2 <= 1/4 + 1e-10 near
+    the bound), so a state failing or passing by less goes through the
+    constructor itself."""
+    det = rho_pp * rho_mm - np.abs(rho_pm) ** 2
+    ok = (np.abs(rho_pp + rho_mm - 1.0) <= 1e-12) & (det >= -1e-10 + 1e-15)
+    for k in np.flatnonzero(~ok):
+        DensityMatrix(float(rho_pp[k]), float(rho_mm[k]), complex(rho_pm[k]))
+
+
 @dataclass(frozen=True)
 class KernelTable:
     """Kernel samples eta, zeta, f, g of a CP map on a uniform time grid.
@@ -146,7 +160,7 @@ def _kernels(grid: np.ndarray, r: dict[str, np.ndarray]) -> KernelTable:
         i = int(np.argmin(ok.all(axis=0)))          # the first failing time
         name = list(margins)[np.argmin(ok[:, i])]   # and condition there
         raise StepError(f"map not completely positive at t={float(grid[i])}: "
-                        f"{name} fails")
+                        f"{name} fails (margin {margins[name][i]:.3e})")
     for a in (grid, eta, zeta, f, g):
         a.flags.writeable = False
     return KernelTable(grid=grid, eta=eta, zeta=zeta, f=f, g=g)
@@ -173,10 +187,13 @@ _IDENTITY2 = np.eye(2)
 _IDENTITY4 = np.eye(4)
 
 #: RK4 steps of a chain whose propagators are built and multiplied
-#: together: a block costs log2 of it batched 4x4 matmuls and one pass of
-#: _rk4_chain's loop, and bounds the (block, 4, 4) temporaries; 128-512
-#: timed within noise of each other on the two chains, 64 slowest
-_ODE_BLOCK_STEPS = 128
+#: together: a block's scan costs about 2 of it 4x4 matmuls in 2 log2 of
+#: it numpy calls, and the block bounds the (block, 4, 4) temporaries
+#: (130 KB each at 1,024).  One 25,000-step _rk4_chain, best of 9 on a
+#: shared 2-vCPU Xeon: 26 ms at 128 steps, 21 at 256, 16 at 512, 14-15 at
+#: 1,024, 16 at 2,048 and 4,096; the Hillis-Steele scan it replaced
+#: (log2 of it matmuls per step) took 25 ms at 128 and 22 at 1,024
+_ODE_BLOCK_STEPS = 1024
 
 
 def _lindblad_superoperator(c: np.ndarray) -> np.ndarray:
@@ -201,10 +218,11 @@ def ode_oracle(p: SystemParams, rho0: DensityMatrix, t_max: float,
     kernel function enters.  RK4 runs at step 2h on two interleaved
     chains, so every midpoint is a grid point: one over the even grid
     indices, one over the odd ones after an RK4 step of h from t = 0.
-    Rates are sampled once, on the grid plus t = h/2.  The trace is
+    Rates are sampled once, on the grid plus t = h/2.  The states are
     checked once over the finished trajectory: StepError names the first
     grid time where |tr - 1| exceeds 1e-12, DensityMatrix's bound, or is
-    not a number.
+    not a number; then the first state that is not positive raises
+    DensityMatrix's DomainError, from the constructor itself.
 
     Returns the trajectory on the same grid build_kernels would use, as a
     list of DensityMatrix (index i is time i*h).
@@ -221,14 +239,24 @@ def ode_oracle(p: SystemParams, rho0: DensityMatrix, t_max: float,
     _rk4_chain(coeffs[:n + 1], 2.0 * h, v[0::2])
     _rk4_chain(coeffs[1:n + 1], 2.0 * h, v[1::2])
 
-    trace = v[:, 0].real + v[:, 3].real
+    rho_pp, rho_mm, rho_pm = v[:, 0].real, v[:, 3].real, v[:, 1]
+    trace = rho_pp + rho_mm
     bad = np.flatnonzero(~(np.abs(trace - 1.0) <= 1e-12))  # also catches NaN
     if bad.size:
         i = bad[0]
         raise StepError(f"trace drifted to {float(trace[i])!r} at t={grid[i]}")
-    return [DensityMatrix(rho_pp=pp, rho_mm=mm, rho_pm=pm)
-            for pp, mm, pm in zip(v[:, 0].real.tolist(), v[:, 3].real.tolist(),
-                                  v[:, 1].tolist())]
+    _check_states(rho_pp, rho_mm, rho_pm)
+    # checked above as __post_init__ would check each one: build the states
+    # as the dataclass's __init__ does, without running the check again
+    states = []
+    new, assign = object.__new__, object.__setattr__
+    for pp, mm, pm in zip(rho_pp.tolist(), rho_mm.tolist(), rho_pm.tolist()):
+        s = new(DensityMatrix)
+        assign(s, "rho_pp", pp)
+        assign(s, "rho_mm", mm)
+        assign(s, "rho_pm", pm)
+        states.append(s)
+    return states
 
 
 def _rk4_chain(coeffs: np.ndarray, h: float, v: np.ndarray) -> None:
@@ -243,14 +271,18 @@ def _rk4_chain(coeffs: np.ndarray, h: float, v: np.ndarray) -> None:
 
     with M0, Mm, M1 the generators at the step's start, midpoint and end.
     The propagators are built batched, a block of steps at a time, and
-    kept in identity-split form P = I + E.  An inclusive scan (Hillis &
-    Steele, CACM 29, 1170 (1986)) turns a block's E into cumulative
-    products, later @ earlier, by (I + A)(I + B) = I + (A + B + AB); each
-    state of the block is then v_start + E v_start.  A scan of the plain
-    P rounds the small increments against I at every level: at the figure
-    parameters, on ode_oracle's chains, its trace drifts past 1e-12 at
-    t = 319, where applying the P one by one drifts 7e-14 by t = 1000 and
-    this form 3e-15.
+    kept in identity-split form P = I + E.  An inclusive scan turns a
+    block's E into cumulative products, later @ earlier, by
+    (I + A)(I + B) = I + (A + B + AB); each state of the block is then
+    v_start + E v_start.  The scan is Brent & Kung's (IEEE Trans. Comput.
+    C-31, 260 (1982)), in place on disjoint strided views: the up-sweep
+    leaves at index i the product of the 2d steps that end there, for
+    every i + 1 a multiple of 2d, and the down-sweep completes the other
+    prefixes from those, about 2 combines per step in all.  A scan of the
+    plain P rounds the small increments against I at every level: at the
+    figure parameters, on ode_oracle's chains, its trace drifts past
+    1e-12 at t = 319, where applying the P one by one drifts 7e-14 by
+    t = 1000 and this form 1.1e-15.
     """
     n = len(v) - 1
     for start in range(0, n, _ODE_BLOCK_STEPS):
@@ -263,10 +295,20 @@ def _rk4_chain(coeffs: np.ndarray, h: float, v: np.ndarray) -> None:
         k4 = m1 @ (_IDENTITY4 + h * k3)
         e = (h / 6.0) * (m0 + 2.0 * k2 + 2.0 * k3 + k4)
         d = 1
-        while d < len(e):
-            e[d:] = e[d:] + e[:-d] + e[d:] @ e[:-d]
+        while 2 * d <= len(e):                          # up-sweep
+            _combine(e[2 * d - 1::2 * d], e[d - 1::2 * d])
             d *= 2
+        while d > 1:                                    # down-sweep
+            d //= 2
+            _combine(e[3 * d - 1::2 * d], e[2 * d - 1::2 * d])
         v[start + 1:stop + 1] = v[start] + e @ v[start]
+
+
+def _combine(later: np.ndarray, earlier: np.ndarray) -> None:
+    """later[k] := later[k] + earlier[k] + later[k] @ earlier[k] in place,
+    the I + E form of (I + later)(I + earlier); earlier may be one longer."""
+    earlier = earlier[:len(later)]
+    later += earlier + later @ earlier
 
 
 # --- the epsilon/delta sweep -------------------------------------------

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import (DomainError, ProbabilityError, SpinBosonError,
                      StepError)
-from .dynamics import DensityMatrix, _kernels
+from .dynamics import DensityMatrix, _check_states, _kernels
 from .model import RateSet, SystemParams, rate_table, uniform_grid
 
 # ensemble class codes
@@ -269,10 +269,7 @@ def _columns(n: int, rows: list) -> dict[str, np.ndarray]:
     cross = ap * am
     rho_pm = np.zeros(len(cd), dtype=complex)
     rho_pm.real = cd * cross
-    det = rho_pp * rho_mm - np.array([x ** 2 for x in rho_pm.real.tolist()])
-    ok = (np.abs(rho_pp + rho_mm - 1.0) <= 1e-12) & (det >= -1e-10)
-    for k in np.flatnonzero(~ok):
-        DensityMatrix(float(rho_pp[k]), float(rho_mm[k]), complex(rho_pm[k]))
+    _check_states(rho_pp, rho_mm, rho_pm)
     var_pp = rep * pp * pp + qp - np.array([x ** 2 for x in rho_pp.tolist()])
     var_cd = rep - cd * cd
     se_cd = np.sqrt(np.where(var_cd > 0.0, var_cd, 0.0) / float(n))

@@ -720,7 +720,8 @@ def test_reversed_jump_budget_fails_at_large_n(tmp_path, capsys):
 def test_blp_exits_3_when_the_map_is_not_cp(capsys):
     assert main(["blp", *NOT_CP[3.0]]) == 3
     assert capsys.readouterr() == ("", "numerical error: map not completely "
-                                   "positive at t=4.526: f >= 0 fails\n")
+                                   "positive at t=4.526: f >= 0 fails "
+                                   "(margin -1.765e-05)\n")
 
 
 def test_blp_to_closed_stdout_is_config_error():

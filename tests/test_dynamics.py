@@ -58,6 +58,35 @@ def test_density_matrix_rejects_non_positive_and_nan():
     DensityMatrix(rho_pp=1.0 + 5e-11, rho_mm=-5e-11, rho_pm=0.0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(pp=st.floats(0.0, 1.0), phase=st.floats(0.0, 2.0 * math.pi),
+       ulps=st.integers(-40, 40), trace_off=st.sampled_from(
+           [0.0, 1e-12, -1e-12, 1.5e-12, math.nan]))
+def test_bulk_state_check_decides_as_the_constructor(pp, phase, ulps,
+                                                     trace_off):
+    # states whose determinant lies within a few ulps of -1e-10, or whose
+    # trace sits at its 1e-12 bound: _check_states raises exactly when
+    # DensityMatrix does, with its message
+    mm = 1.0 - pp + trace_off
+    mag = math.sqrt(max(pp * mm + 1e-10, 0.0)) if math.isfinite(mm) else 0.5
+    mag += ulps * math.ulp(mag)
+    pm = complex(mag * math.cos(phase), mag * math.sin(phase))
+    try:
+        DensityMatrix(pp, mm, pm)
+        expected = None
+    except DomainError as exc:
+        expected = str(exc)
+    ok = DensityMatrix(0.5, 0.5, 0.5)
+    arrays = [np.array([ok.rho_pp, pp]), np.array([ok.rho_mm, mm]),
+              np.array([ok.rho_pm, pm])]
+    if expected is None:
+        dynamics._check_states(*arrays)
+    else:
+        with pytest.raises(DomainError) as err:
+            dynamics._check_states(*arrays)
+        assert str(err.value) == expected
+
+
 # --- kernels and the analytic map ----------------------------------------
 
 def test_kernel_initial_values_and_identity():
@@ -134,7 +163,8 @@ def test_map_names_first_non_positive_time():
     with pytest.raises(StepError) as err:
         build_kernels(p, 10.0, 1e-3)
     assert str(err.value) == \
-        "map not completely positive at t=4.526: f >= 0 fails"
+        "map not completely positive at t=4.526: f >= 0 fails " \
+        "(margin -1.765e-05)"
     # f from its own formula: the first row below -1e-10 is t = 4.526
     grid = np.arange(10_001) * 1e-3
     r = rate_table(p, grid)
@@ -157,13 +187,14 @@ def test_long_time_cp_failure_does_not_depend_on_h():
         p = SystemParams.from_ratios(FIG_RATIO, 2.0, 0.1)
     with pytest.raises(StepError) as coarse:
         build_kernels(p, 650.0, 0.01)
-    assert str(coarse.value) == \
-        "map not completely positive at t=598.35: f >= 0 fails"
+    assert str(coarse.value) == "map not completely positive at " \
+        "t=598.35: f >= 0 fails (margin -1.604e-10)"
     with pytest.raises(StepError) as fine:
         build_kernels(p, 650.0, 0.005)
     m = re.fullmatch(r"map not completely positive at t=([\d.]+): "
-                     r"f >= 0 fails", str(fine.value))
+                     r"f >= 0 fails \(margin (-[\d.]+e-10)\)", str(fine.value))
     assert m and abs(float(m[1]) - 598.35) <= 0.005
+    assert -1e-9 < float(m[2]) < -1e-10
 
 
 def test_map_rejects_nan_kernels(monkeypatch):
@@ -175,7 +206,7 @@ def test_map_rejects_nan_kernels(monkeypatch):
         return table
     monkeypatch.setattr(dynamics, "rate_table", table_with_nan)
     with pytest.raises(StepError, match=r"^map not completely positive at "
-                       r"t=0\.003: f >= 0 fails$"):
+                       r"t=0\.003: f >= 0 fails \(margin nan\)$"):
         build_kernels(fig_params(), 0.01, 1e-3)
 
 
@@ -298,13 +329,21 @@ def test_ode_oracle_is_fourth_order():
     assert 12.0 <= coarse / fine <= 20.0
 
 
+B = dynamics._ODE_BLOCK_STEPS
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 255, 256, 257, 258,
-                               259, 2000])
+                               259, 2000,
+                               *(2 * L + 1 for L in (B - 1, B, B + 1,
+                                                     2 * B + 1)),
+                               6 * B + 101])
 def test_ode_oracle_across_block_boundaries(n):
     # two interleaved chains of step 2h, each multiplied up in blocks of
-    # _ODE_BLOCK_STEPS (128) steps: a lone step of h, each chain's first
-    # step of 2h, a chain one short of a block, a block and one past it
-    # (n 255 to 259 for both chains), and many blocks
+    # B = _ODE_BLOCK_STEPS steps: a lone step of h, each chain's first step
+    # of 2h; chains of 63 to 129 steps and 1,000 (scans of lengths around
+    # powers of two); n = 2L + 1 gives both chains L steps, for L one short
+    # of a block, a block, one past it and one past two blocks; and a long
+    # run of 3B + 50 steps per chain, not a power of two
     p, h = fig_params(), 1e-3
     traj = ode_oracle(p, plus_minus_super(), n * h, h)
     rho_pp, rho_pm = apply_map_series(build_kernels(p, n * h, h),
@@ -314,6 +353,80 @@ def test_ode_oracle_across_block_boundaries(n):
     assert np.abs(np.array([s.rho_mm for s in traj])
                   - (1.0 - rho_pp)).max() <= 1e-12
     assert np.abs(np.array([s.rho_pm for s in traj]) - rho_pm).max() <= 1e-12
+
+
+def rk4_one_by_one(coeffs, h, v0):
+    """v0 propagated by each RK4 step's matrix P in turn, P built per step."""
+    ops = dynamics._CHANNEL_SUPEROPS
+    eye = np.eye(4)
+    out = [np.asarray(v0, dtype=complex)]
+    for j in range(0, len(coeffs) - 2, 2):
+        m0, mm, m1 = (np.tensordot(coeffs[j + i], ops, axes=1)
+                      for i in range(3))
+        k2 = mm @ (eye + 0.5 * h * m0)
+        k3 = mm @ (eye + 0.5 * h * k2)
+        k4 = m1 @ (eye + h * k3)
+        out.append((eye + h / 6.0 * (m0 + 2.0 * k2 + 2.0 * k3 + k4)) @ out[-1])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("steps", [*range(1, 41), 100, 1000, B + 3,
+                                   2 * B + 5, 3000])
+def test_rk4_chain_matches_propagators_applied_one_by_one(steps):
+    # every state of the in-place scan, within a block and across block
+    # edges; a scan without its down-sweep leaves every prefix whose
+    # length is not a power of two incomplete
+    rng = np.random.default_rng(steps)
+    coeffs = rng.uniform(-1.0, 2.0, size=(2 * steps + 1, 3))
+    h = 0.01
+    v = np.empty((steps + 1, 4), dtype=complex)
+    v[0] = (0.3, 0.2 - 0.1j, 0.2 + 0.1j, 0.7)
+    dynamics._rk4_chain(coeffs, h, v)
+    expected = rk4_one_by_one(coeffs, h, v[0])
+    assert np.abs(v - expected).max() <= 1e-13
+
+
+def test_ode_oracle_states_equal_constructed_ones():
+    traj = ode_oracle(fig_params(), plus_minus_super(), 3.0, 1e-3)
+    for s in traj:
+        again = DensityMatrix(rho_pp=s.rho_pp, rho_mm=s.rho_mm, rho_pm=s.rho_pm)
+        assert s == again and vars(s) == vars(again)
+        assert list(vars(s)) == ["rho_pp", "rho_mm", "rho_pm"]
+        assert (type(s.rho_pp), type(s.rho_mm), type(s.rho_pm)) == \
+            (float, float, complex)
+    with pytest.raises(AttributeError):
+        traj[1].rho_pp = 0.5                            # still frozen
+
+
+def test_ode_oracle_names_first_non_positive_state(monkeypatch):
+    # a dephasing channel run backwards: rho_pm grows as
+    # 0.5 e^{s Gamma}, Gamma = wz alpha ln(1 + t^2) / 2, while the
+    # populations do not move, so the trace stays exactly 1 and
+    # det = -0.25 expm1(2 s Gamma) passes -1e-10 at a later grid time
+    p = fig_params(ratio=1.0)
+    h, s = 1e-3, 2e-3
+    t = np.arange(101) * h
+    wz = p.epsilon ** 2 / (4.0 * p.omega0 ** 2)
+    det = -0.25 * np.expm1(s * wz * p.alpha * np.log1p(t * t))
+    k = int(np.argmax(det < -1e-10))
+    assert k == 13 and det[k - 1] > -0.95e-10 and det[k] < -1.05e-10
+    grow = np.zeros((3, 4, 4))
+    grow[2, 1, 1] = grow[2, 2, 2] = s
+    monkeypatch.setattr(dynamics, "_CHANNEL_SUPEROPS", grow)
+    check = dynamics._check_states
+    monkeypatch.setattr(dynamics, "_check_states", lambda *a: None)
+    unchecked = ode_oracle(p, plus_minus_super(), 0.1, h)
+    monkeypatch.setattr(dynamics, "_check_states", check)
+    first = unchecked[k]
+    assert all(x.rho_pp + x.rho_mm == 1.0 for x in unchecked)
+    with pytest.raises(DomainError) as expected:
+        DensityMatrix(first.rho_pp, first.rho_mm, first.rho_pm)
+    for x in unchecked[:k]:
+        DensityMatrix(x.rho_pp, x.rho_mm, x.rho_pm)
+    with pytest.raises(DomainError) as err:
+        ode_oracle(p, plus_minus_super(), 0.1, h)
+    assert str(err.value) == str(expected.value)
+    assert str(err.value).startswith("state not positive: det = -")
 
 
 def test_ode_oracle_reads_rates_on_its_grid_and_half_a_step(monkeypatch):

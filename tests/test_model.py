@@ -208,6 +208,45 @@ def test_quadrature_matches_closed_form_spot():
                 pytest.approx(r.gamma_zero, rel=1e-8, abs=1e-12)
 
 
+#: rates_quadrature at the figure parameters, recorded before the omega = 0
+#: sin pieces were skipped: t -> value at omega = 0, omega0, -omega0
+QUADRATURE_PINS = {
+    0.05: ("0x1.057d829e119ebp-11", "0x1.fdffdd79e0e09p-12",
+           "0x1.ed01c952c6befp-12"),
+    1.0: ("0x1.47ae147ae147bp-8", "0x1.0a86ad1b226d3p-11",
+          "-0x1.a321406b2b626p-12"),
+    3.7: ("0x1.4a2239ed3fad8p-9", "0x1.ee5f85d683164p-16",
+          "0x1.0ceb9f76ac01bp-14"),
+    50.0: ("0x1.a3433ff972f35p-13", "0x1.e54784b69c994p-17",
+           "0x1.6fda44cb8b660p-23"),
+    1e3: ("0x1.4f8b4290b8247p-17", "0x1.de973b94a3ea0p-17",
+          "0x1.4db8df45c652fp-32"),
+}
+
+
+@pytest.mark.parametrize("t,pieces", [(0.05, 1), (1.0, 1), (3.7, 3),
+                                      (50.0, 7), (1e3, 11)])
+def test_quadrature_values_pinned_and_calls_per_piece(t, pieces,
+                                                      monkeypatch):
+    # bit-identical values; one QUADPACK call per geometric piece at
+    # omega = 0, where the sin part is zero, and two elsewhere
+    import scipy.integrate
+    calls = []
+    quad = scipy.integrate.quad
+
+    def counting_quad(*args, **kwargs):
+        calls.append(kwargs["weight"])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+    p = fig_params()
+    for omega, pinned in zip((0.0, p.omega0, -p.omega0), QUADRATURE_PINS[t]):
+        calls.clear()
+        assert rates_quadrature(p, omega, t) == float.fromhex(pinned)
+        assert calls == (["cos"] * pieces if omega == 0.0
+                         else ["cos", "sin"] * pieces)
+
+
 def test_quadrature_budget_error(monkeypatch):
     monkeypatch.setattr(model, "QUAD_BUDGET", 40)
     with pytest.raises(ToleranceError):

@@ -362,7 +362,7 @@ def test_run_nan_rate_stops_the_drift(monkeypatch):
         return table
     monkeypatch.setattr(nmqj, "rate_table", table_with_nan)
     with pytest.raises(StepError, match=r"^map not completely positive at "
-                       r"t=0\.003: f >= 0 fails$"):
+                       r"t=0\.003: f >= 0 fails \(margin nan\)$"):
         run_unraveling(fig_params(), 100, 0.01, 1e-3, seed=1)
 
 
