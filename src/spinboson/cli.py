@@ -42,7 +42,7 @@ BLP_RATIOS = (0.0, 0.1, 0.2, 0.3)
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Effective parameters of one command invocation."""
+    """Effective parameters of one command invocation, checked when made."""
 
     epsilon_over_delta: float = 1.0 / (2.0 * math.sqrt(3.0))
     omega0_over_omegac: float = 10.0
@@ -55,7 +55,7 @@ class RunConfig:
     emit_stride: int = 1
     workers: int = 1            # validated; no computation reads it
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         self.system_params()
         try:
             uniform_grid(self.t_max, self.dt)
@@ -139,9 +139,7 @@ def load_config(path: str | None, overrides: dict, command: str) -> RunConfig:
             raise ConfigError(f"cannot read config file {path}: {err}") from err
     base.update({k: _typed(k, v, f"bad value for {_flag(k)}")
                  for k, v in overrides.items() if v is not None})
-    cfg = RunConfig(**base)
-    cfg.validate()
-    return cfg
+    return RunConfig(**base)
 
 
 # --- CSV helpers ---------------------------------------------------------
@@ -178,8 +176,6 @@ def _csv_file(path: str):
     """
     if not path:
         raise ConfigError("output_path must not be empty")
-    if os.path.isdir(path):
-        raise ConfigError(f"cannot write {path}: it is a directory")
     target, tmp = path, None
     if os.path.isfile(path) or not os.path.exists(path):
         target = os.path.realpath(path)
@@ -220,10 +216,8 @@ def cmd_rates(cfg: RunConfig):
     p = cfg.system_params()
     grid = uniform_grid(cfg.t_max, cfg.dt)
     r = rate_table(p, grid)
-    names = ["gamma_plus", "gamma_minus", "gamma_zero", "gamma1", "gamma2",
-             "gamma3"]
-    columns = [grid, p.omega0 * grid, *(r[name] for name in names)]
-    yield from _csv_rows(["t", "omega0_t", *names], columns,
+    yield from _csv_rows(["t", "omega0_t", *r],
+                         [grid, p.omega0 * grid, *r.values()],
                          _strided(len(grid), cfg.emit_stride))
 
 
@@ -277,7 +271,7 @@ def cmd_recoherence_map(cfg: RunConfig):
 def cmd_blp(cfg: RunConfig):
     """blp_measure and its BLP_RATIOS table, seven lines.  Ignores dt,
     emit_stride and output_path (blp_measure picks its own step), but
-    RunConfig.validate still requires dt to divide t_max.
+    RunConfig still requires dt to divide t_max.
 
     The ratio rows come from blp_sweep, which evaluates E1 once for all
     four; each row is yielded before the next is computed.
@@ -359,7 +353,11 @@ def main(argv: list[str] | None = None) -> int:
                     sys.stdout.write(line)
                 sys.stdout.flush()
             except OSError as err:      # Python flushes stdout again at exit
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                try:
+                    os.dup2(devnull, sys.stdout.fileno())
+                finally:
+                    os.close(devnull)
                 raise ConfigError(f"cannot write stdout: {err.strerror}") from err
             return 0
         with _csv_file(cfg.output_path) as write:

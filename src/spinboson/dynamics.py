@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, StepError, ToleranceError
-from .model import SystemParams, channel_rates, rate_table, uniform_grid
+from .model import (SystemParams, channel_rates, integer, rate_table,
+                    uniform_grid)
 
 #: |eta| or |zeta| beyond which exp(+-kernel) leaves double range safely
 _KERNEL_EXP_LIMIT = 600.0
@@ -50,26 +51,23 @@ class DensityMatrix:
     rho_pm: complex
 
     def __post_init__(self) -> None:
-        if abs(self.rho_pp + self.rho_mm - 1.0) > 1e-12:
+        _check_states(self.rho_pp, self.rho_mm, self.rho_pm)
+
+
+def _check_states(rho_pp, rho_mm, rho_pm) -> None:
+    """DensityMatrix's rule, on one state or on arrays of them: DomainError
+    at the first state whose trace is more than 1e-12 off 1, or else whose
+    det rho_pp rho_mm - |rho_pm|^2 is below -1e-10 or not a number."""
+    trace = np.atleast_1d(rho_pp + rho_mm)
+    det = np.atleast_1d(rho_pp * rho_mm - np.abs(rho_pm) ** 2)
+    off = np.abs(trace - 1.0) > 1e-12
+    bad = np.flatnonzero(off | ~(det >= -1e-10))
+    if bad.size:
+        k = bad[0]
+        if off[k]:
             raise DomainError(
-                f"trace must be 1: rho_pp + rho_mm = {self.rho_pp + self.rho_mm!r}")
-        det = self.rho_pp * self.rho_mm - abs(self.rho_pm) ** 2
-        if not det >= -1e-10:                   # also catches NaN
-            raise DomainError(f"state not positive: det = {det!r}")
-
-
-def _check_states(rho_pp: np.ndarray, rho_mm: np.ndarray,
-                  rho_pm: np.ndarray) -> None:
-    """Raise DensityMatrix's DomainError for the first of these states that
-    its __post_init__ rejects, deciding as it does, in one array pass.
-    numpy's |rho_pm|^2 may differ from abs(rho_pm) ** 2 in the last bits,
-    far below 1e-15 where the trace passes (|rho_pm|^2 <= 1/4 + 1e-10 near
-    the bound), so a state failing or passing by less goes through the
-    constructor itself."""
-    det = rho_pp * rho_mm - np.abs(rho_pm) ** 2
-    ok = (np.abs(rho_pp + rho_mm - 1.0) <= 1e-12) & (det >= -1e-10 + 1e-15)
-    for k in np.flatnonzero(~ok):
-        DensityMatrix(float(rho_pp[k]), float(rho_mm[k]), complex(rho_pm[k]))
+                f"trace must be 1: rho_pp + rho_mm = {float(trace[k])!r}")
+        raise DomainError(f"state not positive: det = {float(det[k])!r}")
 
 
 @dataclass(frozen=True)
@@ -129,9 +127,10 @@ def build_kernels(p: SystemParams, t_max: float, h: float) -> KernelTable:
     over the shared grid.
 
     The map is completely positive (CP) iff its Choi matrix is positive
-    semidefinite (Choi, Linear Algebra Appl. 10, 285 (1975)): 0 <= f, g <= 1
-    and e^{-2 zeta} <= g (1 - f).  StepError names the first grid time and
-    condition failing by more than 1e-10 or not a number.
+    semidefinite (Choi, Linear Algebra Appl. 10, 285 (1975)): f >= 0,
+    g <= 1 and e^{-2 zeta} <= g (1 - f), since g >= f as rounded gives
+    0 <= f <= g <= 1.  StepError names the first grid time and condition
+    failing by more than 1e-10 or not a number.
     """
     grid = uniform_grid(t_max, h)
     return _kernels(grid, rate_table(p, grid))
@@ -153,7 +152,7 @@ def _kernels(grid: np.ndarray, r: dict[str, np.ndarray]) -> KernelTable:
     exp_minus_eta = np.exp(-eta)
     f = exp_minus_eta * _cumulative_simpson(r["gamma2"] * np.exp(eta), grid)
     g = f + exp_minus_eta
-    margins = {"f >= 0": f, "f <= 1": 1.0 - f, "g >= 0": g, "g <= 1": 1.0 - g,
+    margins = {"f >= 0": f, "g <= 1": 1.0 - g,
                "exp(-2 zeta) <= g (1 - f)": g * (1.0 - f) - np.exp(-2.0 * zeta)}
     ok = np.array(list(margins.values())) >= -1e-10      # NaN fails
     if not ok.all():
@@ -222,7 +221,7 @@ def ode_oracle(p: SystemParams, rho0: DensityMatrix, t_max: float,
     checked once over the finished trajectory: StepError names the first
     grid time where |tr - 1| exceeds 1e-12, DensityMatrix's bound, or is
     not a number; then the first state that is not positive raises
-    DensityMatrix's DomainError, from the constructor itself.
+    DensityMatrix's DomainError.
 
     Returns the trajectory on the same grid build_kernels would use, as a
     list of DensityMatrix (index i is time i*h).
@@ -246,8 +245,8 @@ def ode_oracle(p: SystemParams, rho0: DensityMatrix, t_max: float,
         i = bad[0]
         raise StepError(f"trace drifted to {float(trace[i])!r} at t={grid[i]}")
     _check_states(rho_pp, rho_mm, rho_pm)
-    # checked above as __post_init__ would check each one: build the states
-    # as the dataclass's __init__ does, without running the check again
+    # checked above by __post_init__'s rule: build the states as the
+    # dataclass's __init__ does, without running the check again
     states = []
     new, assign = object.__new__, object.__setattr__
     for pp, mm, pm in zip(rho_pp.tolist(), rho_mm.tolist(), rho_pm.tolist()):
@@ -350,6 +349,7 @@ def pair_directions(n: int) -> np.ndarray:
     backflow) are in the set; the remainder quasi-uniformly covers the
     upper hemisphere via the Fibonacci lattice.
     """
+    n = integer("n", n)
     if n < 32:
         raise DomainError(f"need at least 32 pair directions, got {n}")
     axes = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -362,9 +362,10 @@ def pair_directions(n: int) -> np.ndarray:
     return np.vstack([axes, pts])
 
 
-#: pairs per np.gradient call in blp_measure: 4 rows of the 25 001-point
-#: t_max = 50 grid are 0.8 MB, where all 64 at once add ~45 MB to the peak
-PAIR_BLOCK = 4
+#: pairs per np.gradient call in blp_measure, 0.4 MB of rows at t_max 50
+#: (all 64 add ~45 MB to the peak; at 4 pairs glibc's malloc trimmed and
+#: re-faulted each block's temporaries, 32,000 page faults per blp, not 500)
+PAIR_BLOCK = 2
 
 
 def _blp_step(t_max: float) -> float:

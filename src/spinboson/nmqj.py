@@ -45,7 +45,7 @@ import numpy as np
 from .errors import (DomainError, ProbabilityError, SpinBosonError,
                      StepError)
 from .dynamics import DensityMatrix, _check_states, _kernels
-from .model import RateSet, SystemParams, rate_table, uniform_grid
+from .model import RateSet, SystemParams, integer, rate_table, uniform_grid
 
 # ensemble class codes
 PSI0, PSI0_PH, PLUS, MINUS = 0, 1, 2, 3
@@ -295,6 +295,8 @@ def run_unraveling(p: SystemParams, n_traj: int, t_max: float, dt: float,
     The rates are first checked for a CP map, as in build_kernels.  Errors
     raised mid-run are re-raised with the failing time attached.
     """
+    n_traj, seed, stride = (integer("n_traj", n_traj), integer("seed", seed),
+                            integer("stride", stride))
     if not 100 <= n_traj <= MAX_N_TRAJ:
         raise DomainError(f"need 100 <= n_traj <= 2**63 - 1, got {n_traj}")
     if stride < 1:
@@ -303,7 +305,7 @@ def run_unraveling(p: SystemParams, n_traj: int, t_max: float, dt: float,
     n_steps = len(grid) - 1
     table = rate_table(p, grid)
     _kernels(grid, table)
-    rng = np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
+    rng = np.random.Generator(np.random.PCG64(seed & _MASK64))
 
     g1, g2, g3 = (table[k][:-1] for k in ("gamma1", "gamma2", "gamma3"))
     s = equal_superposition()

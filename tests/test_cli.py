@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 import spinboson
 import spinboson.cli as cli
-from spinboson import ConfigError, DomainError, StepError, SystemParams
+from spinboson import (ConfigError, DomainError, RateSet, StepError,
+                       SystemParams)
 from spinboson.cli import (BLP_RATIOS, COMMANDS, RATIO_GRID_MAX,
                            RATIO_GRID_STEP, RunConfig, _fmt, _initial_state,
                            _strided, build_parser, emit_config, load_config,
@@ -97,7 +98,7 @@ def test_config_parser_rejects_bad_lines(text):
 ])
 def test_config_validation(field, value):
     with pytest.raises(ConfigError, match=field.split("_")[0]):
-        RunConfig(**{field: value}).validate()
+        RunConfig(**{field: value})
 
 
 def test_config_defaults_per_command():
@@ -279,6 +280,14 @@ def test_rates_csv(tmp_path, capsys):
     assert column(rows, header, "gamma1").min() < 0.0
     assert column(rows, header, "gamma3").min() >= 0.0
     assert "wrote 2001 rows" in capsys.readouterr().err
+
+
+def test_rates_header_is_rate_sets_fields(tmp_path):
+    out = tmp_path / "r.csv"
+    assert main(["rates", "--t-max", "0.01", "--out", str(out)]) == 0
+    rates = [f.name for f in dataclasses.fields(RateSet)]
+    assert rates[0] == "t"
+    assert read_csv(out)[0] == ["t", "omega0_t", *rates[1:]]
 
 
 def test_rates_cells_match_library_values(tmp_path):
@@ -734,6 +743,24 @@ def test_blp_to_closed_stdout_is_config_error():
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 2
     assert err == b"config error: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+def test_closed_stdout_leaves_no_descriptor_open(monkeypatch, capsys):
+    # in-process: the devnull descriptor that replaces the broken pipe's is
+    # closed once it is duplicated
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as pipe:
+        monkeypatch.setattr(sys, "stdout", pipe)
+        before = len(os.listdir("/proc/self/fd"))
+        assert main(["blp", "--t-max", "1"]) == 2
+        after = len(os.listdir("/proc/self/fd"))
+        monkeypatch.undo()
+    assert after == before
+    assert capsys.readouterr().err == \
+        "config error: cannot write stdout: Broken pipe\n"
 
 
 def test_default_output_paths(tmp_path, monkeypatch):

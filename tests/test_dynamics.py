@@ -87,6 +87,54 @@ def test_bulk_state_check_decides_as_the_constructor(pp, phase, ulps,
         assert str(err.value) == expected
 
 
+def test_state_check_at_its_bounds():
+    # the trace bound: the largest trace within 1e-12 of 1 on either side
+    # passes, and the next double out fails
+    for way in (1.0, -1.0):
+        t = 1.0 + way * 1e-12
+        while abs(t - 1.0) > 1e-12:
+            t = math.nextafter(t, 1.0)
+        while abs(math.nextafter(t, way * math.inf) - 1.0) <= 1e-12:
+            t = math.nextafter(t, way * math.inf)
+        DensityMatrix(t, 0.0, 0.0)
+        out = math.nextafter(t, way * math.inf)
+        with pytest.raises(DomainError, match=f"= {out!r}$"):
+            DensityMatrix(out, 0.0, 0.0)
+    # the det bound: rho_pp rho_mm is exactly -1e-10, then one ulp below
+    mm = 1.0 + 1e-10
+    pp = -1e-10 / mm
+    while pp * mm != -1e-10:
+        pp = math.nextafter(pp, 0.0 if pp * mm < -1e-10 else -1.0)
+    DensityMatrix(pp, mm, 0.0)
+    below = math.nextafter(pp, -1.0)
+    assert below * mm < -1e-10
+    with pytest.raises(DomainError, match="not positive: det = -1.0000"):
+        DensityMatrix(below, mm, 0.0)
+    with pytest.raises(DomainError, match="not positive: det = nan$"):
+        dynamics._check_states(0.5, 0.5, complex(math.nan, 0.0))
+
+
+def test_state_check_names_the_first_failing_state():
+    # rows 0 and 3 pass; row 1 fails on det, row 2 on the trace and row 4
+    # on both: the error is row 1's, and each row alone raises as the
+    # constructor does, the trace message first
+    pp = np.array([0.5, 0.5, 0.7, 1.0, 0.9])
+    mm = np.array([0.5, 0.5, 0.7, 0.0, 0.9])
+    pm = np.array([0.5, 0.6j, 0.0, 0.0, 2.0])
+    with pytest.raises(DomainError) as err:
+        dynamics._check_states(pp, mm, pm)
+    assert str(err.value) == "state not positive: det = " \
+        f"{0.25 - abs(0.6j) ** 2!r}"
+    for k in (1, 2, 4):
+        with pytest.raises(DomainError) as one:
+            dynamics._check_states(pp[k:], mm[k:], pm[k:])
+        with pytest.raises(DomainError) as made:
+            DensityMatrix(float(pp[k]), float(mm[k]), complex(pm[k]))
+        assert str(one.value) == str(made.value)
+    assert str(made.value).startswith("trace must be 1: ")
+    dynamics._check_states(pp[[0, 3]], mm[[0, 3]], pm[[0, 3]])
+
+
 # --- kernels and the analytic map ----------------------------------------
 
 def test_kernel_initial_values_and_identity():
@@ -210,6 +258,64 @@ def test_map_rejects_nan_kernels(monkeypatch):
         build_kernels(fig_params(), 0.01, 1e-3)
 
 
+def _five_condition_verdict(grid, r):
+    """The CP check with all five of Choi's conditions 0 <= f <= 1,
+    0 <= g <= 1 and e^{-2 zeta} <= g (1 - f): None, or the first failing
+    time and the first condition failing there."""
+    eta = dynamics._cumulative_simpson(r["gamma1"] + r["gamma2"], grid)
+    zeta = dynamics._cumulative_simpson(dynamics._zeta_rate(r), grid)
+    f = np.exp(-eta) * dynamics._cumulative_simpson(
+        r["gamma2"] * np.exp(eta), grid)
+    g = f + np.exp(-eta)
+    margins = {"f >= 0": f, "f <= 1": 1.0 - f, "g >= 0": g, "g <= 1": 1.0 - g,
+               "exp(-2 zeta) <= g (1 - f)": g * (1.0 - f) - np.exp(-2.0 * zeta)}
+    ok = np.array(list(margins.values())) >= -1e-10
+    if ok.all():
+        return None
+    i = int(np.argmin(ok.all(axis=0)))
+    return float(grid[i]), list(margins)[np.argmin(ok[:, i])]
+
+
+def _kernels_verdict(grid, r):
+    try:
+        dynamics._kernels(grid, r)
+    except StepError as err:
+        m = re.fullmatch(r"map not completely positive at t=(\S+): (.+) "
+                         r"fails \(margin \S+\)", str(err))
+        return float(m[1]), m[2]
+    return None
+
+
+def _f_passes_one_table():
+    # an upward rate of 200 on steps of 0.01 is beyond Simpson's rule: its
+    # integral of gamma2 e^{eta} overshoots, and f passes 1 at t = 0.02,
+    # where g = f + e^{-eta} fails with it
+    grid = np.arange(101) * 0.01
+    return grid, {"gamma1": np.zeros(101), "gamma2": np.full(101, 200.0),
+                  "gamma3": np.zeros(101)}
+
+
+def test_three_cp_conditions_decide_as_five():
+    # f >= 0 implies g >= 0 and g <= 1 implies f <= 1, as g >= f: pass or
+    # fail and the first failing time are the five conditions', and so is
+    # the condition, but for f <= 1, which g <= 1 now reports
+    grid = np.arange(10_001) * 1e-3
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cases = [(k.grid, rate_table(SystemParams.from_ratios(*args), k.grid))
+                 for k, args in zip(cp_tables(), CP_TABLE_ARGS)]
+        cases += [(grid, rate_table(SystemParams.from_ratios(0.0, 0.5, a),
+                                    grid)) for a in (3.0, 1.5)]
+    cases.append(_f_passes_one_table())
+    verdicts = [_five_condition_verdict(*case) for case in cases]
+    assert verdicts[:5] == [None] * 5
+    assert verdicts[5:] == [(4.526, "f >= 0"), (6.252, "f >= 0"),
+                            (0.02, "f <= 1")]
+    renamed = [v and (v[0], v[1].replace("f <= 1", "g <= 1"))
+               for v in verdicts]
+    assert [_kernels_verdict(*case) for case in cases] == renamed
+
+
 def test_kernel_table_is_read_only():
     k = build_kernels(fig_params(), 0.1, 1e-3)
     for a in (k.grid, k.eta, k.zeta, k.f, k.g):
@@ -217,15 +323,18 @@ def test_kernel_table_is_read_only():
             a[1] = 0.5
 
 
+#: (epsilon/delta, omega0/omega_c, alpha) of cp_tables
+CP_TABLE_ARGS = ((FIG_RATIO, 10.0, 0.01), (0.0, 0.5, 1.0), (0.3, 2.0, 0.5),
+                 (1.0, 150.0, 0.1), (0.1, 10.0, 1.0))
+
+
 @functools.cache
 def cp_tables():
     """Kernel tables that pass the CP check, weak to moderate coupling."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return [build_kernels(SystemParams.from_ratios(r, w0, a), 10.0, 0.01)
-                for r, w0, a in ((FIG_RATIO, 10.0, 0.01), (0.0, 0.5, 1.0),
-                                 (0.3, 2.0, 0.5), (1.0, 150.0, 0.1),
-                                 (0.1, 10.0, 1.0))]
+        return [build_kernels(SystemParams.from_ratios(*args), 10.0, 0.01)
+                for args in CP_TABLE_ARGS]
 
 
 @settings(max_examples=200, deadline=None)
@@ -531,6 +640,12 @@ def test_pair_directions():
     assert np.allclose(pts[2], [0, 1, 0])
     with pytest.raises(DomainError):
         pair_directions(31)
+
+
+def test_pair_directions_count_must_be_an_integer():
+    with pytest.raises(DomainError, match="^n must be an integer, got 32.5$"):
+        pair_directions(32.5)
+    assert np.array_equal(pair_directions(np.int64(32)), pair_directions(32))
 
 
 def test_monotone_contraction_when_rates_positive():

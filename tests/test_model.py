@@ -81,6 +81,17 @@ def test_low_frequency_ratio_warns():
         SystemParams(epsilon=0.0, delta=2.0, alpha=0.01)
 
 
+def test_low_frequency_warning_names_the_caller():
+    # not the dataclass's generated __init__: a direct call names this
+    # file, and from_ratios names model.py, where it builds the params
+    with pytest.warns(UserWarning) as direct:
+        SystemParams(epsilon=0.0, delta=2.0, alpha=0.01)
+    with pytest.warns(UserWarning) as ratios:
+        SystemParams.from_ratios(0.0, 2.0, 0.01)
+    assert [w.filename for w in direct] == [__file__]
+    assert [w.filename for w in ratios] == [model.__file__]
+
+
 def test_zero_coupling_allowed():
     p = SystemParams(epsilon=1.0, delta=10.0, alpha=0.0)
     r = rates_closed_form(p, 3.0)
@@ -300,6 +311,14 @@ def test_sign_changes_channel_validation():
         sign_changes(fig_params(), 4, 1.0)
 
 
+def test_sign_changes_channel_must_be_an_integer():
+    with pytest.raises(DomainError, match="^channel must be an integer, "
+                       "got 1.0$"):
+        sign_changes(fig_params(), 1.0, 5.0)
+    assert sign_changes(fig_params(), np.int64(1), 1.6) == \
+        sign_changes(fig_params(), 1, 1.6)
+
+
 @pytest.mark.parametrize("t_max", [math.nan, math.inf, -math.inf])
 def test_sign_changes_non_finite_horizon(t_max):
     with pytest.raises(DomainError):
@@ -384,6 +403,30 @@ def test_sign_changes_evaluates_only_its_bare_rate(monkeypatch, channel,
     sign_changes(fig_params(), channel, 5.0)
     assert sum(times) >= 499
     assert sum(e1_points) == e1_per_time * sum(times)
+
+
+def test_sign_changes_bisects_a_fixed_number_of_times(monkeypatch):
+    # gamma1 crosses zero at 0.40342906 and 0.77036515 (fig_params):
+    # t_max = 0.7705 clamps the second bracket to [0.77, 0.7705], a
+    # twentieth of a step.  One bracketing evaluation, then 20 halvings of
+    # both brackets, enough for one of the full step 0.01 to fall below
+    # 1e-8, which leave the narrow one 2^-20 of its width
+    from scipy.optimize import brentq
+    bare, calls = model._bare_rate, []
+
+    def counting_bare(p, tgrid, name):
+        calls.append(len(tgrid))
+        return bare(p, tgrid, name)
+
+    monkeypatch.setattr(model, "_bare_rate", counting_bare)
+    p, lo, t_max = fig_params(), 77 * 0.01, 0.7705
+    got = sign_changes(p, 1, t_max)
+    assert len(got) == 2 and calls[1:] == [2] * 20
+    assert math.ceil(math.log2(0.01 / 1e-8)) == 20
+    root = brentq(lambda t: rates_closed_form(p, t).gamma_plus, lo, t_max,
+                  xtol=1e-15)
+    assert got[-1] == pytest.approx(root, abs=1e-8)
+    assert abs(got[-1] - root) <= (t_max - lo) * 2.0 ** -21 + 1e-15
 
 
 # --- shared grid helper --------------------------------------------------

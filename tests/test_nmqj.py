@@ -327,6 +327,26 @@ def test_run_validation():
         run_unraveling(p, 100, 1.0, 0.3, seed=1)
 
 
+@pytest.mark.parametrize("name, value", [("n_traj", 1000.0), ("seed", 1.5),
+                                         ("stride", 2.5)])
+def test_run_integer_arguments_reject_floats(name, value):
+    args = {"n_traj": 1000, "t_max": 0.01, "dt": 1e-3, "seed": 1, "stride": 2}
+    with pytest.raises(DomainError, match=f"^{name} must be an integer, "
+                       f"got {value!r}$"):
+        run_unraveling(fig_params(), **{**args, name: value})
+
+
+def test_run_accepts_numpy_integers():
+    p = fig_params()
+    ref = run_unraveling(p, 1000, 0.01, 1e-3, seed=1, stride=2)
+    got = run_unraveling(p, np.int64(1000), 0.01, 1e-3, seed=np.uint64(1),
+                         stride=np.int32(2))
+    assert got.steps.tolist() == [0, 2, 4, 6, 8, 10]
+    assert np.array_equal(got.counts, ref.counts)
+    assert np.array_equal(got.rho_pm, ref.rho_pm)
+    assert type(got.n_traj) is int
+
+
 def test_run_snapshot_schedule():
     r = run_unraveling(fig_params(), 100, 1.0, 0.1, seed=1, stride=3)
     assert [s.step for s in r.snapshots] == [0, 3, 6, 9, 10]
