@@ -58,8 +58,10 @@ def _check_states(rho_pp, rho_mm, rho_pm) -> None:
     """DensityMatrix's rule, on one state or on arrays of them: DomainError
     at the first state whose trace is more than 1e-12 off 1, or else whose
     det rho_pp rho_mm - |rho_pm|^2 is below -1e-10 or not a number."""
-    trace = np.atleast_1d(rho_pp + rho_mm)
-    det = np.atleast_1d(rho_pp * rho_mm - np.abs(rho_pm) ** 2)
+    # arrays first: numpy squares a scalar by C pow, an array by x * x
+    rho_pp, rho_mm, rho_pm = np.atleast_1d(rho_pp, rho_mm, rho_pm)
+    trace = rho_pp + rho_mm
+    det = rho_pp * rho_mm - np.abs(rho_pm) ** 2
     off = np.abs(trace - 1.0) > 1e-12
     bad = np.flatnonzero(off | ~(det >= -1e-10))
     if bad.size:
@@ -68,6 +70,21 @@ def _check_states(rho_pp, rho_mm, rho_pm) -> None:
             raise DomainError(
                 f"trace must be 1: rho_pp + rho_mm = {float(trace[k])!r}")
         raise DomainError(f"state not positive: det = {float(det[k])!r}")
+
+
+def _states(rho_pp, rho_mm, rho_pm) -> list[DensityMatrix]:
+    """Equal-length arrays as DensityMatrix states: _check_states once over
+    all, then each built as __init__ builds it, without the check again."""
+    _check_states(rho_pp, rho_mm, rho_pm)
+    states = []
+    new, assign = object.__new__, object.__setattr__
+    for pp, mm, pm in zip(rho_pp.tolist(), rho_mm.tolist(), rho_pm.tolist()):
+        s = new(DensityMatrix)
+        assign(s, "rho_pp", pp)
+        assign(s, "rho_mm", mm)
+        assign(s, "rho_pm", pm)
+        states.append(s)
+    return states
 
 
 @dataclass(frozen=True)
@@ -244,18 +261,7 @@ def ode_oracle(p: SystemParams, rho0: DensityMatrix, t_max: float,
     if bad.size:
         i = bad[0]
         raise StepError(f"trace drifted to {float(trace[i])!r} at t={grid[i]}")
-    _check_states(rho_pp, rho_mm, rho_pm)
-    # checked above by __post_init__'s rule: build the states as the
-    # dataclass's __init__ does, without running the check again
-    states = []
-    new, assign = object.__new__, object.__setattr__
-    for pp, mm, pm in zip(rho_pp.tolist(), rho_mm.tolist(), rho_pm.tolist()):
-        s = new(DensityMatrix)
-        assign(s, "rho_pp", pp)
-        assign(s, "rho_mm", mm)
-        assign(s, "rho_pm", pm)
-        states.append(s)
-    return states
+    return _states(rho_pp, rho_mm, rho_pm)
 
 
 def _rk4_chain(coeffs: np.ndarray, h: float, v: np.ndarray) -> None:

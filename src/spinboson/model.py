@@ -368,10 +368,9 @@ def sign_changes(p: SystemParams, channel: int, t_max: float) -> list[float]:
     if n < 2 or _channel_weights(p)[channel - 1] == 0.0:
         return []
     # rates all vanish at t=0; bracketing starts at t = step and ends at
-    # the first grid point that reaches t_max
-    t = np.arange(1, n + 1) * step
-    t[1:] = np.minimum(t[1:], t_max)
-    t = t[:np.count_nonzero(t[1:] < t_max) + 2]
+    # t_max, after the grid points below it
+    t = np.arange(1, n) * step
+    t = np.append(t[t < t_max], t_max)
     f = _bare_rate(p, t, name)
     if not f.any():
         return []

@@ -42,9 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DomainError, ProbabilityError, SpinBosonError,
-                     StepError)
-from .dynamics import DensityMatrix, _check_states, _kernels
+from .errors import DomainError, ProbabilityError, StepError
+from .dynamics import DensityMatrix, _check_states, _kernels, _states
 from .model import RateSet, SystemParams, integer, rate_table, uniform_grid
 
 # ensemble class codes
@@ -239,14 +238,13 @@ class UnravelingResult:
     @cached_property
     def snapshots(self) -> list[UnravelingSnapshot]:
         """The rows as UnravelingSnapshots, built when first read."""
-        return [UnravelingSnapshot(k, t, tuple(c), PureState(ap, am),
-                                   DensityMatrix(pp, mm, pm), *rest)
-                for k, t, c, ap, am, pp, mm, pm, *rest in zip(*(
-                    col.tolist() for col in (
-                        self.steps, self.times, self.counts, self.a_plus,
-                        self.a_minus, self.rho_pp, self.rho_mm, self.rho_pm,
-                        self.se_rho_pp, self.se_re_rho_pm, self.count_diff,
-                        self.se_count_diff)))]
+        rows = zip(*(col.tolist() for col in (
+            self.steps, self.times, self.counts, self.a_plus, self.a_minus,
+            self.se_rho_pp, self.se_re_rho_pm, self.count_diff,
+            self.se_count_diff)))
+        return [UnravelingSnapshot(k, t, tuple(c), PureState(ap, am), r, *rest)
+                for r, (k, t, c, ap, am, *rest) in zip(
+                    _states(self.rho_pp, self.rho_mm, self.rho_pm), rows)]
 
 
 def _columns(n: int, rows: list) -> dict[str, np.ndarray]:
@@ -312,27 +310,21 @@ def run_unraveling(p: SystemParams, n_traj: int, t_max: float, dt: float,
     ap, am, pp, pm = s.a_plus, s.a_minus, s.p_plus, s.p_minus
     counts = (n_traj, 0, 0, 0)
     rows = [(0, counts, ap, am)]
-    try:
-        for i, r1, r2, r3, budget, grow_p, grow_m in zip(
-                range(n_steps), g1.tolist(), g2.tolist(), g3.tolist(),
-                (dt * (np.abs(g1) + np.abs(g2) + 2.0 * np.abs(g3))).tolist(),
-                (1.0 - 0.5 * dt * (g1 + g3)).tolist(),
-                (1.0 - 0.5 * dt * (g2 + g3)).tolist()):
-            try:
-                counts = step_ensemble(counts, r1, r2, r3, pp, pm, dt, rng)
-                ap, am = _drift(ap, am, grow_p, grow_m, budget)
-            except (StepError, ProbabilityError) as err:
-                raise type(err)(f"at t = {grid[i]:.6g}: {err}") from err
-            pp, pm = abs(ap) ** 2, abs(am) ** 2
-            if not abs(pp + pm - 1.0) <= 1e-12:
-                PureState(ap, am)               # raises its norm error
-            if sum(counts) != n_traj or min(counts) < 0:
-                raise DomainError(f"counts {counts} do not sum to n={n_traj}")
-            if (i + 1) % stride == 0 or i == n_steps - 1:
-                rows.append((i + 1, counts, ap, am))
-    except SpinBosonError:
-        _columns(n_traj, rows)          # a recorded row's error comes first
-        raise
+    for i, r1, r2, r3, budget, grow_p, grow_m in zip(
+            range(n_steps), g1.tolist(), g2.tolist(), g3.tolist(),
+            (dt * (np.abs(g1) + np.abs(g2) + 2.0 * np.abs(g3))).tolist(),
+            (1.0 - 0.5 * dt * (g1 + g3)).tolist(),
+            (1.0 - 0.5 * dt * (g2 + g3)).tolist()):
+        try:
+            counts = step_ensemble(counts, r1, r2, r3, pp, pm, dt, rng)
+            ap, am = _drift(ap, am, grow_p, grow_m, budget)
+        except (StepError, ProbabilityError) as err:
+            raise type(err)(f"at t = {grid[i]:.6g}: {err}") from err
+        pp, pm = abs(ap) ** 2, abs(am) ** 2
+        if sum(counts) != n_traj or min(counts) < 0:
+            raise DomainError(f"counts {counts} do not sum to n={n_traj}")
+        if (i + 1) % stride == 0 or i == n_steps - 1:
+            rows.append((i + 1, counts, ap, am))
     columns = _columns(n_traj, rows)
     return UnravelingResult(n_traj=n_traj, times=grid[columns["steps"]],
                             **columns)

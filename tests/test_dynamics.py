@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinboson import (DensityMatrix, DomainError, GridError, StepError,
@@ -62,11 +62,15 @@ def test_density_matrix_rejects_non_positive_and_nan():
 @given(pp=st.floats(0.0, 1.0), phase=st.floats(0.0, 2.0 * math.pi),
        ulps=st.integers(-40, 40), trace_off=st.sampled_from(
            [0.0, 1e-12, -1e-12, 1.5e-12, math.nan]))
+# the scalar det once rounded as C pow squares |rho_pm|, the bulk one as
+# numpy's x * x: -1.000017846308765e-10 against -1.0000175687530088e-10
+@example(pp=0.28464290820045096, phase=0.0, ulps=35, trace_off=0.0)
 def test_bulk_state_check_decides_as_the_constructor(pp, phase, ulps,
                                                      trace_off):
     # states whose determinant lies within a few ulps of -1e-10, or whose
-    # trace sits at its 1e-12 bound: _check_states raises exactly when
-    # DensityMatrix does, with its message
+    # trace sits at its 1e-12 bound: _check_states and _states raise
+    # exactly when DensityMatrix does, with its message, and _states
+    # builds the state DensityMatrix builds
     mm = 1.0 - pp + trace_off
     mag = math.sqrt(max(pp * mm + 1e-10, 0.0)) if math.isfinite(mm) else 0.5
     mag += ulps * math.ulp(mag)
@@ -81,10 +85,12 @@ def test_bulk_state_check_decides_as_the_constructor(pp, phase, ulps,
               np.array([ok.rho_pm, pm])]
     if expected is None:
         dynamics._check_states(*arrays)
+        assert dynamics._states(*arrays) == [ok, DensityMatrix(pp, mm, pm)]
     else:
-        with pytest.raises(DomainError) as err:
-            dynamics._check_states(*arrays)
-        assert str(err.value) == expected
+        for check in (dynamics._check_states, dynamics._states):
+            with pytest.raises(DomainError) as err:
+                check(*arrays)
+            assert str(err.value) == expected
 
 
 def test_state_check_at_its_bounds():
@@ -495,8 +501,21 @@ def test_rk4_chain_matches_propagators_applied_one_by_one(steps):
     assert np.abs(v - expected).max() <= 1e-13
 
 
-def test_ode_oracle_states_equal_constructed_ones():
-    traj = ode_oracle(fig_params(), plus_minus_super(), 3.0, 1e-3)
+def test_ode_oracle_states_equal_constructed_ones(monkeypatch):
+    # one _check_states over the whole trajectory, and no state goes
+    # through DensityMatrix's own check again
+    rho0, check, calls = plus_minus_super(), dynamics._check_states, []
+
+    def counting_check(*a):
+        calls.append("check")
+        check(*a)
+
+    monkeypatch.setattr(dynamics, "_check_states", counting_check)
+    monkeypatch.setattr(DensityMatrix, "__post_init__",
+                        lambda self: calls.append("post_init"))
+    traj = ode_oracle(fig_params(), rho0, 3.0, 1e-3)
+    assert len(traj) == 3001 and calls == ["check"]
+    monkeypatch.undo()
     for s in traj:
         again = DensityMatrix(rho_pp=s.rho_pp, rho_mm=s.rho_mm, rho_pm=s.rho_pm)
         assert s == again and vars(s) == vars(again)

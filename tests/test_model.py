@@ -429,6 +429,25 @@ def test_sign_changes_bisects_a_fixed_number_of_times(monkeypatch):
     assert abs(got[-1] - root) <= (t_max - lo) * 2.0 ** -21 + 1e-15
 
 
+@pytest.mark.parametrize("t_max", [0.03, math.nextafter(0.03, 1.0), 0.025,
+                                   0.7705, 5.0, math.nextafter(5.0, 1.0)])
+def test_sign_changes_brackets_up_to_t_max(monkeypatch, t_max):
+    # the bracketing grid is step, 2 step, ... below t_max, then t_max
+    # itself; one ulp above 0.03, 3 * 0.01 rounds to 0.03 < t_max, and
+    # (0.03, t_max] must still be bracketed
+    bare, grids = model._bare_rate, []
+
+    def recording_bare(p, tgrid, name):
+        grids.append(np.array(tgrid))
+        return bare(p, tgrid, name)
+
+    monkeypatch.setattr(model, "_bare_rate", recording_bare)
+    sign_changes(fig_params(), 1, t_max)
+    t = grids[0]
+    assert t[-1] == t_max and (t[:-1] < t_max).all()
+    assert t[:-1].tolist() == [k * 0.01 for k in range(1, len(t))]
+
+
 # --- shared grid helper --------------------------------------------------
 
 def test_uniform_grid():

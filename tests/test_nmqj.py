@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinboson.dynamics as dynamics
 import spinboson.nmqj as nmqj
 from spinboson import (DensityMatrix, DomainError, GridError,
                        ProbabilityError, PureState, RateSet, StepError,
@@ -439,6 +440,41 @@ def test_run_attaches_failure_time():
         run_unraveling(p, 100, 2.0, 0.25, seed=1)
 
 
+def test_run_unnormalized_drift_fails_the_trace_check(monkeypatch):
+    # the recorded rows' trace is checked to 1e-12 after the loop, so a
+    # drift that loses the representative's norm still ends the run
+    monkeypatch.setattr(nmqj, "_drift",
+                        lambda ap, am, gp, gm, budget: (ap * gp, am * gm))
+    with pytest.raises(DomainError, match="^trace must be 1: "):
+        run_unraveling(fig_params(alpha=0.05), 100, 0.1, 1e-3, seed=1)
+
+
+def test_run_snapshots_equal_constructed_states(monkeypatch):
+    # reading .snapshots runs one _check_states over all rows and never
+    # DensityMatrix's own check
+    r = run_unraveling(fig_params(alpha=0.05), 1000, 1.0, 1e-3, seed=3,
+                       stride=10)
+    check, calls = dynamics._check_states, []
+
+    def counting_check(*a):
+        calls.append("check")
+        check(*a)
+
+    monkeypatch.setattr(dynamics, "_check_states", counting_check)
+    monkeypatch.setattr(DensityMatrix, "__post_init__",
+                        lambda self: calls.append("post_init"))
+    assert len(r.snapshots) == 101 and calls == ["check"]
+    monkeypatch.undo()
+    for s, pp, mm, pm in zip(r.snapshots, r.rho_pp.tolist(),
+                             r.rho_mm.tolist(), r.rho_pm.tolist()):
+        again = DensityMatrix(rho_pp=pp, rho_mm=mm, rho_pm=pm)
+        assert s.rho == again and vars(s.rho) == vars(again)
+        assert (type(s.rho.rho_pp), type(s.rho.rho_mm),
+                type(s.rho.rho_pm)) == (float, float, complex)
+    with pytest.raises(AttributeError):
+        r.snapshots[1].rho.rho_pp = 0.5                 # still frozen
+
+
 def test_run_count_difference_series_matches_snapshots():
     r = run_unraveling(fig_params(alpha=0.05), 400, 1.0, 1e-3, seed=11,
                        stride=100)
@@ -467,6 +503,30 @@ def test_run_bias_is_first_order_in_dt():
         for coarse, fine in zip(bias, bias[1:]):
             assert 1.6 <= coarse / fine <= 2.5
     assert max(se) < 0.1 * min(bias_pp + bias_re)
+
+
+def test_run_coherence_error_shrinks_as_one_over_sqrt_n():
+    # 30 seeds at each N: the RMS error of Re rho_pm against the map falls
+    # as N^-1/2, and the plug-in se_re_rho_pm matches the seed-to-seed SD
+    # at t = 1.  A 30-sample SD is off by 1/sqrt(58) ~ 0.13 relative, so
+    # the SE band is +-3 sigma in log; the slope band holds on four seed
+    # sets (-0.43 to -0.49).  Below N 1e4 a run holds ~0.3 phase-flipped
+    # members at t = 1, so the plug-in SE is often 0; the population SE is
+    # not tested, because reversed jumps couple the members through
+    # N_source/N_target, which the independent-member formula ignores
+    p, ns = fig_params(alpha=0.05), (10 ** 4, 10 ** 5, 10 ** 6)
+    rho0 = DensityMatrix(rho_pp=0.5, rho_mm=0.5, rho_pm=0.5)
+    exact = apply_map_series(build_kernels(p, 1.0, 1e-3), rho0)[1].real
+    rms = []
+    for n in ns:
+        runs = [run_unraveling(p, n, 1.0, 1e-3, seed=s, stride=10)
+                for s in range(30)]
+        re = np.array([r.rho_pm.real for r in runs])
+        rms.append(math.sqrt(np.mean((re - exact[::10]) ** 2)))
+        se = np.mean([r.se_re_rho_pm[-1] for r in runs])
+        assert 0.68 <= se / np.std(re[:, -1], ddof=1) <= 1.48
+    slope = np.polyfit(np.log(ns), np.log(rms), 1)[0]
+    assert -0.6 <= slope <= -0.4
 
 
 def test_run_estimator_is_unbiased():
