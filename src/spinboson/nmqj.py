@@ -25,8 +25,16 @@ where an event is absent (numpy draws nothing for a zero slot).  That has
 the same law as one uniform per member, and a step costs the same
 whatever the ensemble size.  A run draws from one PCG64 stream seeded
 with the seed reduced modulo 2**64; results are bit-identical for a given
-seed.  The driver steps on plain floats and records counts and
-amplitudes; the estimators of the recorded rows are computed after it.
+seed.
+
+The representative's drift does not depend on the counts, and neither do
+the ladder terms that involve only the rates and the drift, so the driver
+computes both for the whole grid before the draws: the drift in one pass
+on plain floats, the ladder terms a block of steps at a time.  Its step loop keeps only the count-dependent work: the
+reversed-jump terms, the budget checks, the draws and the count check.
+A failure's type, message and time are those of stepping one step at a
+time.  The driver records counts and amplitudes; the estimators of the
+recorded rows are computed after it.
 
 The coherence estimator is carried by the count difference between the
 representative class and its phase-flipped class: rho_pm estimated from
@@ -54,6 +62,10 @@ MAX_N_TRAJ = 2 ** 63 - 1
 
 #: upper bound on dt * (|g1| + |g2| + 2 |g3|) for a first-order step
 STEP_PROBABILITY_BOUND = 0.1
+
+#: steps whose count-free ladder terms run_unraveling builds at once: the
+#: block bounds the Python floats its step loop holds
+_BLOCK = 1024
 
 # --- counter-based randomness (SplitMix64) -------------------------------
 
@@ -145,11 +157,102 @@ def deterministic_step(s: PureState, rates: RateSet, dt: float) -> PureState:
 
 # --- ensemble step -------------------------------------------------------
 
-#: destination of each ladder slot by origin class: forward channels 1, 2,
-#: 3 for the representatives; for PLUS and MINUS the forward jump, then the
-#: reversed jumps to PSI0, PSI0_PH and the other eigenstate; then "no jump"
-_DESTINATIONS = ((MINUS, PLUS, PSI0_PH), (MINUS, PLUS, PSI0),
-                 (MINUS, PSI0, PSI0_PH, MINUS), (PLUS, PSI0, PSI0_PH, PLUS))
+def _ladders(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray,
+             p_plus: np.ndarray, p_minus: np.ndarray, dt: float):
+    """The count-free ladder terms of a run of steps, from its rates and
+    the representative's populations at each step start.
+
+    Returns the forward probabilities f1 and f2 (lists), the
+    representatives' ladder rows (f1 p+, f2 p-, gamma3 dt, 0) as an array
+    and their totals (a list), all cut at the first step whose gamma3 < 0,
+    and that step's StepError (None if there is none).
+    """
+    negative = np.flatnonzero(g3 < 0.0)
+    error = None
+    if negative.size:
+        k = negative[0]
+        error = StepError(f"gamma3 = {g3[k].item()!r} < 0: reversed "
+                          "dephasing jumps are outside this scheme")
+        g1, g2, g3, p_plus, p_minus = (
+            x[:k] for x in (g1, g2, g3, p_plus, p_minus))
+    f1 = np.where(g1 > 0.0, g1 * dt, 0.0)
+    f2 = np.where(g2 > 0.0, g2 * dt, 0.0)
+    rep = np.zeros((len(g3), 4))
+    rep[:, 0], rep[:, 1], rep[:, 2] = f1 * p_plus, f2 * p_minus, g3 * dt
+    return (f1.tolist(), f2.tolist(), rep, list(map(math.fsum, rep.tolist())),
+            error)
+
+
+def _jumps(counts: tuple[int, int, int, int], rep: np.ndarray,
+           rep_total: float, f1: float, f2: float, g1: float, g2: float,
+           p_plus: float, p_minus: float, dt: float,
+           rng: np.random.Generator) -> tuple[int, int, int, int]:
+    """The count-dependent half of a step; the new counts.
+
+    ``rep`` is the representatives' ladder row and f1, f2 the eigenstates'
+    forward jumps.  Adds the eigenstates' reversed jumps (only where a rate
+    is negative and the target class holds members), checks each class's
+    total against the 0.5 budget in class order, then draws, in class
+    order, each class with members and a non-zero ladder as one
+    multinomial over its zero-padded ladder and the counts at the step
+    start; numpy never reads the last ("no jump") slot.
+    """
+    n0, nph, npl, nmi = counts
+    # PLUS and MINUS: the forward jump, the reversed jumps to PSI0, PSI0_PH
+    # and the other eigenstate, no jump.  A reversed jump takes a member
+    # of the target class to a source class with probability
+    # (N_source / N_target) |gamma| dt <source|C+C|source>
+    plus, minus = (f1, 0.0, 0.0, 0.0, 0.0), (f2, 0.0, 0.0, 0.0, 0.0)
+    plus_total, minus_total = f1, f2
+    if g2 < 0.0 and npl > 0:
+        plus = (f1, (n0 / npl) * (-g2) * dt * p_minus,
+                (nph / npl) * (-g2) * dt * p_minus, (nmi / npl) * (-g2) * dt,
+                0.0)
+        plus_total = math.fsum(plus)
+    if g1 < 0.0 and nmi > 0:
+        minus = (f2, (n0 / nmi) * (-g1) * dt * p_plus,
+                 (nph / nmi) * (-g1) * dt * p_plus, (npl / nmi) * (-g1) * dt,
+                 0.0)
+        minus_total = math.fsum(minus)
+    if rep_total > 0.5 or plus_total > 0.5 or minus_total > 0.5:
+        c, total = next(x for x in ((0, rep_total), (2, plus_total),
+                                    (3, minus_total)) if x[1] > 0.5)
+        raise ProbabilityError(f"total jump probability {total:.3g} > 0.5 "
+                               f"for class {c}; reduce dt")
+
+    new = [n0, nph, npl, nmi]
+    # PSI0 and PSI0_PH: channels 1 and 2 to MINUS and PLUS, channel 3 to
+    # the other phase class
+    if rep_total:
+        if n0:
+            to_minus, to_plus, to_flip, stay = \
+                rng.multinomial(n0, rep).tolist()
+            new[PSI0] -= n0 - stay
+            new[MINUS] += to_minus
+            new[PLUS] += to_plus
+            new[PSI0_PH] += to_flip
+        if nph:
+            to_minus, to_plus, to_flip, stay = \
+                rng.multinomial(nph, rep).tolist()
+            new[PSI0_PH] -= nph - stay
+            new[MINUS] += to_minus
+            new[PLUS] += to_plus
+            new[PSI0] += to_flip
+    if npl and plus_total:
+        forward, to_psi0, to_flip, back, stay = \
+            rng.multinomial(npl, plus).tolist()
+        new[PLUS] -= npl - stay
+        new[MINUS] += forward + back
+        new[PSI0] += to_psi0
+        new[PSI0_PH] += to_flip
+    if nmi and minus_total:
+        forward, to_psi0, to_flip, back, stay = \
+            rng.multinomial(nmi, minus).tolist()
+        new[MINUS] -= nmi - stay
+        new[PLUS] += forward + back
+        new[PSI0] += to_psi0
+        new[PSI0_PH] += to_flip
+    return tuple(new)
 
 
 def step_ensemble(counts: tuple[int, int, int, int], g1: float, g2: float,
@@ -157,44 +260,17 @@ def step_ensemble(counts: tuple[int, int, int, int], g1: float, g2: float,
                   rng: np.random.Generator) -> tuple[int, int, int, int]:
     """One synchronized jump step of the whole ensemble; the new counts.
 
-    Reversed-jump probabilities use the ``counts`` frozen at the step start.
-    Each class with members and a non-zero ladder draws its moves as one
-    multinomial over its zero-padded ladder, whose last slot ("no jump")
-    numpy never reads, in class order.  Survivors' drift is not applied.
+    The step's ladder terms and draws are run_unraveling's: _ladders for
+    this one step, then _jumps.  Reversed-jump probabilities use the
+    ``counts`` frozen at the step start.  Survivors' drift is not applied.
     """
-    if g3 < 0.0:
-        raise StepError(f"gamma3 = {g3!r} < 0: reversed dephasing jumps "
-                        "are outside this scheme")
-    n0, nph, npl, nmi = counts
-    f1 = g1 * dt if g1 > 0.0 else 0.0
-    f2 = g2 * dt if g2 > 0.0 else 0.0
-    rep = (f1 * p_plus, f2 * p_minus, g3 * dt)
-    plus, minus = (f1, 0.0, 0.0, 0.0), (f2, 0.0, 0.0, 0.0)
-    # reversed jumps (negative rates): target class -> source class with
-    # probability (N_source / N_target) |gamma| dt <source|C+C|source>
-    if g2 < 0.0 and npl > 0:
-        plus = (f1, (n0 / npl) * (-g2) * dt * p_minus,
-                (nph / npl) * (-g2) * dt * p_minus, (nmi / npl) * (-g2) * dt)
-    if g1 < 0.0 and nmi > 0:
-        minus = (f2, (n0 / nmi) * (-g1) * dt * p_plus,
-                 (nph / nmi) * (-g1) * dt * p_plus, (npl / nmi) * (-g1) * dt)
-    ladder = (rep, rep, plus, minus)
-    totals = [math.fsum(x) for x in ladder]
-    for c, total in enumerate(totals):
-        if total > 0.5:
-            raise ProbabilityError(
-                f"total jump probability {total:.3g} > 0.5 for class {c}; "
-                "reduce dt")
-
-    new = list(counts)
-    for c, row in enumerate(ladder):
-        if counts[c] == 0 or totals[c] == 0.0:
-            continue
-        moved = rng.multinomial(counts[c], np.array((*row, 0.0))).tolist()
-        new[c] -= counts[c] - moved[-1]
-        for dest, k in zip(_DESTINATIONS[c], moved):
-            new[dest] += k
-    return tuple(new)
+    f1, f2, rep, totals, error = _ladders(
+        *(np.array([x], dtype=float) for x in (g1, g2, g3, p_plus, p_minus)),
+        dt)
+    if error is not None:
+        raise error
+    return _jumps(counts, rep[0], totals[0], f1[0], f2[0], g1, g2, p_plus,
+                  p_minus, dt, rng)
 
 
 # --- driver --------------------------------------------------------------
@@ -237,14 +313,23 @@ class UnravelingResult:
 
     @cached_property
     def snapshots(self) -> list[UnravelingSnapshot]:
-        """The rows as UnravelingSnapshots, built when first read."""
+        """The rows as UnravelingSnapshots, built when first read.  _drift
+        normalized every psi0, so each is built as __init__ builds it,
+        without the norm check again."""
         rows = zip(*(col.tolist() for col in (
             self.steps, self.times, self.counts, self.a_plus, self.a_minus,
             self.se_rho_pp, self.se_re_rho_pm, self.count_diff,
             self.se_count_diff)))
-        return [UnravelingSnapshot(k, t, tuple(c), PureState(ap, am), r, *rest)
-                for r, (k, t, c, ap, am, *rest) in zip(
-                    _states(self.rho_pp, self.rho_mm, self.rho_pm), rows)]
+        snapshots = []
+        new, assign = object.__new__, object.__setattr__
+        for r, (k, t, c, ap, am, *rest) in zip(
+                _states(self.rho_pp, self.rho_mm, self.rho_pm), rows):
+            psi0 = new(PureState)
+            assign(psi0, "a_plus", ap)
+            assign(psi0, "a_minus", am)
+            snapshots.append(
+                UnravelingSnapshot(k, t, tuple(c), psi0, r, *rest))
+        return snapshots
 
 
 def _columns(n: int, rows: list) -> dict[str, np.ndarray]:
@@ -279,19 +364,79 @@ def _columns(n: int, rows: list) -> dict[str, np.ndarray]:
             "se_count_diff": se_cd}
 
 
+def _rows(grid: np.ndarray, table: dict[str, np.ndarray], n_traj: int,
+          dt: float, stride: int, rng: np.random.Generator) -> list:
+    """run_unraveling's recorded (step, counts, a_plus, a_minus) rows."""
+    n_steps = len(grid) - 1
+    g1, g2, g3 = (table[k][:-1] for k in ("gamma1", "gamma2", "gamma3"))
+    # the drift does not depend on the counts: the representative over the
+    # whole grid first, up to the first step whose drift fails
+    s = equal_superposition()
+    ap, am, late = [s.a_plus], [s.a_minus], None
+    try:
+        for budget, grow_p, grow_m in zip(
+                (dt * (np.abs(g1) + np.abs(g2) + 2.0 * np.abs(g3))).tolist(),
+                (1.0 - 0.5 * dt * (g1 + g3)).tolist(),
+                (1.0 - 0.5 * dt * (g2 + g3)).tolist()):
+            a = _drift(ap[-1], am[-1], grow_p, grow_m, budget)
+            ap.append(a[0])
+            am.append(a[1])
+    except StepError as err:
+        late = err
+    stop = len(ap) - 1                          # n_steps if no drift fails
+    reached = min(stop + 1, n_steps)
+    g1, g2, g3 = (g[:reached] for g in (g1, g2, g3))
+    pp, pm = (np.array([abs(x) ** 2 for x in a[:reached]]) for a in (ap, am))
+
+    # then the jumps, a block of steps at a time: the block's count-free
+    # terms, then its steps.  At the first failing step gamma3 < 0 fails
+    # before the jumps, and the drift after them
+    counts = (n_traj, 0, 0, 0)
+    rows = [(0, counts, ap[0], am[0])]
+    try:
+        for lo in range(0, reached, _BLOCK):
+            b = slice(lo, lo + _BLOCK)
+            f1, f2, rep, totals, early = _ladders(g1[b], g2[b], g3[b], pp[b],
+                                                  pm[b], dt)
+            for i, row, total, f1_i, f2_i, r1, r2, pp_i, pm_i in zip(
+                    range(lo, n_steps), rep, totals, f1, f2, g1[b].tolist(),
+                    g2[b].tolist(), pp[b].tolist(), pm[b].tolist()):
+                counts = _jumps(counts, row, total, f1_i, f2_i, r1, r2, pp_i,
+                                pm_i, dt, rng)
+                if i == stop:
+                    raise late
+                if sum(counts) != n_traj or min(counts) < 0:
+                    raise DomainError(
+                        f"counts {counts} do not sum to n={n_traj}")
+                if (i + 1) % stride == 0 or i == n_steps - 1:
+                    rows.append((i + 1, counts, ap[i + 1], am[i + 1]))
+            if early is not None:
+                i = lo + len(totals)
+                raise early
+    except (StepError, ProbabilityError) as err:
+        raise type(err)(f"at t = {grid[i]:.6g}: {err}") from err
+    return rows
+
+
 def run_unraveling(p: SystemParams, n_traj: int, t_max: float, dt: float,
                    seed: int, stride: int = 1) -> UnravelingResult:
     """Evolve an ensemble of n_traj members from the equal superposition.
 
     Rows are recorded at t = 0 and every ``stride`` steps thereafter (the
-    final time is always included).  A step is one step_ensemble call plus
-    the representative's drift: count-level multinomial draws from a
+    final time is always included).  A step is the representative's drift
+    plus step_ensemble's jumps: count-level multinomial draws from a
     single PCG64 stream seeded with ``seed`` modulo 2**64, so a run costs
     the same for any n_traj up to MAX_N_TRAJ = 2**63 - 1 and is
-    bit-identical for a given seed.
+    bit-identical for a given seed.  The drift and the ladder terms that
+    do not depend on the counts are computed for the whole grid (the
+    ladder terms a block of steps at a time) before the draws, so the step
+    loop does only the count-dependent work.
 
     The rates are first checked for a CP map, as in build_kernels.  Errors
-    raised mid-run are re-raised with the failing time attached.
+    raised mid-run are re-raised with the failing time attached; their
+    type, message and time are those of stepping one step at a time: at a
+    step, gamma3 < 0 first, then the jump budgets in class order, then the
+    drift, then the counts.
     """
     n_traj, seed, stride = (integer("n_traj", n_traj), integer("seed", seed),
                             integer("stride", stride))
@@ -300,32 +445,10 @@ def run_unraveling(p: SystemParams, n_traj: int, t_max: float, dt: float,
     if stride < 1:
         raise DomainError("stride must be >= 1")
     grid = uniform_grid(t_max, dt)
-    n_steps = len(grid) - 1
     table = rate_table(p, grid)
     _kernels(grid, table)
     rng = np.random.Generator(np.random.PCG64(seed & _MASK64))
-
-    g1, g2, g3 = (table[k][:-1] for k in ("gamma1", "gamma2", "gamma3"))
-    s = equal_superposition()
-    ap, am, pp, pm = s.a_plus, s.a_minus, s.p_plus, s.p_minus
-    counts = (n_traj, 0, 0, 0)
-    rows = [(0, counts, ap, am)]
-    for i, r1, r2, r3, budget, grow_p, grow_m in zip(
-            range(n_steps), g1.tolist(), g2.tolist(), g3.tolist(),
-            (dt * (np.abs(g1) + np.abs(g2) + 2.0 * np.abs(g3))).tolist(),
-            (1.0 - 0.5 * dt * (g1 + g3)).tolist(),
-            (1.0 - 0.5 * dt * (g2 + g3)).tolist()):
-        try:
-            counts = step_ensemble(counts, r1, r2, r3, pp, pm, dt, rng)
-            ap, am = _drift(ap, am, grow_p, grow_m, budget)
-        except (StepError, ProbabilityError) as err:
-            raise type(err)(f"at t = {grid[i]:.6g}: {err}") from err
-        pp, pm = abs(ap) ** 2, abs(am) ** 2
-        if sum(counts) != n_traj or min(counts) < 0:
-            raise DomainError(f"counts {counts} do not sum to n={n_traj}")
-        if (i + 1) % stride == 0 or i == n_steps - 1:
-            rows.append((i + 1, counts, ap, am))
-    columns = _columns(n_traj, rows)
+    columns = _columns(n_traj, _rows(grid, table, n_traj, dt, stride, rng))
     return UnravelingResult(n_traj=n_traj, times=grid[columns["steps"]],
                             **columns)
 

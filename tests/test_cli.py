@@ -246,6 +246,13 @@ UNRAVEL_GOLDEN_SHA256 = {
     # counts beyond 2**53: fractions from Python's exact int division
     ("--n-traj", str(2 ** 63 - 1), "--t-max", "0.5", "--stride", "7"):
         "3cc21a2d6d568e45fa2ef70cddf6c6f3435924ffd0a9dc041e26147f8228e6d5",
+    # no bias: gamma3 = 0, so the representatives' ladder keeps a zero
+    # slot and PSI0_PH never fills
+    ("--epsilon-over-delta", "0", "--n-traj", "1000000", "--stride", "10"):
+        "d14bb22efc5a5524b39915e87da4a1e1d9646eb9d1cb4b26945b6c647a5ea32e",
+    # the benchmark's unravel config
+    ("--n-traj", "100000", "--stride", "50"):
+        "f32cc6bdfca954c34aadccaf49abe2ffbc287419e5b46d966971276657fc00a5",
 }
 
 

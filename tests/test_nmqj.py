@@ -156,9 +156,9 @@ def test_ensemble_state_validation(monkeypatch):
     assert first.counts == (400, 0, 0, 0) and r.n_traj == 400
     assert first.psi0.a_plus == equal_superposition().a_plus
     assert r.counts.sum(axis=1).tolist() == [400] * len(r.steps)
-    # the driver checks every step's counts
+    # the driver checks every step's counts after its jumps
     for bad in ((5, 0, 0, 0), (101, -1, 0, 0)):
-        monkeypatch.setattr(nmqj, "step_ensemble", lambda *args, c=bad: c)
+        monkeypatch.setattr(nmqj, "_jumps", lambda *args, c=bad: c)
         with pytest.raises(DomainError, match="do not sum to n=100"):
             run_unraveling(fig_params(), 100, 0.01, 1e-3, seed=1)
 
@@ -358,20 +358,31 @@ def test_run_snapshot_schedule():
         r.snapshots[5]
 
 
-def test_run_drift_matches_deterministic_step():
-    # the driver's inline drift is deterministic_step's arithmetic: the
-    # recorded amplitudes equal iterating it over the rate table
-    p = fig_params(alpha=0.05)
-    r = run_unraveling(p, 1000, 1.0, 1e-3, seed=4, stride=1)
+def test_run_drift_matches_deterministic_step(monkeypatch):
+    # the driver's drift pass is deterministic_step's arithmetic, and its
+    # block-wise jump loop draws what step_ensemble draws one step at a
+    # time from the same stream: the recorded amplitudes and counts equal
+    # iterating both over the rate table, across block boundaries and the
+    # reversed jumps of the negative-rate windows
+    monkeypatch.setattr(nmqj, "_BLOCK", 7, raising=False)
+    p = SystemParams.from_ratios(0.3, 10.0, 0.05)
+    r = run_unraveling(p, 100_000, 1.0, 1e-3, seed=4, stride=1)
     grid = uniform_grid(1.0, 1e-3)
     table = rate_table(p, grid)
-    s = equal_superposition()
+    rng = np.random.Generator(np.random.PCG64(4))
+    s, counts, reversed_jumps = equal_superposition(), (100_000, 0, 0, 0), 0
     assert (r.a_plus[0], r.a_minus[0]) == (s.a_plus, s.a_minus)
     for i in range(len(grid) - 1):
-        s = deterministic_step(s, RateSet(
-            t=float(grid[i]), **{k: float(v[i]) for k, v in table.items()}),
-            1e-3)
+        rates = RateSet(t=float(grid[i]),
+                        **{k: float(v[i]) for k, v in table.items()})
+        reversed_jumps += (rates.gamma1 < 0.0 and counts[3] > 0) \
+            + (rates.gamma2 < 0.0 and counts[2] > 0)
+        counts = step_ensemble(counts, rates.gamma1, rates.gamma2,
+                               rates.gamma3, s.p_plus, s.p_minus, 1e-3, rng)
+        s = deterministic_step(s, rates, 1e-3)
         assert (r.a_plus[i + 1], r.a_minus[i + 1]) == (s.a_plus, s.a_minus)
+        assert tuple(r.counts[i + 1].tolist()) == counts
+    assert reversed_jumps > 100
 
 
 def test_run_nan_rate_stops_the_drift(monkeypatch):
@@ -440,6 +451,53 @@ def test_run_attaches_failure_time():
         run_unraveling(p, 100, 2.0, 0.25, seed=1)
 
 
+def rig_rates(monkeypatch, gamma1=(), gamma2=(), gamma3=()):
+    """Make run_unraveling step on the given channel rates, one per step
+    from t = 0 and zero after the last, past the table's CP check."""
+    def table(p, grid):
+        rates = {}
+        for name, values in (("gamma1", gamma1), ("gamma2", gamma2),
+                             ("gamma3", gamma3)):
+            rates[name] = np.zeros(len(grid))
+            rates[name][:len(values)] = values
+        return rates
+    monkeypatch.setattr(nmqj, "rate_table", table)
+    monkeypatch.setattr(nmqj, "_kernels", lambda grid, table: None)
+
+
+@pytest.mark.parametrize("block", [1, 3, 1024])
+def test_run_error_order_within_a_step(monkeypatch, block):
+    # step 0's channel 2 moves ~250 of 10,000 members to PLUS; gamma2 < 0
+    # at step 5 then restores them with (N0/N_PLUS) |gamma2| dt p- > 0.5.
+    # The order holds whatever the driver's block of count-free terms
+    monkeypatch.setattr(nmqj, "_BLOCK", block, raising=False)
+
+    def run():
+        return run_unraveling(fig_params(), 10_000, 0.01, 1e-3, seed=1)
+
+    budget = r"^at t = 0\.005: total jump probability \S+ > 0\.5 for " \
+        r"class 2; reduce dt$"
+    # the ladder's budget fails before the drift's dt check at one step
+    rig_rates(monkeypatch, gamma2=(50.0, 0.0, 0.0, 0.0, 0.0, -500.0))
+    with pytest.raises(ProbabilityError, match=budget):
+        run()
+    # a drift failure at a later step never pre-empts it
+    late_drift = (0.0,) * 7 + (200.0,)
+    rig_rates(monkeypatch, gamma1=late_drift,
+              gamma2=(50.0, 0.0, 0.0, 0.0, 0.0, -90.0))
+    with pytest.raises(ProbabilityError, match=budget):
+        run()
+    # without the ladder failure the drift fails at its own step ...
+    rig_rates(monkeypatch, gamma1=late_drift, gamma2=(50.0,))
+    with pytest.raises(StepError, match=r"^at t = 0\.007: dt too large: "):
+        run()
+    # ... after that step's gamma3 < 0 check
+    rig_rates(monkeypatch, gamma1=late_drift, gamma3=(0.0,) * 7 + (-1.0,))
+    with pytest.raises(StepError,
+                       match=r"^at t = 0\.007: gamma3 = -1\.0 < 0: "):
+        run()
+
+
 def test_run_unnormalized_drift_fails_the_trace_check(monkeypatch):
     # the recorded rows' trace is checked to 1e-12 after the loop, so a
     # drift that loses the representative's norm still ends the run
@@ -450,8 +508,8 @@ def test_run_unnormalized_drift_fails_the_trace_check(monkeypatch):
 
 
 def test_run_snapshots_equal_constructed_states(monkeypatch):
-    # reading .snapshots runs one _check_states over all rows and never
-    # DensityMatrix's own check
+    # reading .snapshots runs one _check_states over all rows and neither
+    # DensityMatrix's nor PureState's own check
     r = run_unraveling(fig_params(alpha=0.05), 1000, 1.0, 1e-3, seed=3,
                        stride=10)
     check, calls = dynamics._check_states, []
@@ -463,16 +521,24 @@ def test_run_snapshots_equal_constructed_states(monkeypatch):
     monkeypatch.setattr(dynamics, "_check_states", counting_check)
     monkeypatch.setattr(DensityMatrix, "__post_init__",
                         lambda self: calls.append("post_init"))
+    monkeypatch.setattr(PureState, "__post_init__",
+                        lambda self: calls.append("pure_post_init"))
     assert len(r.snapshots) == 101 and calls == ["check"]
     monkeypatch.undo()
-    for s, pp, mm, pm in zip(r.snapshots, r.rho_pp.tolist(),
-                             r.rho_mm.tolist(), r.rho_pm.tolist()):
+    for s, pp, mm, pm, ap, am in zip(
+            r.snapshots, r.rho_pp.tolist(), r.rho_mm.tolist(),
+            r.rho_pm.tolist(), r.a_plus.tolist(), r.a_minus.tolist()):
         again = DensityMatrix(rho_pp=pp, rho_mm=mm, rho_pm=pm)
         assert s.rho == again and vars(s.rho) == vars(again)
         assert (type(s.rho.rho_pp), type(s.rho.rho_mm),
                 type(s.rho.rho_pm)) == (float, float, complex)
+        psi = PureState(ap, am)
+        assert s.psi0 == psi and vars(s.psi0) == vars(psi)
+        assert (type(s.psi0.a_plus), type(s.psi0.a_minus)) == (float, float)
     with pytest.raises(AttributeError):
         r.snapshots[1].rho.rho_pp = 0.5                 # still frozen
+    with pytest.raises(AttributeError):
+        r.snapshots[1].psi0.a_plus = 0.5
 
 
 def test_run_count_difference_series_matches_snapshots():
