@@ -258,14 +258,18 @@ def cmd_recoherence_map(cfg: RunConfig):
     ratios = np.arange(n_r + 1) * RATIO_GRID_STEP
     mask = recoherence_mask(p, grid, ratios)
     idx = _strided(len(grid), cfg.emit_stride)
-    # each time prefix and each ratio is formatted once, not once per row
-    times = [f"{_fmt(t)},{_fmt(w)}," for t, w in
-             zip(grid[idx].tolist(), (p.omega0 * grid)[idx].tolist())]
+    # each time prefix and each ratio is formatted once, not once per row:
+    # a ratio's rows are the prefixes interleaved with its two row ends
+    parts = np.empty(2 * len(idx), dtype=object)
+    parts[0::2] = [f"{_fmt(t)},{_fmt(w)}," for t, w in
+                   zip(grid[idx].tolist(), (p.omega0 * grid)[idx].tolist())]
+    ends = parts[1::2]
     yield "t,omega0_t,eps_over_delta,in_region\n"
     for r, row in zip(ratios.tolist(), mask):
         label = f"{_fmt(r)},"
-        yield "".join([f"{pre}{label}{m:d}\n"
-                       for pre, m in zip(times, row[idx].tolist())])
+        ends[...] = label + "0\n"
+        ends[row[idx]] = label + "1\n"
+        yield "".join(parts.tolist())
 
 
 def cmd_blp(cfg: RunConfig):

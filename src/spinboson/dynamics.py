@@ -164,8 +164,15 @@ def _kernels(grid: np.ndarray, r: dict[str, np.ndarray]) -> KernelTable:
     zeta = _cumulative_simpson(_zeta_rate(r), grid)
     if np.max(np.abs(eta)) > _KERNEL_EXP_LIMIT or \
             np.max(np.abs(zeta)) > _KERNEL_EXP_LIMIT:
-        raise ToleranceError("kernel exponent exceeds double-precision range; "
-                             "reduce t_max or the coupling")
+        # the exponent that passes the limit first, eta on a tie
+        i, name, a = min(
+            (int(np.argmax(np.abs(a) > _KERNEL_EXP_LIMIT)), name, a)
+            for name, a in (("eta", eta), ("zeta", zeta))
+            if np.max(np.abs(a)) > _KERNEL_EXP_LIMIT)
+        raise ToleranceError(
+            f"kernel exponent exceeds double-precision range: |{name}| "
+            f"first exceeds {_KERNEL_EXP_LIMIT:g} at t={float(grid[i])}, "
+            f"where {name} = {a[i]:.3e}; reduce t_max or the coupling")
     exp_minus_eta = np.exp(-eta)
     f = exp_minus_eta * _cumulative_simpson(r["gamma2"] * np.exp(eta), grid)
     g = f + exp_minus_eta
@@ -205,10 +212,7 @@ _IDENTITY4 = np.eye(4)
 #: RK4 steps of a chain whose propagators are built and multiplied
 #: together: a block's scan costs about 2 of it 4x4 matmuls in 2 log2 of
 #: it numpy calls, and the block bounds the (block, 4, 4) temporaries
-#: (130 KB each at 1,024).  One 25,000-step _rk4_chain, best of 9 on a
-#: shared 2-vCPU Xeon: 26 ms at 128 steps, 21 at 256, 16 at 512, 14-15 at
-#: 1,024, 16 at 2,048 and 4,096; the Hillis-Steele scan it replaced
-#: (log2 of it matmuls per step) took 25 ms at 128 and 22 at 1,024
+#: (130 KB each at 1,024), the fastest block for a 25,000-step chain
 _ODE_BLOCK_STEPS = 1024
 
 
@@ -368,9 +372,7 @@ def pair_directions(n: int) -> np.ndarray:
     return np.vstack([axes, pts])
 
 
-#: pairs per np.gradient call in blp_measure, 0.4 MB of rows at t_max 50
-#: (all 64 add ~45 MB to the peak; at 4 pairs glibc's malloc trimmed and
-#: re-faulted each block's temporaries, 32,000 page faults per blp, not 500)
+#: pairs per block of _backflow: 2 rows, into buffers allocated once per table
 PAIR_BLOCK = 2
 
 
@@ -409,17 +411,47 @@ def blp_sweep(p: SystemParams, t_max: float, ratios):
 
 
 def _backflow(k: KernelTable) -> float:
-    """blp_measure's backflow on kernel table k.  The pairs go through
-    np.gradient and np.trapezoid PAIR_BLOCK rows at a time, so those work
-    out their grid coefficients once per block rather than once per pair,
-    while a block's rows stay under a megabyte.
+    """blp_measure's backflow on kernel table k: the pairs PAIR_BLOCK rows
+    at a time through np.gradient's formulas (first-order edges) and
+    np.trapezoid's, in numpy's operation order, so bit for bit those two
+    calls.  The grid terms, np.gradient's spacing test and its a, b, c
+    coefficients among them, are worked out once per table.
     """
     pop, coh = np.exp(-2.0 * k.eta), np.exp(-2.0 * k.zeta)
+    dx = np.diff(k.grid)
+    uniform = (dx == dx[0]).all()       # np.gradient's scalar-step branch
+    dx1, dx2 = dx[:-1], dx[1:]
+    a, b, c = (-dx2 / (dx1 * (dx1 + dx2)), (dx2 - dx1) / (dx1 * dx2),
+               dx1 / (dx2 * (dx1 + dx2)))
     pairs = pair_directions(64)
+    dist_buf, sigma_buf = np.empty((2, PAIR_BLOCK, len(dx) + 1))
+    trap_buf = np.empty((PAIR_BLOCK, len(dx)))
     best = 0.0
     for i in range(0, len(pairs), PAIR_BLOCK):
         nx, ny, nz = pairs[i:i + PAIR_BLOCK].T[:, :, None]
-        dist = np.sqrt(nz * nz * pop + (nx * nx + ny * ny) * coh)
-        sigma = np.maximum(np.gradient(dist, k.grid, axis=1), 0.0)
-        best = max(best, float(np.trapezoid(sigma, k.grid, axis=1).max()))
+        dist, sigma, trap = (dist_buf[:len(nx)], sigma_buf[:len(nx)],
+                             trap_buf[:len(nx)])
+        np.multiply(nz * nz, pop, out=dist)
+        np.multiply(nx * nx + ny * ny, coh, out=sigma)
+        np.add(dist, sigma, out=dist)
+        np.sqrt(dist, out=dist)
+        inner, term = sigma[:, 1:-1], trap[:, 1:]
+        if uniform:
+            np.subtract(dist[:, 2:], dist[:, :-2], out=inner)
+            np.divide(inner, 2. * dx[0], out=inner)
+        else:
+            np.multiply(a, dist[:, :-2], out=inner)
+            np.multiply(b, dist[:, 1:-1], out=term)
+            np.add(inner, term, out=inner)
+            np.multiply(c, dist[:, 2:], out=term)
+            np.add(inner, term, out=inner)
+        np.subtract(dist[:, 1], dist[:, 0], out=sigma[:, 0])
+        np.divide(sigma[:, 0], dx[0], out=sigma[:, 0])
+        np.subtract(dist[:, -1], dist[:, -2], out=sigma[:, -1])
+        np.divide(sigma[:, -1], dx[-1], out=sigma[:, -1])
+        np.maximum(sigma, 0.0, out=sigma)
+        np.add(sigma[:, 1:], sigma[:, :-1], out=trap)
+        np.multiply(dx, trap, out=trap)
+        np.divide(trap, 2.0, out=trap)
+        best = max(best, float(trap.sum(1).max()))
     return best

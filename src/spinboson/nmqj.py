@@ -44,6 +44,7 @@ count difference is the direct Monte Carlo witness of recoherence.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import cached_property
 from dataclasses import dataclass, field
@@ -337,7 +338,8 @@ def _columns(n: int, rows: list) -> dict[str, np.ndarray]:
     rho = sum of (N_c/N) |phi_c><phi_c| and the plug-in standard errors in
     the scalar formulas' IEEE operations; raises DensityMatrix's errors."""
     steps, counts, ap, am = zip(*rows)
-    counts = np.array(counts, dtype=np.int64)
+    counts = np.fromiter(itertools.chain.from_iterable(counts), np.int64,
+                         count=4 * len(counts)).reshape(-1, 4)
     # c / n as Python divides ints; int64 / int rounds both above 2**53
     q = counts / n if n <= 2 ** 53 else \
         np.reshape([c / n for c in counts.ravel().tolist()], counts.shape)

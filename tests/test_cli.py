@@ -513,6 +513,23 @@ def test_blp_grid_beyond_the_cap_is_config_error(capsys):
                                    "exceeds the grid cap of 10000000 points\n")
 
 
+@pytest.mark.parametrize("args,named", [
+    (["--alpha", "1e300"], "|eta| first exceeds 600 at t=0.001, where eta = "),
+    (["--alpha", "1e3", "--epsilon-over-delta", "2"],
+     "|zeta| first exceeds 600 at t=4.36, where zeta = 6.001e+02;")],
+    ids=["eta", "zeta"])
+def test_kernel_exponent_error_names_its_exponent_and_time(tmp_path, capsys,
+                                                           args, named):
+    out = tmp_path / "e.csv"
+    assert main(["evolve", *args, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: kernel exponent exceeds "
+                          "double-precision range: ")
+    assert named in err
+    assert err.endswith("; reduce t_max or the coupling\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,value", [("--n-traj", "1e3"),
                                         ("--seed", "nan"),
                                         ("--alpha", "abc"),

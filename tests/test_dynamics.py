@@ -720,7 +720,13 @@ def test_blp_sweep_yields_each_row_before_the_next_fails():
 
 def blp_gradient_trapezoid(p: SystemParams, t_max: float) -> float:
     """blp_measure's pair loop as np.gradient and np.trapezoid calls."""
-    k = build_kernels(p, t_max, t_max / max(2, round(t_max / 0.002)))
+    return gradient_trapezoid_backflow(
+        build_kernels(p, t_max, t_max / max(2, round(t_max / 0.002))))
+
+
+def gradient_trapezoid_backflow(k: dynamics.KernelTable) -> float:
+    """The backflow on kernel table k, one np.gradient and one
+    np.trapezoid call per pair."""
     pop, coh = np.exp(-2.0 * k.eta), np.exp(-2.0 * k.zeta)
     best = 0.0
     for nx, ny, nz in pair_directions(64):
@@ -753,6 +759,24 @@ def test_blp_loop_is_numpy_gradient_and_trapezoid_bit_for_bit(ratio, omega0,
         dx = np.diff(uniform_grid(t_max, dynamics._blp_step(t_max)))
         uniform.append(bool((dx == dx[0]).all()))
     assert uniform == [True, True, False, False, True, True, False, False]
+
+
+@pytest.mark.parametrize("omega0,alpha", [(10.0, 0.01), (10.0, 0.05),
+                                          (150.0, 0.01)])
+@pytest.mark.parametrize("t_max,uniform", [(50.0, False),
+                                           (13 * EXACT_STEP, True)])
+def test_blp_sweep_is_numpy_gradient_and_trapezoid_bit_for_bit(
+        omega0, alpha, t_max, uniform):
+    # each row against the loop on that row's kernels
+    p = SystemParams.from_ratios(0.0, omega0, alpha)
+    grid = uniform_grid(t_max, dynamics._blp_step(t_max))
+    dx = np.diff(grid)
+    assert bool((dx == dx[0]).all()) == uniform
+    rows = blp_sweep(p, t_max, BLP_RATIOS)
+    for rates, row in zip(dynamics._bias_sweep(p, grid, BLP_RATIOS), rows,
+                          strict=True):
+        assert row == gradient_trapezoid_backflow(
+            dynamics._kernels(grid, rates))
 
 
 def blp_reference(p: SystemParams, t_max: float) -> float:

@@ -62,3 +62,39 @@ def test_import_leaves_out_scipy_integrate(tmp_path):
     expected = spinboson.rates_quadrature(
         spinboson.SystemParams.from_ratios(0.3, 10.0, 0.01), 10.0, 2.5)
     assert report["value"] == expected
+
+
+SAMPLE_MODULE = '''"""Module docstring,
+over two lines."""
+
+import math  # a trailing comment keeps the line
+
+
+# a comment line
+def area(r):
+    """One docstring line."""
+    text = """a string that is
+not a docstring"""
+    return (math.pi
+            * r * r)
+'''
+
+
+def test_code_lines_tool_counts_code_only(tmp_path):
+    root = pathlib.Path(spinboson.__file__).resolve().parents[2]
+    sample = tmp_path / "sample.py"
+    sample.write_text(SAMPLE_MODULE)
+    proc = subprocess.run(
+        [sys.executable, str(root / "tools" / "code_lines.py"), str(sample)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["6", "13", "total"]
+    # the package: fewer code lines than wc -l counts
+    proc = subprocess.run(
+        [sys.executable, str(root / "tools" / "code_lines.py")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, total, _ = proc.stdout.splitlines()[-1].split()
+    wc = sum(len(p.read_bytes().splitlines())
+             for p in (root / "src" / "spinboson").glob("*.py"))
+    assert 0 < int(code) < int(total) == wc
