@@ -276,12 +276,8 @@ def cmd_blp(cfg: RunConfig):
     """blp_measure and its BLP_RATIOS table, seven lines.  Ignores dt,
     emit_stride and output_path (blp_measure picks its own step), but
     RunConfig still requires dt to divide t_max.
-
-    The ratio rows come from blp_sweep, which evaluates E1 once for all
-    four; each row is yielded before the next is computed.
     """
-    p = cfg.system_params()
-    measure = blp_measure(p, cfg.t_max)
+    measure = blp_measure(cfg.system_params(), cfg.t_max)
     yield (f"blp_measure = {_fmt(measure)}  "
            f"(epsilon/delta = {_fmt(cfg.epsilon_over_delta)}, "
            f"omega0/omega_c = {_fmt(cfg.omega0_over_omegac)}, "

@@ -41,9 +41,8 @@ _KERNEL_EXP_LIMIT = 600.0
 class DensityMatrix:
     """Two-level density matrix in the energy eigenbasis {psi_+, psi_-}.
 
-    Stores the upper population, lower population, and the upper-right
-    coherence; the lower-left coherence is implied by Hermiticity.  A unit
-    trace and rho_pp rho_mm - |rho_pm|^2 >= -1e-10 make it a state.
+    Stores the populations and the upper-right coherence (the lower-left
+    is its conjugate); _check_states holds the rule that makes it a state.
     """
 
     rho_pp: float
@@ -209,10 +208,8 @@ _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 _IDENTITY2 = np.eye(2)
 _IDENTITY4 = np.eye(4)
 
-#: RK4 steps of a chain whose propagators are built and multiplied
-#: together: a block's scan costs about 2 of it 4x4 matmuls in 2 log2 of
-#: it numpy calls, and the block bounds the (block, 4, 4) temporaries
-#: (130 KB each at 1,024), the fastest block for a 25,000-step chain
+#: RK4 steps per block of a chain, whose scan costs about two 4x4 matmuls
+#: a step in 2 log2(block) numpy calls; the block bounds the temporaries
 _ODE_BLOCK_STEPS = 1024
 
 
@@ -288,10 +285,8 @@ def _rk4_chain(coeffs: np.ndarray, h: float, v: np.ndarray) -> None:
     leaves at index i the product of the 2d steps that end there, for
     every i + 1 a multiple of 2d, and the down-sweep completes the other
     prefixes from those, about 2 combines per step in all.  A scan of the
-    plain P rounds the small increments against I at every level: at the
-    figure parameters, on ode_oracle's chains, its trace drifts past
-    1e-12 at t = 319, where applying the P one by one drifts 7e-14 by
-    t = 1000 and this form 1.1e-15.
+    plain P rounds the small increments against I at every level, which
+    drifts the trace (README gives the figures).
     """
     n = len(v) - 1
     for start in range(0, n, _ODE_BLOCK_STEPS):
@@ -340,8 +335,7 @@ def recoherence_mask(p: SystemParams, tgrid: np.ndarray,
 
     Entry (i, j) is True where d zeta/dt < 0 at ratio r_i and time t_j,
     i.e. where the coherence magnitude |rho_pm| grows for any initial
-    state with nonzero coherence.  omega0 is held at p.omega0 for every
-    row: the rows are _bias_sweep's, so E1 is evaluated once.
+    state with nonzero coherence.  The rows are _bias_sweep's.
     """
     mask = np.empty((len(ratios), len(tgrid)), dtype=bool)
     for i, r in enumerate(_bias_sweep(p, tgrid, ratios)):
@@ -401,9 +395,9 @@ def blp_measure(p: SystemParams, t_max: float) -> float:
 
 
 def blp_sweep(p: SystemParams, t_max: float, ratios):
-    """Yield blp_measure at each epsilon/delta in ratios (see _bias_sweep):
-    one rate_table serves every row, each row's kernels pass build_kernels'
-    complete-positivity check, and a row is computed when it is asked for.
+    """Yield blp_measure at each epsilon/delta in ratios, on _bias_sweep's
+    rows: each row's kernels pass build_kernels' complete-positivity check,
+    and a row is computed when it is asked for.
     """
     grid = uniform_grid(t_max, _blp_step(t_max))
     for r in _bias_sweep(p, grid, ratios):

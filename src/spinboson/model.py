@@ -95,8 +95,8 @@ class SystemParams:
                     alpha: float) -> "SystemParams":
         """Build params from the ratio parametrization used by the figures.
 
-        epsilon and delta are chosen so that omega0 = omega0_over_omegac
-        exactly while epsilon/delta matches the requested ratio.
+        epsilon/delta is the requested ratio, and omega0 is
+        omega0_over_omegac exactly at ratio 0, else within 2 ulps.
         """
         if not 0.0 <= epsilon_over_delta < math.inf:
             raise DomainError(
@@ -195,12 +195,9 @@ def _channel_weights(p: SystemParams) -> tuple[float, float, float]:
 
 def channel_rates(p: SystemParams, bare: dict[str, np.ndarray]
                   ) -> dict[str, np.ndarray]:
-    """The rate table of p from bare rates gamma_plus/minus/zero.
-
-    gamma1, gamma2 = delta^2/(4 omega0^2) * (gamma_plus, gamma_minus) and
-    gamma3 = epsilon^2/(4 omega0^2) * gamma_zero.  The bare rates depend on
-    omega0 and alpha only, so one rate_table's bare columns serve every
-    epsilon/delta at that omega0.
+    """The rate table of p from bare rates gamma_plus/minus/zero, weighted
+    by _channel_weights.  The bare rates depend on omega0 and alpha only,
+    so one table's bare columns serve every epsilon/delta at that omega0.
     """
     w1, w2, w3 = _channel_weights(p)
     gp, gm, g0 = bare["gamma_plus"], bare["gamma_minus"], bare["gamma_zero"]
@@ -264,15 +261,12 @@ def rates_quadrature(p: SystemParams, omega: float, t: float) -> float:
     over the geometric pieces 0, 1, 2, 4, ..., t.  Each piece spans at
     most a factor two in t', so the rational factor stays smooth on it
     however many periods it holds; one weighted call over [0, t] loses
-    the tail at large t (at t = 1e9 it returns 3.9e-11 for a rate of
-    1.4e-5 with a passing error estimate).  At omega = 0 the sin part is
-    identically zero and is not integrated; each cos call keeps the
-    tolerance it has at omega != 0, so the value is the same to the bit.
+    the tail at large t.
 
     This routine is deliberately independent of the closed-form path (no
     shared special functions) so the two can validate each other.  It is
     the only user of ``scipy.integrate``, which it imports on its first
-    call in a process (~0.4 s) so that importing the package does not.
+    call in a process so that importing the package does not.
 
     Raises
     ------
@@ -376,7 +370,7 @@ def sign_changes(p: SystemParams, channel: int, t_max: float) -> list[float]:
         return []
     f_lo, f_hi = f[:-1], f[1:]
     exact = t[:-1][f_lo == 0.0]
-    bracket = f_lo * f_hi < 0.0
+    bracket = np.sign(f_lo) * np.sign(f_hi) < 0.0
     lo, hi = t[:-1][bracket], t[1:][bracket]
     sign_lo = np.copysign(1.0, f_lo[bracket])
     # a bracket is at most step wide: these halvings bring it below 1e-8

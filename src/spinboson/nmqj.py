@@ -27,15 +27,6 @@ whatever the ensemble size.  A run draws from one PCG64 stream seeded
 with the seed reduced modulo 2**64; results are bit-identical for a given
 seed.
 
-The representative's drift does not depend on the counts, and neither do
-the ladder terms that involve only the rates and the drift, so the driver
-computes both for the whole grid before the draws: the drift in one pass
-on plain floats, the ladder terms a block of steps at a time.  Its step loop keeps only the count-dependent work: the
-reversed-jump terms, the budget checks, the draws and the count check.
-A failure's type, message and time are those of stepping one step at a
-time.  The driver records counts and amplitudes; the estimators of the
-recorded rows are computed after it.
-
 The coherence estimator is carried by the count difference between the
 representative class and its phase-flipped class: rho_pm estimated from
 the ensemble is (N0 - N0_PH)/N times a+ conj(a-), so the normalized
@@ -130,6 +121,12 @@ def equal_superposition() -> PureState:
     return PureState(r, r)
 
 
+def _drift_terms(g1, g2, g3, dt):
+    """The drift's growth factors of a+ and a- and its budget, elementwise."""
+    return (1.0 - 0.5 * dt * (g1 + g3), 1.0 - 0.5 * dt * (g2 + g3),
+            dt * (abs(g1) + abs(g2) + 2.0 * abs(g3)))
+
+
 def _drift(a_plus, a_minus, grow_plus, grow_minus, budget):
     """deterministic_step on bare amplitudes and precomputed factors."""
     if budget > STEP_PROBABILITY_BOUND:
@@ -150,10 +147,8 @@ def deterministic_step(s: PureState, rates: RateSet, dt: float) -> PureState:
     scheme) and renormalizes.  The drift is diagonal: |psi_+> decays with
     gamma1 + gamma3 and |psi_-> with gamma2 + gamma3.
     """
-    g1, g2, g3 = rates.gamma1, rates.gamma2, rates.gamma3
-    return PureState(*_drift(s.a_plus, s.a_minus, 1.0 - 0.5 * dt * (g1 + g3),
-                             1.0 - 0.5 * dt * (g2 + g3),
-                             dt * (abs(g1) + abs(g2) + 2.0 * abs(g3))))
+    return PureState(*_drift(s.a_plus, s.a_minus, *_drift_terms(
+        rates.gamma1, rates.gamma2, rates.gamma3, dt)))
 
 
 # --- ensemble step -------------------------------------------------------
@@ -262,8 +257,7 @@ def step_ensemble(counts: tuple[int, int, int, int], g1: float, g2: float,
     """One synchronized jump step of the whole ensemble; the new counts.
 
     The step's ladder terms and draws are run_unraveling's: _ladders for
-    this one step, then _jumps.  Reversed-jump probabilities use the
-    ``counts`` frozen at the step start.  Survivors' drift is not applied.
+    this one step, then _jumps.  Survivors' drift is not applied.
     """
     f1, f2, rep, totals, error = _ladders(
         *(np.array([x], dtype=float) for x in (g1, g2, g3, p_plus, p_minus)),
@@ -371,15 +365,11 @@ def _rows(grid: np.ndarray, table: dict[str, np.ndarray], n_traj: int,
     """run_unraveling's recorded (step, counts, a_plus, a_minus) rows."""
     n_steps = len(grid) - 1
     g1, g2, g3 = (table[k][:-1] for k in ("gamma1", "gamma2", "gamma3"))
-    # the drift does not depend on the counts: the representative over the
-    # whole grid first, up to the first step whose drift fails
     s = equal_superposition()
     ap, am, late = [s.a_plus], [s.a_minus], None
     try:
-        for budget, grow_p, grow_m in zip(
-                (dt * (np.abs(g1) + np.abs(g2) + 2.0 * np.abs(g3))).tolist(),
-                (1.0 - 0.5 * dt * (g1 + g3)).tolist(),
-                (1.0 - 0.5 * dt * (g2 + g3)).tolist()):
+        for grow_p, grow_m, budget in zip(
+                *(x.tolist() for x in _drift_terms(g1, g2, g3, dt))):
             a = _drift(ap[-1], am[-1], grow_p, grow_m, budget)
             ap.append(a[0])
             am.append(a[1])
@@ -390,9 +380,6 @@ def _rows(grid: np.ndarray, table: dict[str, np.ndarray], n_traj: int,
     g1, g2, g3 = (g[:reached] for g in (g1, g2, g3))
     pp, pm = (np.array([abs(x) ** 2 for x in a[:reached]]) for a in (ap, am))
 
-    # then the jumps, a block of steps at a time: the block's count-free
-    # terms, then its steps.  At the first failing step gamma3 < 0 fails
-    # before the jumps, and the drift after them
     counts = (n_traj, 0, 0, 0)
     rows = [(0, counts, ap[0], am[0])]
     try:
@@ -425,20 +412,14 @@ def run_unraveling(p: SystemParams, n_traj: int, t_max: float, dt: float,
     """Evolve an ensemble of n_traj members from the equal superposition.
 
     Rows are recorded at t = 0 and every ``stride`` steps thereafter (the
-    final time is always included).  A step is the representative's drift
-    plus step_ensemble's jumps: count-level multinomial draws from a
-    single PCG64 stream seeded with ``seed`` modulo 2**64, so a run costs
-    the same for any n_traj up to MAX_N_TRAJ = 2**63 - 1 and is
-    bit-identical for a given seed.  The drift and the ladder terms that
-    do not depend on the counts are computed for the whole grid (the
-    ladder terms a block of steps at a time) before the draws, so the step
-    loop does only the count-dependent work.
-
-    The rates are first checked for a CP map, as in build_kernels.  Errors
-    raised mid-run are re-raised with the failing time attached; their
-    type, message and time are those of stepping one step at a time: at a
-    step, gamma3 < 0 first, then the jump budgets in class order, then the
-    drift, then the counts.
+    final time is always included).  The rates are first checked for a CP
+    map, as in build_kernels.  A step is the representative's drift plus
+    step_ensemble's jumps; the drift and the count-free ladder terms are
+    computed before the draws, so the step loop does only the
+    count-dependent work.  Errors raised mid-run are re-raised with the
+    failing time attached; their type, message and time are those of
+    stepping one step at a time: at a step, gamma3 < 0 first, then the
+    jump budgets in class order, then the drift, then the counts.
     """
     n_traj, seed, stride = (integer("n_traj", n_traj), integer("seed", seed),
                             integer("stride", stride))

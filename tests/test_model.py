@@ -37,6 +37,17 @@ def test_from_ratios_reconstructs_both_ratios():
     assert p.epsilon / p.delta == pytest.approx(FIG_RATIO, rel=1e-14)
 
 
+@pytest.mark.filterwarnings("ignore:omega0/omega_c")
+def test_from_ratios_omega0_within_two_ulps():
+    # exact at ratio 0, where _bias_sweep and cmd_blp build their rows;
+    # within the 2 ulps that __post_init__'s cap allows for elsewhere
+    for omega0 in (0.5, 2.0, 10.0, 150.0, 300.0):
+        assert SystemParams.from_ratios(0.0, omega0, 0.01).omega0 == omega0
+        for ratio in np.linspace(0.0, 3.0, 301).tolist():
+            got = SystemParams.from_ratios(ratio, omega0, 0.01).omega0
+            assert abs(got - omega0) <= 2 * math.ulp(omega0)
+
+
 def test_parameter_validation():
     with pytest.raises(DomainError):
         SystemParams(epsilon=0.1, delta=0.0, alpha=0.01)
@@ -369,6 +380,20 @@ def test_sign_changes_figure_crossings_pinned():
     for channel in (1, 2):
         assert sign_changes(fig_params(), channel, 50.0) == \
             expected[f"gamma{channel}"]
+
+
+@pytest.mark.filterwarnings("ignore:omega0/omega_c")
+@pytest.mark.parametrize("omega0", [0.5, 2.0, 10.0, 150.0])
+def test_sign_changes_keep_their_crossings_at_tiny_alpha(omega0):
+    # a rate scales with alpha, so its crossings do not move; the product
+    # of two tiny rates underflows to 0, so the brackets compare signs
+    for ratio in (0.0, 0.3, 1.0):
+        for channel in (1, 2, 3):
+            expected = sign_changes(fig_params(ratio, omega0, 0.3), channel,
+                                    10.0)
+            for alpha in (1e-100, 1e-160, 1e-200):
+                assert sign_changes(fig_params(ratio, omega0, alpha),
+                                    channel, 10.0) == expected
 
 
 def test_sign_changes_of_a_zero_rate_are_empty():

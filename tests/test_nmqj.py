@@ -364,7 +364,7 @@ def test_run_drift_matches_deterministic_step(monkeypatch):
     # time from the same stream: the recorded amplitudes and counts equal
     # iterating both over the rate table, across block boundaries and the
     # reversed jumps of the negative-rate windows
-    monkeypatch.setattr(nmqj, "_BLOCK", 7, raising=False)
+    monkeypatch.setattr(nmqj, "_BLOCK", 7)
     p = SystemParams.from_ratios(0.3, 10.0, 0.05)
     r = run_unraveling(p, 100_000, 1.0, 1e-3, seed=4, stride=1)
     grid = uniform_grid(1.0, 1e-3)
@@ -470,7 +470,7 @@ def test_run_error_order_within_a_step(monkeypatch, block):
     # step 0's channel 2 moves ~250 of 10,000 members to PLUS; gamma2 < 0
     # at step 5 then restores them with (N0/N_PLUS) |gamma2| dt p- > 0.5.
     # The order holds whatever the driver's block of count-free terms
-    monkeypatch.setattr(nmqj, "_BLOCK", block, raising=False)
+    monkeypatch.setattr(nmqj, "_BLOCK", block)
 
     def run():
         return run_unraveling(fig_params(), 10_000, 0.01, 1e-3, seed=1)

@@ -88,13 +88,19 @@ def test_code_lines_tool_counts_code_only(tmp_path):
         [sys.executable, str(root / "tools" / "code_lines.py"), str(sample)],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1].split() == ["6", "13", "total"]
-    # the package: fewer code lines than wc -l counts
+    # code, docstring, comment, blank, lines
+    assert proc.stdout.splitlines()[-1].split() == \
+        ["6", "3", "1", "3", "13", "total"]
+    # the package: the four kinds sum to wc -l, per module and in total
     proc = subprocess.run(
         [sys.executable, str(root / "tools" / "code_lines.py")],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, total, _ = proc.stdout.splitlines()[-1].split()
-    wc = sum(len(p.read_bytes().splitlines())
-             for p in (root / "src" / "spinboson").glob("*.py"))
-    assert 0 < int(code) < int(total) == wc
+    modules = sorted((root / "src" / "spinboson").glob("*.py"))
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert [row[-1] for row in rows] == [*map(str, modules), "total"]
+    for row, path in zip(rows, [*modules, None]):
+        *kinds, lines = map(int, row[:5])
+        wc = len(path.read_bytes().splitlines()) if path else \
+            sum(len(p.read_bytes().splitlines()) for p in modules)
+        assert sum(kinds) == lines == wc and all(k > 0 for k in kinds[:2])

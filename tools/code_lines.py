@@ -1,10 +1,13 @@
-"""Count the code lines of the spinboson package.
+"""Count the code, docstring, comment and blank lines of the spinboson
+package.
 
-A line counts when it holds part of a token other than a comment and is
-not part of a docstring (a module, class or function body that opens with
-a string literal); blank lines count nowhere.  Prints one line per module,
-``<code lines> <total lines> <path>``, then the totals.  Run from the
-repository root:
+A line is a docstring line when a docstring (a module, class or function
+body that opens with a string literal) spans it; otherwise a code line
+when it holds part of a token other than a comment; otherwise a comment
+line when it holds a comment; otherwise blank.  The four counts sum to
+the line count.  Prints a header, one line per module,
+``<code> <docstring> <comment> <blank> <lines> <path>``, then the totals.
+Run from the repository root:
 
     python3 tools/code_lines.py            # src/spinboson/*.py
     python3 tools/code_lines.py FILE...
@@ -37,24 +40,33 @@ def docstring_lines(tree: ast.AST) -> set[int]:
     return lines
 
 
-def code_lines(source: bytes, name: str) -> int:
-    """The number of lines of Python source (from file name) that hold code."""
-    lines: set[int] = set()
+def line_kinds(source: bytes, name: str) -> tuple[int, int, int, int, int]:
+    """(code, docstring, comment, blank, all) line counts of Python source
+    (from file name); the first four sum to the last."""
+    doc = docstring_lines(ast.parse(source, name))
+    code: set[int] = set()
+    comment: set[int] = set()
     for tok in tokenize.tokenize(io.BytesIO(source).readline):
-        if tok.type not in _LAYOUT:
-            lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - docstring_lines(ast.parse(source, name)))
+        if tok.type == tokenize.COMMENT:
+            comment.add(tok.start[0])
+        elif tok.type not in _LAYOUT:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    code -= doc
+    comment -= doc | code
+    n = len(source.splitlines())
+    return len(code), len(doc), len(comment), \
+        n - len(code | doc | comment), n
 
 
 def main(argv: list[str]) -> int:
     paths = [pathlib.Path(a) for a in argv] or sorted(SRC.glob("*.py"))
-    code = total = 0
+    totals = [0] * 5
+    print("  code    doc  comment  blank  lines")
     for path in paths:
-        source = path.read_bytes()
-        n, m = code_lines(source, str(path)), len(source.splitlines())
-        print(f"{n:6d} {m:6d} {path}")
-        code, total = code + n, total + m
-    print(f"{code:6d} {total:6d} total")
+        counts = line_kinds(path.read_bytes(), str(path))
+        print("%6d %6d %8d %6d %6d %s" % (*counts, path))
+        totals = [a + b for a, b in zip(totals, counts)]
+    print("%6d %6d %8d %6d %6d total" % tuple(totals))
     return 0
 
 
