@@ -17,8 +17,7 @@ from .dynamics import (DensityMatrix, KernelTable, apply_map_series,
                        pair_directions, recoherence_mask)
 from .nmqj import (PureState, UnravelingResult, UnravelingSnapshot,
                    count_difference_series, deterministic_step,
-                   equal_superposition, member_uniforms, run_unraveling,
-                   step_ensemble)
+                   equal_superposition, run_unraveling, step_ensemble)
 
 __version__ = "0.1.0"
 
@@ -34,6 +33,6 @@ __all__ = [
     "pair_directions", "recoherence_mask",
     "PureState", "UnravelingResult", "UnravelingSnapshot",
     "count_difference_series", "deterministic_step", "equal_superposition",
-    "member_uniforms", "run_unraveling", "step_ensemble",
+    "run_unraveling", "step_ensemble",
     "__version__",
 ]

@@ -319,11 +319,11 @@ def _combine(later: np.ndarray, earlier: np.ndarray) -> None:
 
 def _bias_sweep(p: SystemParams, grid: np.ndarray, ratios):
     """Yield the rate table on grid at each epsilon/delta in ratios, at p's
-    omega0 and alpha: the bare rates depend on those two only, so one
-    rate_table at ratio 0 (omega0 exactly p.omega0) serves every ratio,
-    weighted by its channel_rates.  DomainError for a ratio below 0.
+    omega0 and alpha: the bare rates depend on those two only, so p's own
+    rate_table serves every ratio, weighted by its channel_rates.
+    DomainError for a ratio below 0.
     """
-    bare = rate_table(SystemParams.from_ratios(0.0, p.omega0, p.alpha), grid)
+    bare = rate_table(p, grid)
     for r in ratios:
         yield channel_rates(SystemParams.from_ratios(r, p.omega0, p.alpha),
                             bare)
@@ -366,10 +366,6 @@ def pair_directions(n: int) -> np.ndarray:
     return np.vstack([axes, pts])
 
 
-#: pairs per block of _backflow: 2 rows, into buffers allocated once per table
-PAIR_BLOCK = 2
-
-
 def _blp_step(t_max: float) -> float:
     """blp_measure's time step: t_max/round(t_max/0.002), at least two steps.
 
@@ -405,11 +401,11 @@ def blp_sweep(p: SystemParams, t_max: float, ratios):
 
 
 def _backflow(k: KernelTable) -> float:
-    """blp_measure's backflow on kernel table k: the pairs PAIR_BLOCK rows
-    at a time through np.gradient's formulas (first-order edges) and
-    np.trapezoid's, in numpy's operation order, so bit for bit those two
-    calls.  The grid terms, np.gradient's spacing test and its a, b, c
-    coefficients among them, are worked out once per table.
+    """blp_measure's backflow on kernel table k: one pair at a time through
+    np.gradient's formulas (first-order edges) and np.trapezoid's, in
+    numpy's operation order, so bit for bit those two calls.  The grid
+    terms, np.gradient's spacing test and its a, b, c coefficients among
+    them, are worked out once per table.
     """
     pop, coh = np.exp(-2.0 * k.eta), np.exp(-2.0 * k.zeta)
     dx = np.diff(k.grid)
@@ -417,35 +413,29 @@ def _backflow(k: KernelTable) -> float:
     dx1, dx2 = dx[:-1], dx[1:]
     a, b, c = (-dx2 / (dx1 * (dx1 + dx2)), (dx2 - dx1) / (dx1 * dx2),
                dx1 / (dx2 * (dx1 + dx2)))
-    pairs = pair_directions(64)
-    dist_buf, sigma_buf = np.empty((2, PAIR_BLOCK, len(dx) + 1))
-    trap_buf = np.empty((PAIR_BLOCK, len(dx)))
+    dist, sigma = np.empty((2, len(dx) + 1))
+    trap = np.empty(len(dx))
+    inner, term = sigma[1:-1], trap[1:]
     best = 0.0
-    for i in range(0, len(pairs), PAIR_BLOCK):
-        nx, ny, nz = pairs[i:i + PAIR_BLOCK].T[:, :, None]
-        dist, sigma, trap = (dist_buf[:len(nx)], sigma_buf[:len(nx)],
-                             trap_buf[:len(nx)])
+    for nx, ny, nz in pair_directions(64).tolist():
         np.multiply(nz * nz, pop, out=dist)
         np.multiply(nx * nx + ny * ny, coh, out=sigma)
         np.add(dist, sigma, out=dist)
         np.sqrt(dist, out=dist)
-        inner, term = sigma[:, 1:-1], trap[:, 1:]
         if uniform:
-            np.subtract(dist[:, 2:], dist[:, :-2], out=inner)
+            np.subtract(dist[2:], dist[:-2], out=inner)
             np.divide(inner, 2. * dx[0], out=inner)
         else:
-            np.multiply(a, dist[:, :-2], out=inner)
-            np.multiply(b, dist[:, 1:-1], out=term)
+            np.multiply(a, dist[:-2], out=inner)
+            np.multiply(b, dist[1:-1], out=term)
             np.add(inner, term, out=inner)
-            np.multiply(c, dist[:, 2:], out=term)
+            np.multiply(c, dist[2:], out=term)
             np.add(inner, term, out=inner)
-        np.subtract(dist[:, 1], dist[:, 0], out=sigma[:, 0])
-        np.divide(sigma[:, 0], dx[0], out=sigma[:, 0])
-        np.subtract(dist[:, -1], dist[:, -2], out=sigma[:, -1])
-        np.divide(sigma[:, -1], dx[-1], out=sigma[:, -1])
+        sigma[0] = (dist[1] - dist[0]) / dx[0]
+        sigma[-1] = (dist[-1] - dist[-2]) / dx[-1]
         np.maximum(sigma, 0.0, out=sigma)
-        np.add(sigma[:, 1:], sigma[:, :-1], out=trap)
+        np.add(sigma[1:], sigma[:-1], out=trap)
         np.multiply(dx, trap, out=trap)
         np.divide(trap, 2.0, out=trap)
-        best = max(best, float(trap.sum(1).max()))
+        best = max(best, float(trap.sum()))
     return best

@@ -55,8 +55,8 @@ MAX_N_TRAJ = 2 ** 63 - 1
 #: upper bound on dt * (|g1| + |g2| + 2 |g3|) for a first-order step
 STEP_PROBABILITY_BOUND = 0.1
 
-#: steps whose count-free ladder terms run_unraveling builds at once: the
-#: block bounds the Python floats its step loop holds
+#: steps whose drift and count-free ladder terms run_unraveling computes at
+#: once: the block bounds the Python floats its step loop holds
 _BLOCK = 1024
 
 # --- counter-based randomness (SplitMix64) -------------------------------
@@ -78,8 +78,8 @@ def member_uniforms(seed: int, step: int, members: np.ndarray) -> np.ndarray:
 
     Pure function of (seed, step, member index): member streams never
     depend on evaluation order or batching.  The count-level engine does
-    not call it; it stays public because perfbench/tracing.py wraps it
-    by name.
+    not call it, and the package does not export it; it stays here
+    because perfbench/tracing.py wraps it by name.
     """
     base = _mix64((seed + _GOLDEN * (step + 1)) & _MASK64)
     z = (np.asarray(members, dtype=np.uint64) + np.uint64(1)) \
@@ -366,30 +366,28 @@ def _rows(grid: np.ndarray, table: dict[str, np.ndarray], n_traj: int,
     n_steps = len(grid) - 1
     g1, g2, g3 = (table[k][:-1] for k in ("gamma1", "gamma2", "gamma3"))
     s = equal_superposition()
-    ap, am, late = [s.a_plus], [s.a_minus], None
-    try:
-        for grow_p, grow_m, budget in zip(
-                *(x.tolist() for x in _drift_terms(g1, g2, g3, dt))):
-            a = _drift(ap[-1], am[-1], grow_p, grow_m, budget)
-            ap.append(a[0])
-            am.append(a[1])
-    except StepError as err:
-        late = err
-    stop = len(ap) - 1                          # n_steps if no drift fails
-    reached = min(stop + 1, n_steps)
-    g1, g2, g3 = (g[:reached] for g in (g1, g2, g3))
-    pp, pm = (np.array([abs(x) ** 2 for x in a[:reached]]) for a in (ap, am))
-
-    counts = (n_traj, 0, 0, 0)
+    ap, am, counts = [s.a_plus], [s.a_minus], (n_traj, 0, 0, 0)
     rows = [(0, counts, ap[0], am[0])]
     try:
-        for lo in range(0, reached, _BLOCK):
-            b = slice(lo, lo + _BLOCK)
-            f1, f2, rep, totals, early = _ladders(g1[b], g2[b], g3[b], pp[b],
-                                                  pm[b], dt)
+        for lo in range(0, n_steps, _BLOCK):
+            b, ap, am, late = slice(lo, lo + _BLOCK), ap[-1:], am[-1:], None
+            terms = (x.tolist() for x in _drift_terms(g1[b], g2[b], g3[b], dt))
+            try:
+                for grow_p, grow_m, budget in zip(*terms):
+                    a = _drift(ap[-1], am[-1], grow_p, grow_m, budget)
+                    ap.append(a[0])
+                    am.append(a[1])
+            except StepError as err:
+                late = err
+            stop = lo + len(ap) - 1  # the block's end if no drift fails
+            b = slice(lo, min(stop + 1, lo + _BLOCK, n_steps))
+            pp, pm = (np.array([abs(x) ** 2 for x in a[:b.stop - lo]])
+                      for a in (ap, am))
+            f1, f2, rep, totals, early = _ladders(g1[b], g2[b], g3[b], pp, pm,
+                                                  dt)
             for i, row, total, f1_i, f2_i, r1, r2, pp_i, pm_i in zip(
                     range(lo, n_steps), rep, totals, f1, f2, g1[b].tolist(),
-                    g2[b].tolist(), pp[b].tolist(), pm[b].tolist()):
+                    g2[b].tolist(), pp.tolist(), pm.tolist()):
                 counts = _jumps(counts, row, total, f1_i, f2_i, r1, r2, pp_i,
                                 pm_i, dt, rng)
                 if i == stop:
@@ -398,7 +396,8 @@ def _rows(grid: np.ndarray, table: dict[str, np.ndarray], n_traj: int,
                     raise DomainError(
                         f"counts {counts} do not sum to n={n_traj}")
                 if (i + 1) % stride == 0 or i == n_steps - 1:
-                    rows.append((i + 1, counts, ap[i + 1], am[i + 1]))
+                    rows.append((i + 1, counts, ap[i + 1 - lo],
+                                 am[i + 1 - lo]))
             if early is not None:
                 i = lo + len(totals)
                 raise early
@@ -414,8 +413,8 @@ def run_unraveling(p: SystemParams, n_traj: int, t_max: float, dt: float,
     Rows are recorded at t = 0 and every ``stride`` steps thereafter (the
     final time is always included).  The rates are first checked for a CP
     map, as in build_kernels.  A step is the representative's drift plus
-    step_ensemble's jumps; the drift and the count-free ladder terms are
-    computed before the draws, so the step loop does only the
+    step_ensemble's jumps; a block of steps gets its drift and count-free
+    ladder terms before its draws, so the step loop does only the
     count-dependent work.  Errors raised mid-run are re-raised with the
     failing time attached; their type, message and time are those of
     stepping one step at a time: at a step, gamma3 < 0 first, then the

@@ -14,8 +14,9 @@ from spinboson import (DensityMatrix, DomainError, GridError,
                        SystemParams, apply_map_series,
                        build_kernels, count_difference_series,
                        deterministic_step, equal_superposition,
-                       member_uniforms, run_unraveling, step_ensemble)
+                       run_unraveling, step_ensemble)
 from spinboson.model import rate_table, uniform_grid
+from spinboson.nmqj import member_uniforms
 
 FIG_RATIO = 1.0 / (2.0 * math.sqrt(3.0))
 
@@ -359,7 +360,7 @@ def test_run_snapshot_schedule():
 
 
 def test_run_drift_matches_deterministic_step(monkeypatch):
-    # the driver's drift pass is deterministic_step's arithmetic, and its
+    # the driver's drift is deterministic_step's arithmetic, and its
     # block-wise jump loop draws what step_ensemble draws one step at a
     # time from the same stream: the recorded amplitudes and counts equal
     # iterating both over the rate table, across block boundaries and the
@@ -505,6 +506,22 @@ def test_run_unnormalized_drift_fails_the_trace_check(monkeypatch):
                         lambda ap, am, gp, gm, budget: (ap * gp, am * gm))
     with pytest.raises(DomainError, match="^trace must be 1: "):
         run_unraveling(fig_params(alpha=0.05), 100, 0.1, 1e-3, seed=1)
+
+
+def test_run_failure_stops_the_drift_at_its_block_end(monkeypatch):
+    # the representative drifts one block of steps ahead of the draws, so
+    # a run that fails early drifts no further than the end of its block
+    drift, calls = nmqj._drift, []
+
+    def counting_drift(*args):
+        calls.append(None)
+        return drift(*args)
+
+    monkeypatch.setattr(nmqj, "_drift", counting_drift)
+    with pytest.raises(ProbabilityError, match=r"^at t = 0\.48: "):
+        run_unraveling(SystemParams.from_ratios(0.0, 10.0, 0.01), 10 ** 7,
+                       5.0, 1e-3, seed=1)
+    assert len(calls) <= nmqj._BLOCK
 
 
 def test_run_snapshots_equal_constructed_states(monkeypatch):
