@@ -37,7 +37,7 @@ from .model import (SystemParams, channel_rates, integer, rate_table,
 _KERNEL_EXP_LIMIT = 600.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DensityMatrix:
     """Two-level density matrix in the energy eigenbasis {psi_+, psi_-}.
 
@@ -73,15 +73,19 @@ def _check_states(rho_pp, rho_mm, rho_pm) -> None:
 
 def _states(rho_pp, rho_mm, rho_pm) -> list[DensityMatrix]:
     """Equal-length arrays as DensityMatrix states: _check_states once over
-    all, then each built as __init__ builds it, without the check again."""
+    all, then each built as __init__ builds it, through the slot
+    descriptors and without the check again."""
     _check_states(rho_pp, rho_mm, rho_pm)
     states = []
-    new, assign = object.__new__, object.__setattr__
+    new = object.__new__
+    set_pp, set_mm, set_pm = (DensityMatrix.rho_pp.__set__,
+                              DensityMatrix.rho_mm.__set__,
+                              DensityMatrix.rho_pm.__set__)
     for pp, mm, pm in zip(rho_pp.tolist(), rho_mm.tolist(), rho_pm.tolist()):
         s = new(DensityMatrix)
-        assign(s, "rho_pp", pp)
-        assign(s, "rho_mm", mm)
-        assign(s, "rho_pm", pm)
+        set_pp(s, pp)
+        set_mm(s, mm)
+        set_pm(s, pm)
         states.append(s)
     return states
 
@@ -248,6 +252,7 @@ def ode_oracle(p: SystemParams, rho0: DensityMatrix, t_max: float,
     n = len(grid) - 1
     r = rate_table(p, np.append(grid, 0.5 * h))
     coeffs = np.stack([r["gamma1"], r["gamma2"], r["gamma3"]], axis=1)
+    del r                       # frees the six rate columns before the states
 
     v = np.empty((n + 1, 4), dtype=complex)
     v[0] = (rho0.rho_pp, rho0.rho_pm, complex(rho0.rho_pm).conjugate(),

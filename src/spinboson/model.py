@@ -219,9 +219,11 @@ MAX_GRID_POINTS = 10_000_000
 def uniform_grid(t_max: float, h: float) -> np.ndarray:
     """Time grid 0, h, 2h, ..., t_max; GridError unless h divides t_max.
 
-    The divisibility check tolerates 1e-9 absolute mismatch; grid points
-    are exact multiples of h, so the last point may differ from t_max by
-    up to that tolerance.  Non-finite inputs and grids of more than
+    The divisibility check tolerates |n h - t_max| up to 1e-9 min(1, t_max):
+    absolute from t_max = 1 up, relative below, so a step that misses a
+    tiny t_max is not taken for one that divides it.  Grid points are
+    exact multiples of h, so the last point may differ from t_max by up to
+    that tolerance.  Non-finite inputs and grids of more than
     MAX_GRID_POINTS points also raise GridError.
     """
     if not (math.isfinite(h) and math.isfinite(t_max)) \
@@ -233,7 +235,7 @@ def uniform_grid(t_max: float, h: float) -> np.ndarray:
         raise GridError(f"t_max/h = {steps:g} steps exceeds the grid cap of "
                         f"{MAX_GRID_POINTS} points")
     n = round(steps)
-    if n < 1 or abs(n * h - t_max) > 1e-9:
+    if n < 1 or abs(n * h - t_max) > 1e-9 * min(1.0, t_max):
         raise GridError(f"step {h} does not divide t_max {t_max}")
     return np.arange(n + 1) * h
 

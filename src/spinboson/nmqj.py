@@ -94,7 +94,7 @@ def member_uniforms(seed: int, step: int, members: np.ndarray) -> np.ndarray:
 
 # --- pure states and the deterministic drift -----------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PureState:
     """Normalized amplitudes on the eigenbasis {psi_+, psi_-}."""
 
@@ -270,7 +270,7 @@ def step_ensemble(counts: tuple[int, int, int, int], g1: float, g2: float,
 
 # --- driver --------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnravelingSnapshot:
     """State of the run at one recorded grid time."""
 
@@ -310,20 +310,35 @@ class UnravelingResult:
     def snapshots(self) -> list[UnravelingSnapshot]:
         """The rows as UnravelingSnapshots, built when first read.  _drift
         normalized every psi0, so each is built as __init__ builds it,
-        without the norm check again."""
+        through the slot descriptors and without the norm check again."""
         rows = zip(*(col.tolist() for col in (
             self.steps, self.times, self.counts, self.a_plus, self.a_minus,
             self.se_rho_pp, self.se_re_rho_pm, self.count_diff,
             self.se_count_diff)))
         snapshots = []
-        new, assign = object.__new__, object.__setattr__
-        for r, (k, t, c, ap, am, *rest) in zip(
+        new, S = object.__new__, UnravelingSnapshot
+        set_ap, set_am = PureState.a_plus.__set__, PureState.a_minus.__set__
+        set_step, set_t, set_counts, set_psi0, set_rho, set_se_pp, \
+            set_se_pm, set_cd, set_se_cd = (
+                S.step.__set__, S.t.__set__, S.counts.__set__, S.psi0.__set__,
+                S.rho.__set__, S.se_rho_pp.__set__, S.se_re_rho_pm.__set__,
+                S.count_diff.__set__, S.se_count_diff.__set__)
+        for r, (k, t, c, ap, am, se_pp, se_pm, cd, se_cd) in zip(
                 _states(self.rho_pp, self.rho_mm, self.rho_pm), rows):
             psi0 = new(PureState)
-            assign(psi0, "a_plus", ap)
-            assign(psi0, "a_minus", am)
-            snapshots.append(
-                UnravelingSnapshot(k, t, tuple(c), psi0, r, *rest))
+            set_ap(psi0, ap)
+            set_am(psi0, am)
+            s = new(S)
+            set_step(s, k)
+            set_t(s, t)
+            set_counts(s, tuple(c))
+            set_psi0(s, psi0)
+            set_rho(s, r)
+            set_se_pp(s, se_pp)
+            set_se_pm(s, se_pm)
+            set_cd(s, cd)
+            set_se_cd(s, se_cd)
+            snapshots.append(s)
         return snapshots
 
 

@@ -494,6 +494,15 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_step_that_misses_a_tiny_horizon_is_config_error(tmp_path, capsys):
+    # 6e-10 misses t_max 1e-9 by 2e-10, under an absolute 1e-9 tolerance
+    out = tmp_path / "e.csv"
+    assert main(["evolve", "--t-max", "1e-9", "--dt", "6e-10",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,value", [("--t-max", "nan"),
                                         ("--t-max", "1e300"),
                                         ("--dt", "1e-300")])

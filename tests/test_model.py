@@ -488,3 +488,12 @@ def test_uniform_grid():
             uniform_grid(t_max, h)
     with pytest.raises(GridError, match="cap"):
         uniform_grid(float(model.MAX_GRID_POINTS), 1.0)
+    # below t_max = 1 the tolerance is relative: an absolute 1e-9 would
+    # take these steps, which miss t_max by a third of a step or more
+    for t_max, h in ((2e-9, 1.5e-9), (1e-9, 6e-10), (1e-9, 4e-10),
+                     (1e-12, 3e-13)):
+        with pytest.raises(GridError, match="does not divide"):
+            uniform_grid(t_max, h)
+    for t_max, h, n in ((1e-9, 2.5e-10, 4), (3e-12, 1e-12, 3),
+                        (0.3, 0.1, 3), (5.0, 1e-3, 5000)):
+        assert len(uniform_grid(t_max, h)) == n + 1

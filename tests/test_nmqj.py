@@ -11,7 +11,7 @@ import spinboson.dynamics as dynamics
 import spinboson.nmqj as nmqj
 from spinboson import (DensityMatrix, DomainError, GridError,
                        ProbabilityError, PureState, RateSet, StepError,
-                       SystemParams, apply_map_series,
+                       SystemParams, UnravelingSnapshot, apply_map_series,
                        build_kernels, count_difference_series,
                        deterministic_step, equal_superposition,
                        run_unraveling, step_ensemble)
@@ -542,18 +542,34 @@ def test_run_snapshots_equal_constructed_states(monkeypatch):
                         lambda self: calls.append("pure_post_init"))
     assert len(r.snapshots) == 101 and calls == ["check"]
     monkeypatch.undo()
-    for s, pp, mm, pm, ap, am in zip(
+    others = zip(*(col.tolist() for col in (
+        r.steps, r.times, r.counts, r.se_rho_pp, r.se_re_rho_pm,
+        r.count_diff, r.se_count_diff)))
+    for s, pp, mm, pm, ap, am, (k, t, c, *rest) in zip(
             r.snapshots, r.rho_pp.tolist(), r.rho_mm.tolist(),
-            r.rho_pm.tolist(), r.a_plus.tolist(), r.a_minus.tolist()):
+            r.rho_pm.tolist(), r.a_plus.tolist(), r.a_minus.tolist(),
+            others):
         again = DensityMatrix(rho_pp=pp, rho_mm=mm, rho_pm=pm)
-        assert s.rho == again and vars(s.rho) == vars(again)
+        assert s.rho == again and all(
+            repr(getattr(s.rho, f)) == repr(getattr(again, f))
+            for f in ("rho_pp", "rho_mm", "rho_pm"))
+        assert not hasattr(s.rho, "__dict__")
         assert (type(s.rho.rho_pp), type(s.rho.rho_mm),
                 type(s.rho.rho_pm)) == (float, float, complex)
         psi = PureState(ap, am)
-        assert s.psi0 == psi and vars(s.psi0) == vars(psi)
+        assert s.psi0 == psi and all(
+            repr(getattr(s.psi0, f)) == repr(getattr(psi, f))
+            for f in ("a_plus", "a_minus"))
+        assert not hasattr(s.psi0, "__dict__") and \
+            not hasattr(s, "__dict__")
         assert (type(s.psi0.a_plus), type(s.psi0.a_minus)) == (float, float)
+        # the repr of the whole row holds every field and the nested states
+        row = UnravelingSnapshot(k, t, tuple(c), psi, again, *rest)
+        assert s == row and repr(s) == repr(row)
     with pytest.raises(AttributeError):
-        r.snapshots[1].rho.rho_pp = 0.5                 # still frozen
+        r.snapshots[1].step = 0                         # still frozen
+    with pytest.raises(AttributeError):
+        r.snapshots[1].rho.rho_pp = 0.5
     with pytest.raises(AttributeError):
         r.snapshots[1].psi0.a_plus = 0.5
 
