@@ -213,8 +213,12 @@ def _jumps(counts: tuple[int, int, int, int], rep: np.ndarray,
     if rep_total > 0.5 or plus_total > 0.5 or minus_total > 0.5:
         c, total = next(x for x in ((0, rep_total), (2, plus_total),
                                     (3, minus_total)) if x[1] > 0.5)
+        # at frozen counts and rates the total is linear in dt, so a step
+        # of dt 0.5 / total fits the budget; printed rounded down
+        from decimal import ROUND_FLOOR, Context
+        below = float(Context(3, ROUND_FLOOR).create_decimal(0.5 * dt / total))
         raise ProbabilityError(f"total jump probability {total:.3g} > 0.5 "
-                               f"for class {c}; reduce dt")
+                               f"for class {c}; reduce dt below {below:.2e}")
 
     new = [n0, nph, npl, nmi]
     # PSI0 and PSI0_PH: channels 1 and 2 to MINUS and PLUS, channel 3 to

@@ -754,7 +754,7 @@ def test_reversed_jump_budget_fails_at_large_n(tmp_path, capsys):
                  "10000000", "--seed", "1", "--out", str(out)]) == 3
     assert capsys.readouterr().err.endswith(
         "numerical error: at t = 0.48: total jump probability 0.531 > 0.5 "
-        "for class 2; reduce dt\n")
+        "for class 2; reduce dt below 9.42e-04\n")
     assert not out.exists()
 
 

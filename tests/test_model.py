@@ -230,9 +230,52 @@ def test_quadrature_matches_closed_form_spot():
                 pytest.approx(r.gamma_zero, rel=1e-8, abs=1e-12)
 
 
-#: rates_quadrature at the figure parameters, recorded before the omega = 0
-#: sin pieces were skipped: t -> value at omega = 0, omega0, -omega0
+def quadpack_reference(p, omega, t, calls=None):
+    """The rate as QUADPACK gave it: quad with cos/sin weights over the
+    geometric pieces 0, 1, 2, 4, ..., t, the cos part alone at omega = 0;
+    appends each call's weight to calls."""
+    from scipy.integrate import quad
+
+    def cos_part(tp):
+        return 0.5 * p.alpha * (1.0 - tp * tp) / (1.0 + tp * tp) ** 2
+
+    def sin_part(tp):
+        return p.alpha * tp / (1.0 + tp * tp) ** 2
+
+    edges, edge = [0.0], 1.0
+    while edge < t:
+        edges.append(edge)
+        edge *= 2.0
+    edges.append(t)
+    n_calls = 2 * (len(edges) - 1)
+    parts = ((cos_part, "cos"),) if omega == 0.0 else \
+        ((cos_part, "cos"), (sin_part, "sin"))
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        for part, weight in parts:
+            if calls is not None:
+                calls.append(weight)
+            total += quad(part, lo, hi, weight=weight, wvar=omega,
+                          epsabs=1e-10 / (4 * n_calls), epsrel=1e-12,
+                          limit=200)[0]
+    return 2.0 * total
+
+
+#: rates_quadrature at the figure parameters: t -> value at omega = 0,
+#: omega0, -omega0; then the same by quadpack_reference
 QUADRATURE_PINS = {
+    0.05: ("0x1.057d829e119ecp-11", "0x1.fdffdd79e0e09p-12",
+           "0x1.ed01c952c6beep-12"),
+    1.0: ("0x1.47ae147ae147ap-8", "0x1.0a86ad1b226c8p-11",
+          "-0x1.a321406b2b65cp-12"),
+    3.7: ("0x1.4a2239ed3fad3p-9", "0x1.ee5f85d682e67p-16",
+          "0x1.0ceb9f76ac036p-14"),
+    50.0: ("0x1.a3433ff972f15p-13", "0x1.e54784b69c485p-17",
+           "0x1.6fda44cb7b1ecp-23"),
+    1e3: ("0x1.4f8b4290b7fb3p-17", "0x1.de973b94a3990p-17",
+          "0x1.4db8df253d70ap-32"),
+}
+QUADPACK_PINS = {
     0.05: ("0x1.057d829e119ebp-11", "0x1.fdffdd79e0e09p-12",
            "0x1.ed01c952c6befp-12"),
     1.0: ("0x1.47ae147ae147bp-8", "0x1.0a86ad1b226d3p-11",
@@ -248,25 +291,45 @@ QUADRATURE_PINS = {
 
 @pytest.mark.parametrize("t,pieces", [(0.05, 1), (1.0, 1), (3.7, 3),
                                       (50.0, 7), (1e3, 11)])
-def test_quadrature_values_pinned_and_calls_per_piece(t, pieces,
-                                                      monkeypatch):
-    # bit-identical values; one QUADPACK call per geometric piece at
-    # omega = 0, where the sin part is zero, and two elsewhere
-    import scipy.integrate
-    calls = []
-    quad = scipy.integrate.quad
-
-    def counting_quad(*args, **kwargs):
-        calls.append(kwargs["weight"])
-        return quad(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+def test_quadrature_values_pinned_and_calls_per_piece(t, pieces):
+    # bit-identical values; the reference is the earlier QUADPACK oracle
+    # to the bit, one call per geometric piece at omega = 0, where the sin
+    # part is zero, and two elsewhere
     p = fig_params()
-    for omega, pinned in zip((0.0, p.omega0, -p.omega0), QUADRATURE_PINS[t]):
-        calls.clear()
+    for omega, pinned, reference in zip((0.0, p.omega0, -p.omega0),
+                                        QUADRATURE_PINS[t],
+                                        QUADPACK_PINS[t]):
         assert rates_quadrature(p, omega, t) == float.fromhex(pinned)
+        calls = []
+        assert quadpack_reference(p, omega, t, calls) == \
+            float.fromhex(reference)
         assert calls == (["cos"] * pieces if omega == 0.0
                          else ["cos", "sin"] * pieces)
+
+
+@pytest.mark.parametrize("omega,t", [
+    *((sign * w, t) for sign in (1.0, -1.0) for w in (0.1, 1.0, 37.5, 1e3)
+      for t in (0.3, 7.0, 200.0)),
+    (1e-3, 1e9), (1e12, 5.0)])
+def test_quadrature_matches_quadpack(omega, t):
+    # near pieces only, near pieces and the tail, and the tail alone
+    p = fig_params()
+    assert abs(rates_quadrature(p, omega, t)
+               - quadpack_reference(p, omega, t)) <= 1e-10
+
+
+@pytest.mark.parametrize("omega,t", [(10.0, 1e300), (1e300, 1.0),
+                                     (-1e300, 1.0)])
+def test_quadrature_leaks_no_warnings(omega, t):
+    # where omega t or the integrand's powers of (1 + it') are extreme,
+    # the oracle either gives up or returns the vanishing rate, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = rates_quadrature(fig_params(), omega, t)
+        except ToleranceError:
+            return
+    assert math.isfinite(value) and abs(value) <= 1e-10
 
 
 def test_quadrature_budget_error(monkeypatch):

@@ -315,6 +315,22 @@ def test_step_ensemble_probability_budget():
                       np.random.default_rng(0))
 
 
+def test_probability_budget_names_the_largest_usable_dt():
+    # at frozen counts and rates the class total is linear in dt: the
+    # named dt keeps the step inside the budget, one digit more does not
+    def step(dt):
+        return step_ensemble((100, 100, 1000, 100), 200.0, -2000.0, 0.0,
+                             *HALF, dt, np.random.default_rng(0))
+
+    with pytest.raises(ProbabilityError, match=r"^total jump probability "
+                       r"0\.6 > 0\.5 for class 2; reduce dt below "
+                       r"8\.33e-04$"):
+        step(1e-3)
+    step(8.33e-4)
+    with pytest.raises(ProbabilityError):
+        step(8.34e-4)
+
+
 # --- full runs -------------------------------------------------------------
 
 def test_run_validation():
@@ -477,7 +493,7 @@ def test_run_error_order_within_a_step(monkeypatch, block):
         return run_unraveling(fig_params(), 10_000, 0.01, 1e-3, seed=1)
 
     budget = r"^at t = 0\.005: total jump probability \S+ > 0\.5 for " \
-        r"class 2; reduce dt$"
+        r"class 2; reduce dt below \d\.\d\de-\d\d$"
     # the ladder's budget fails before the drift's dt check at one step
     rig_rates(monkeypatch, gamma2=(50.0, 0.0, 0.0, 0.0, 0.0, -500.0))
     with pytest.raises(ProbabilityError, match=budget):
