@@ -70,6 +70,8 @@ class RunConfig:
             raise ConfigError(f"emit_stride must be >= 1, got {self.emit_stride}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if "\0" in self.output_path:
+            raise ConfigError("output_path must not contain a NUL byte")
 
     def system_params(self) -> SystemParams:
         try:
@@ -135,7 +137,7 @@ def load_config(path: str | None, overrides: dict, command: str) -> RunConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 base.update(parse_config(fh.read()))
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             raise ConfigError(f"cannot read config file {path}: {err}") from err
     base.update({k: _typed(k, v, f"bad value for {_flag(k)}")
                  for k, v in overrides.items() if v is not None})

@@ -175,16 +175,28 @@ def _bare_rate(p: SystemParams, tgrid: np.ndarray, name: str) -> np.ndarray:
         col = np.zeros(tgrid.shape)
         if name == "gamma_plus":
             col[live] = lorentz * (u * np.cos(x) - np.sin(x)) \
-                + alpha * y * math.exp(-y) \
-                * (math.pi + expint_e1(-y + 1j * x).imag)
+                + _times_alpha(alpha, y, math.exp(-y),
+                               math.pi + expint_e1(-y + 1j * x).imag)
         else:
             col[live] = lorentz * (u * np.cos(x) + np.sin(x)) \
-                - alpha * y * math.exp(y) * expint_e1(y - 1j * x).imag
+                - _times_alpha(alpha, y, math.exp(y),
+                               expint_e1(y - 1j * x).imag)
     bad = np.flatnonzero(~np.isfinite(col))
     if bad.size:
         raise DomainError(f"rate {name} is not finite at "
                           f"t={float(tgrid[bad[0]])}")
     return col
+
+
+def _times_alpha(alpha: float, y: float, e: float,
+                 e1: np.ndarray) -> np.ndarray:
+    """alpha * y * e * e1, left to right, unless the scalar alpha * y * e is
+    0, subnormal or infinite at alpha > 0: then alpha * (y * e * e1), so no
+    product underflows or overflows ahead of e1."""
+    c = alpha * y * e
+    if alpha > 0.0 and not sys.float_info.min <= c < math.inf:
+        return alpha * (y * e * e1)
+    return c * e1
 
 
 def _channel_weights(p: SystemParams) -> tuple[float, float, float]:

@@ -312,38 +312,14 @@ class UnravelingResult:
 
     @cached_property
     def snapshots(self) -> list[UnravelingSnapshot]:
-        """The rows as UnravelingSnapshots, built when first read.  _drift
-        normalized every psi0, so each is built as __init__ builds it,
-        through the slot descriptors and without the norm check again."""
+        """The rows as UnravelingSnapshots, built when first read."""
         rows = zip(*(col.tolist() for col in (
             self.steps, self.times, self.counts, self.a_plus, self.a_minus,
             self.se_rho_pp, self.se_re_rho_pm, self.count_diff,
             self.se_count_diff)))
-        snapshots = []
-        new, S = object.__new__, UnravelingSnapshot
-        set_ap, set_am = PureState.a_plus.__set__, PureState.a_minus.__set__
-        set_step, set_t, set_counts, set_psi0, set_rho, set_se_pp, \
-            set_se_pm, set_cd, set_se_cd = (
-                S.step.__set__, S.t.__set__, S.counts.__set__, S.psi0.__set__,
-                S.rho.__set__, S.se_rho_pp.__set__, S.se_re_rho_pm.__set__,
-                S.count_diff.__set__, S.se_count_diff.__set__)
-        for r, (k, t, c, ap, am, se_pp, se_pm, cd, se_cd) in zip(
-                _states(self.rho_pp, self.rho_mm, self.rho_pm), rows):
-            psi0 = new(PureState)
-            set_ap(psi0, ap)
-            set_am(psi0, am)
-            s = new(S)
-            set_step(s, k)
-            set_t(s, t)
-            set_counts(s, tuple(c))
-            set_psi0(s, psi0)
-            set_rho(s, r)
-            set_se_pp(s, se_pp)
-            set_se_pm(s, se_pm)
-            set_cd(s, cd)
-            set_se_cd(s, se_cd)
-            snapshots.append(s)
-        return snapshots
+        return [UnravelingSnapshot(k, t, tuple(c), PureState(ap, am), r, *rest)
+                for r, (k, t, c, ap, am, *rest) in zip(
+                    _states(self.rho_pp, self.rho_mm, self.rho_pm), rows)]
 
 
 def _columns(n: int, rows: list) -> dict[str, np.ndarray]:

@@ -603,6 +603,26 @@ def test_empty_output_path_is_config_error(tmp_path, monkeypatch, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_undecodable_config_file_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"alpha=0.01\n\xff\n")
+    assert main(["rates", "--t-max", "1", "--config", str(cfg),
+                 "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {cfg}: ")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_nul_in_output_path_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "nul.cfg"
+    cfg.write_bytes(b"output_path=" + bytes(tmp_path / "r") + b"\0.csv\n")
+    assert main(["rates", "--t-max", "1", "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == \
+        ("", "config error: output_path must not contain a NUL byte\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_output_checked_before_computing(tmp_path, monkeypatch, capsys):
     def no_run(*args, **kwargs):
         raise AssertionError("computed before checking --out")

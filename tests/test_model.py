@@ -181,6 +181,26 @@ def test_rates_linear_in_alpha(t, alpha):
             2.0 * getattr(base, name), rel=1e-12, abs=1e-300)
 
 
+@pytest.mark.filterwarnings("ignore:omega0/omega_c")
+@pytest.mark.parametrize("omega0", [10.0, 150.0, 300.0])
+def test_rates_scale_with_alpha_at_its_extremes(omega0):
+    # alpha * y * e^{-+y} underflows at alpha 1e-300 and omega0 >= 150 and
+    # overflows at alpha 1e200 and omega0 300; alpha then comes last.  The
+    # tolerance is 1e-12 of the column's largest value: near a crossing the
+    # rate is a difference of two terms, so its own relative error grows
+    # however the product is grouped (to 1.5e-8 at omega0 150, alpha 1e-200)
+    t = np.linspace(0.0, 10.0, 1001)
+    for ratio in (0.0, 0.3, 1.0):
+        ref = rate_table(fig_params(ratio, omega0, 1.0), t)
+        for alpha in (1e-300, 1e-200, 1e200):
+            table = rate_table(fig_params(ratio, omega0, alpha), t)
+            for name in ("gamma_plus", "gamma_minus", "gamma_zero",
+                         "gamma1", "gamma2", "gamma3"):
+                scale = np.abs(ref[name]).max()
+                np.testing.assert_allclose(table[name] / alpha, ref[name],
+                                           rtol=0.0, atol=1e-12 * scale)
+
+
 def test_rateset_rejects_non_finite():
     with pytest.raises(DomainError):
         RateSet(t=1.0, gamma_plus=math.nan, gamma_minus=0.0, gamma_zero=0.0,
@@ -446,7 +466,7 @@ def test_sign_changes_figure_crossings_pinned():
 
 
 @pytest.mark.filterwarnings("ignore:omega0/omega_c")
-@pytest.mark.parametrize("omega0", [0.5, 2.0, 10.0, 150.0])
+@pytest.mark.parametrize("omega0", [0.5, 2.0, 10.0, 150.0, 300.0])
 def test_sign_changes_keep_their_crossings_at_tiny_alpha(omega0):
     # a rate scales with alpha, so its crossings do not move; the product
     # of two tiny rates underflows to 0, so the brackets compare signs
@@ -454,7 +474,7 @@ def test_sign_changes_keep_their_crossings_at_tiny_alpha(omega0):
         for channel in (1, 2, 3):
             expected = sign_changes(fig_params(ratio, omega0, 0.3), channel,
                                     10.0)
-            for alpha in (1e-100, 1e-160, 1e-200):
+            for alpha in (1e-100, 1e-160, 1e-200, 1e-300):
                 assert sign_changes(fig_params(ratio, omega0, alpha),
                                     channel, 10.0) == expected
 

@@ -541,8 +541,8 @@ def test_run_failure_stops_the_drift_at_its_block_end(monkeypatch):
 
 
 def test_run_snapshots_equal_constructed_states(monkeypatch):
-    # reading .snapshots runs one _check_states over all rows and neither
-    # DensityMatrix's nor PureState's own check
+    # reading .snapshots runs one _check_states over all rows, no
+    # DensityMatrix check of its own, and PureState's check once per row
     r = run_unraveling(fig_params(alpha=0.05), 1000, 1.0, 1e-3, seed=3,
                        stride=10)
     check, calls = dynamics._check_states, []
@@ -556,7 +556,8 @@ def test_run_snapshots_equal_constructed_states(monkeypatch):
                         lambda self: calls.append("post_init"))
     monkeypatch.setattr(PureState, "__post_init__",
                         lambda self: calls.append("pure_post_init"))
-    assert len(r.snapshots) == 101 and calls == ["check"]
+    assert len(r.snapshots) == 101
+    assert calls == ["check"] + ["pure_post_init"] * 101
     monkeypatch.undo()
     others = zip(*(col.tolist() for col in (
         r.steps, r.times, r.counts, r.se_rho_pp, r.se_re_rho_pm,
@@ -618,6 +619,45 @@ def test_run_bias_is_first_order_in_dt():
         for coarse, fine in zip(bias, bias[1:]):
             assert 1.6 <= coarse / fine <= 2.5
     assert max(se) < 0.1 * min(bias_pp + bias_re)
+
+
+@pytest.mark.filterwarnings("ignore:omega0/omega_c")
+@pytest.mark.parametrize("ratio, omega0, alpha", [
+    (0.0, 10.0, 0.05), (0.3, 10.0, 0.05), (1.0, 10.0, 0.05),
+    (3.0, 10.0, 0.05), (FIG_RATIO, 2.0, 0.05), (FIG_RATIO, 10.0, 0.2),
+    (1.0, 2.0, 0.1)], ids=["bias0", "bias0.3", "bias1", "bias3", "omega2",
+                           "alpha0.2", "bias1-omega2-alpha0.1"])
+def test_run_bias_is_first_order_across_the_parameter_box(ratio, omega0,
+                                                          alpha):
+    # the band of test_run_bias_is_first_order_in_dt away from the figure
+    # point; the ratios measured 1.73-2.15.  The sampling error is below
+    # 0.12 of the smallest bias (0.116 at ratio 3, whose bias is smallest)
+    p = SystemParams.from_ratios(ratio, omega0, alpha)
+    rho0 = DensityMatrix(rho_pp=0.5, rho_mm=0.5, rho_pm=0.5)
+    bias_pp, bias_re, se = [], [], []
+    for dt in (2e-3, 1e-3, 5e-4):
+        r = run_unraveling(p, 10 ** 12, 2.0, dt, seed=1,
+                           stride=round(0.1 / dt))
+        pp, pm = apply_map_series(build_kernels(p, 2.0, dt), rho0)
+        bias_pp.append(max(abs(s.rho.rho_pp - pp[s.step])
+                           for s in r.snapshots))
+        bias_re.append(max(abs(s.rho.rho_pm.real - pm[s.step].real)
+                           for s in r.snapshots))
+        se.append(max(s.se_rho_pp for s in r.snapshots))
+    for bias in (bias_pp, bias_re):
+        for coarse, fine in zip(bias, bias[1:]):
+            assert 1.6 <= coarse / fine <= 2.5
+    assert max(se) < 0.2 * min(bias_pp + bias_re)
+
+
+def test_run_bias_at_omega0_150_stops_at_the_jump_budget():
+    # the same N 1e12 run at omega0/omega_c 150 fails at its coarsest dt,
+    # and is pinned as it stands: class 2 (PLUS) holds so few members that
+    # its reversed-jump total, which grows as N_source/N_target, passes 0.5
+    p = SystemParams.from_ratios(FIG_RATIO, 150.0, 0.05)
+    with pytest.raises(ProbabilityError,
+                       match=r"^at t = 0\.036: .* for class 2; "):
+        run_unraveling(p, 10 ** 12, 2.0, 2e-3, seed=1, stride=50)
 
 
 def test_run_coherence_error_shrinks_as_one_over_sqrt_n():
