@@ -72,6 +72,11 @@ class RunConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if "\0" in self.output_path:
             raise ConfigError("output_path must not contain a NUL byte")
+        # a value parse_config would split or strip
+        if self.output_path.strip() != self.output_path or \
+                len(self.output_path.splitlines()) > 1:
+            raise ConfigError("output_path must not contain a line break or "
+                              "start or end with whitespace")
 
     def system_params(self) -> SystemParams:
         try:
@@ -135,7 +140,7 @@ def load_config(path: str | None, overrides: dict, command: str) -> RunConfig:
     base = {"t_max": t_max, "output_path": output_path}
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 base.update(parse_config(fh.read()))
         except (OSError, UnicodeDecodeError) as err:
             raise ConfigError(f"cannot read config file {path}: {err}") from err

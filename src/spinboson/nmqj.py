@@ -55,7 +55,7 @@ MAX_N_TRAJ = 2 ** 63 - 1
 #: upper bound on dt * (|g1| + |g2| + 2 |g3|) for a first-order step
 STEP_PROBABILITY_BOUND = 0.1
 
-#: steps whose drift and count-free ladder terms run_unraveling computes at
+#: steps whose count-free ladder and drift terms run_unraveling computes at
 #: once: the block bounds the Python floats its step loop holds
 _BLOCK = 1024
 
@@ -153,15 +153,12 @@ def deterministic_step(s: PureState, rates: RateSet, dt: float) -> PureState:
 
 # --- ensemble step -------------------------------------------------------
 
-def _ladders(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray,
-             p_plus: np.ndarray, p_minus: np.ndarray, dt: float):
-    """The count-free ladder terms of a run of steps, from its rates and
-    the representative's populations at each step start.
+def _ladders(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray, dt: float):
+    """The count-free ladder terms of a run of steps, from its rates.
 
-    Returns the forward probabilities f1 and f2 (lists), the
-    representatives' ladder rows (f1 p+, f2 p-, gamma3 dt, 0) as an array
-    and their totals (a list), all cut at the first step whose gamma3 < 0,
-    and that step's StepError (None if there is none).
+    Returns the forward probabilities f1 and f2 and the dephasing
+    probabilities gamma3 dt (lists), all cut at the first step whose
+    gamma3 < 0, and that step's StepError (None if there is none).
     """
     negative = np.flatnonzero(g3 < 0.0)
     error = None
@@ -169,31 +166,31 @@ def _ladders(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray,
         k = negative[0]
         error = StepError(f"gamma3 = {g3[k].item()!r} < 0: reversed "
                           "dephasing jumps are outside this scheme")
-        g1, g2, g3, p_plus, p_minus = (
-            x[:k] for x in (g1, g2, g3, p_plus, p_minus))
-    f1 = np.where(g1 > 0.0, g1 * dt, 0.0)
-    f2 = np.where(g2 > 0.0, g2 * dt, 0.0)
-    rep = np.zeros((len(g3), 4))
-    rep[:, 0], rep[:, 1], rep[:, 2] = f1 * p_plus, f2 * p_minus, g3 * dt
-    return (f1.tolist(), f2.tolist(), rep, list(map(math.fsum, rep.tolist())),
+        g1, g2, g3 = g1[:k], g2[:k], g3[:k]
+    return (np.where(g1 > 0.0, g1 * dt, 0.0).tolist(),
+            np.where(g2 > 0.0, g2 * dt, 0.0).tolist(), (g3 * dt).tolist(),
             error)
 
 
-def _jumps(counts: tuple[int, int, int, int], rep: np.ndarray,
-           rep_total: float, f1: float, f2: float, g1: float, g2: float,
-           p_plus: float, p_minus: float, dt: float,
+def _jumps(counts: tuple[int, int, int, int], rep: np.ndarray, f1: float,
+           f2: float, g3_dt: float, g1: float, g2: float, p_plus: float,
+           p_minus: float, dt: float,
            rng: np.random.Generator) -> tuple[int, int, int, int]:
     """The count-dependent half of a step; the new counts.
 
-    ``rep`` is the representatives' ladder row and f1, f2 the eigenstates'
-    forward jumps.  Adds the eigenstates' reversed jumps (only where a rate
-    is negative and the target class holds members), checks each class's
-    total against the 0.5 budget in class order, then draws, in class
-    order, each class with members and a non-zero ladder as one
-    multinomial over its zero-padded ladder and the counts at the step
-    start; numpy never reads the last ("no jump") slot.
+    Writes the representatives' ladder (f1 p+, f2 p-, gamma3 dt, 0), at
+    the step start's populations, into the 4-slot array ``rep``; f1, f2
+    are also the eigenstates' forward jumps.  Adds their reversed jumps
+    (only where a rate is negative and the target class holds members),
+    checks each class's total against the 0.5 budget in class order, then
+    draws, in class order, each class with members and a non-zero ladder
+    as one multinomial over its zero-padded ladder and the counts at the
+    step start; numpy never reads the last ("no jump") slot.
     """
     n0, nph, npl, nmi = counts
+    r1, r2 = f1 * p_plus, f2 * p_minus
+    rep[0], rep[1], rep[2] = r1, r2, g3_dt
+    rep_total = math.fsum((r1, r2, g3_dt))
     # PLUS and MINUS: the forward jump, the reversed jumps to PSI0, PSI0_PH
     # and the other eigenstate, no jump.  A reversed jump takes a member
     # of the target class to a source class with probability
@@ -263,12 +260,11 @@ def step_ensemble(counts: tuple[int, int, int, int], g1: float, g2: float,
     The step's ladder terms and draws are run_unraveling's: _ladders for
     this one step, then _jumps.  Survivors' drift is not applied.
     """
-    f1, f2, rep, totals, error = _ladders(
-        *(np.array([x], dtype=float) for x in (g1, g2, g3, p_plus, p_minus)),
-        dt)
+    f1, f2, g3_dt, error = _ladders(
+        *(np.array([x], dtype=float) for x in (g1, g2, g3)), dt)
     if error is not None:
         raise error
-    return _jumps(counts, rep[0], totals[0], f1[0], f2[0], g1, g2, p_plus,
+    return _jumps(counts, np.zeros(4), f1[0], f2[0], g3_dt[0], g1, g2, p_plus,
                   p_minus, dt, rng)
 
 
@@ -361,41 +357,27 @@ def _rows(grid: np.ndarray, table: dict[str, np.ndarray], n_traj: int,
     n_steps = len(grid) - 1
     g1, g2, g3 = (table[k][:-1] for k in ("gamma1", "gamma2", "gamma3"))
     s = equal_superposition()
-    ap, am, counts = [s.a_plus], [s.a_minus], (n_traj, 0, 0, 0)
-    rows = [(0, counts, ap[0], am[0])]
+    ap, am, counts = s.a_plus, s.a_minus, (n_traj, 0, 0, 0)
+    rows, rep = [(0, counts, ap, am)], np.zeros(4)
     try:
         for lo in range(0, n_steps, _BLOCK):
-            b, ap, am, late = slice(lo, lo + _BLOCK), ap[-1:], am[-1:], None
-            terms = (x.tolist() for x in _drift_terms(g1[b], g2[b], g3[b], dt))
-            try:
-                for grow_p, grow_m, budget in zip(*terms):
-                    a = _drift(ap[-1], am[-1], grow_p, grow_m, budget)
-                    ap.append(a[0])
-                    am.append(a[1])
-            except StepError as err:
-                late = err
-            stop = lo + len(ap) - 1  # the block's end if no drift fails
-            b = slice(lo, min(stop + 1, lo + _BLOCK, n_steps))
-            pp, pm = (np.array([abs(x) ** 2 for x in a[:b.stop - lo]])
-                      for a in (ap, am))
-            f1, f2, rep, totals, early = _ladders(g1[b], g2[b], g3[b], pp, pm,
-                                                  dt)
-            for i, row, total, f1_i, f2_i, r1, r2, pp_i, pm_i in zip(
-                    range(lo, n_steps), rep, totals, f1, f2, g1[b].tolist(),
-                    g2[b].tolist(), pp.tolist(), pm.tolist()):
-                counts = _jumps(counts, row, total, f1_i, f2_i, r1, r2, pp_i,
-                                pm_i, dt, rng)
-                if i == stop:
-                    raise late
+            b = slice(lo, lo + _BLOCK)
+            f1, f2, g3_dt, error = _ladders(g1[b], g2[b], g3[b], dt)
+            for i, f1_i, f2_i, g3_dt_i, r1, r2, grow_p, grow_m, budget in zip(
+                    range(lo, n_steps), f1, f2, g3_dt, g1[b].tolist(),
+                    g2[b].tolist(), *(x.tolist() for x in _drift_terms(
+                        g1[b], g2[b], g3[b], dt))):
+                counts = _jumps(counts, rep, f1_i, f2_i, g3_dt_i, r1, r2,
+                                abs(ap) ** 2, abs(am) ** 2, dt, rng)
+                ap, am = _drift(ap, am, grow_p, grow_m, budget)
                 if sum(counts) != n_traj or min(counts) < 0:
                     raise DomainError(
                         f"counts {counts} do not sum to n={n_traj}")
                 if (i + 1) % stride == 0 or i == n_steps - 1:
-                    rows.append((i + 1, counts, ap[i + 1 - lo],
-                                 am[i + 1 - lo]))
-            if early is not None:
-                i = lo + len(totals)
-                raise early
+                    rows.append((i + 1, counts, ap, am))
+            if error is not None:
+                i = lo + len(f1)
+                raise error
     except (StepError, ProbabilityError) as err:
         raise type(err)(f"at t = {grid[i]:.6g}: {err}") from err
     return rows
@@ -407,13 +389,13 @@ def run_unraveling(p: SystemParams, n_traj: int, t_max: float, dt: float,
 
     Rows are recorded at t = 0 and every ``stride`` steps thereafter (the
     final time is always included).  The rates are first checked for a CP
-    map, as in build_kernels.  A step is the representative's drift plus
-    step_ensemble's jumps; a block of steps gets its drift and count-free
-    ladder terms before its draws, so the step loop does only the
-    count-dependent work.  Errors raised mid-run are re-raised with the
-    failing time attached; their type, message and time are those of
-    stepping one step at a time: at a step, gamma3 < 0 first, then the
-    jump budgets in class order, then the drift, then the counts.
+    map, as in build_kernels.  A step is step_ensemble's jumps on the
+    representative's populations at the step start, then the
+    representative's drift, then the count check; a block of steps gets
+    its count-free ladder and drift terms as lists before its step loop.
+    Each error raises at its own step, re-raised with the failing time
+    attached: at a step, gamma3 < 0 first, then the jump budgets in class
+    order, then the drift, then the counts.
     """
     n_traj, seed, stride = (integer("n_traj", n_traj), integer("seed", seed),
                             integer("stride", stride))

@@ -48,11 +48,21 @@ def column(rows, header, name):
 
 # --- config round trip -----------------------------------------------------
 
-def test_config_emit_parse_round_trip():
-    cfg = RunConfig(epsilon_over_delta=1.0 / (2.0 * math.sqrt(7.0)),
-                    omega0_over_omegac=9.5, alpha=0.012345678901234,
-                    t_max=7.5, dt=2.5e-4, n_traj=12345, seed=987654321,
-                    output_path="out/run.csv", emit_stride=17, workers=3)
+@given(st.text())
+@example("out/run.csv")
+@example(" x.csv")
+@example("a\nb.csv")
+@example("a\x85b.csv")
+@example("my run.csv")
+def test_config_emit_parse_round_trip(path):
+    # an output path either round-trips exactly or is rejected when made
+    try:
+        cfg = RunConfig(epsilon_over_delta=1.0 / (2.0 * math.sqrt(7.0)),
+                        omega0_over_omegac=9.5, alpha=0.012345678901234,
+                        t_max=7.5, dt=2.5e-4, n_traj=12345, seed=987654321,
+                        output_path=path, emit_stride=17, workers=3)
+    except ConfigError:
+        return
     assert RunConfig(**parse_config(emit_config(cfg))) == cfg
 
 
@@ -612,6 +622,28 @@ def test_undecodable_config_file_is_config_error(tmp_path, capsys):
     assert err.startswith(f"config error: cannot read config file {cfg}: ")
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_config_file_with_byte_order_mark_loads(tmp_path, capsys):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfalpha=0.02\r\nseed=3\r\n")
+    assert load_config(str(cfg), {}, "rates") == \
+        RunConfig(alpha=0.02, seed=3, t_max=COMMANDS["rates"][1],
+                  output_path=COMMANDS["rates"][2])
+    assert main(["rates", "--t-max", "0.01", "--config", str(cfg),
+                 "--out", str(tmp_path / "r.csv")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", [" r.csv", "r.csv ", "r\n.csv", "r\r.csv"])
+def test_unstorable_output_path_is_config_error(tmp_path, monkeypatch,
+                                                capsys, name):
+    monkeypatch.chdir(tmp_path)
+    assert main(["rates", "--t-max", "1", "--out", name]) == 2
+    assert capsys.readouterr() == \
+        ("", "config error: output_path must not contain a line break or "
+         "start or end with whitespace\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_nul_in_output_path_is_config_error(tmp_path, capsys):

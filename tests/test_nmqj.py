@@ -524,9 +524,9 @@ def test_run_unnormalized_drift_fails_the_trace_check(monkeypatch):
         run_unraveling(fig_params(alpha=0.05), 100, 0.1, 1e-3, seed=1)
 
 
-def test_run_failure_stops_the_drift_at_its_block_end(monkeypatch):
-    # the representative drifts one block of steps ahead of the draws, so
-    # a run that fails early drifts no further than the end of its block
+def test_run_failure_stops_the_drift_at_the_failing_step(monkeypatch):
+    # each step draws its jumps before its drift, so a run whose jump
+    # budget fails at step 480 drifts steps 0..479 and no further
     drift, calls = nmqj._drift, []
 
     def counting_drift(*args):
@@ -537,7 +537,7 @@ def test_run_failure_stops_the_drift_at_its_block_end(monkeypatch):
     with pytest.raises(ProbabilityError, match=r"^at t = 0\.48: "):
         run_unraveling(SystemParams.from_ratios(0.0, 10.0, 0.01), 10 ** 7,
                        5.0, 1e-3, seed=1)
-    assert len(calls) <= nmqj._BLOCK
+    assert len(calls) == 480
 
 
 def test_run_snapshots_equal_constructed_states(monkeypatch):
