@@ -164,7 +164,6 @@ def _csv_rows(header: list[str], columns, idx):
     _CSV_CHUNK_ROWS at a time; "%.12g" % v gives the same bytes as _fmt(v)."""
     yield ",".join(header) + "\n"
     line = ",".join(["%.12g"] * len(columns)) + "\n"
-    idx = np.asarray(idx)
     for start in range(0, len(idx), _CSV_CHUNK_ROWS):
         chunk = idx[start:start + _CSV_CHUNK_ROWS]
         yield "".join([line % row for row in
@@ -211,10 +210,11 @@ def _csv_file(path: str):
         raise
 
 
-def _strided(n_rows: int, stride: int) -> range:
+def _strided(n_rows: int, stride: int) -> np.ndarray:
     """Row indices 0, stride, 2*stride, ...; the last row always included."""
-    return range(0, n_rows, stride) if (n_rows - 1) % stride == 0 else \
-        [*range(0, n_rows, stride), n_rows - 1]
+    # a stride past the last row may not fit np.arange's int64
+    idx = np.arange(0, n_rows, min(stride, n_rows))
+    return idx if (n_rows - 1) % stride == 0 else np.append(idx, n_rows - 1)
 
 
 # --- commands: each yields its output text and writes nothing ------------
@@ -255,7 +255,7 @@ def cmd_unravel(cfg: RunConfig):
     yield from _csv_rows(["t", "omega0_t", "rho_pp", "re_rho_pm", "im_rho_pm",
                           "abs_rho_pm", "n0", "n0_ph", "n_plus", "n_minus",
                           "se_rho_pp", "se_re_rho_pm", "se_count_diff"],
-                         columns, range(len(r.times)))
+                         columns, np.arange(len(r.times)))
 
 
 def cmd_recoherence_map(cfg: RunConfig):

@@ -112,25 +112,37 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     Three-point Simpson on unequal intervals (Cartwright, J. Math. Sci.
     Math. Educ. 12(2), 1-9): even intervals from the triple they open, odd
     ones and the last from the triple they close; trapezoid below 3 points.
+    scipy evaluates every opening and every closing triple, then keeps
+    every other one; here only the kept triples are evaluated, in place on
+    strided views, each product and sum of scipy's operands in its order.
     """
-    def opening(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
-        x21, x32 = dx[:-1], dx[1:]
-        x21_x31 = x21/(x21 + x32)
-        x21x21_x31x32 = x21_x31 * (x21/x32)
-        coeff1, coeff2 = 3 - x21_x31, 3 + x21x21_x31x32 + x21_x31
-        return x21/6 * (coeff1*y[:-2] + coeff2*y[1:-1] + -x21x21_x31x32*y[2:])
+    def piece(x21, x32, f1, f2, f3, out: np.ndarray) -> None:
+        """out := the integral over x21 of the triple (f1, f2, f3) spaced
+        x21, x32: x21/6 (coeff1 f1 + coeff2 f2 + coeff3 f3), in place."""
+        x21_x31 = np.divide(x21, np.add(x21, x32, out=out), out=out)
+        x21x21_x31x32 = x21 / x32
+        x21x21_x31x32 *= x21_x31
+        coeff2 = 3 + x21x21_x31x32
+        coeff2 += x21_x31
+        np.multiply(np.subtract(3, x21_x31, out=out), f1, out=out)
+        out += np.multiply(coeff2, f2, out=coeff2)
+        coeff3 = np.negative(x21x21_x31x32, out=x21x21_x31x32)
+        out += np.multiply(coeff3, f3, out=coeff3)
+        out *= np.divide(x21, 6, out=coeff3)
 
     dx = np.diff(x)
+    res = np.zeros(len(y))
     if len(y) < 3:
         pieces = dx * (y[1:] + y[:-1]) / 2.0
     else:
-        closing = opening(y[::-1], dx[::-1])[::-1]
+        even, odd, y1, y2, y3 = dx[:-1:2], dx[1::2], y[:-2:2], y[1:-1:2], y[2::2]
         pieces = np.empty(len(dx))
-        pieces[:-1:2] = opening(y, dx)[::2]
-        pieces[1::2] = closing[::2]
-        pieces[-1] = closing[-1]
-    # + 0.0 is scipy's ``res += initial``, which turns -0.0 into +0.0
-    return np.concatenate(([0.0], np.cumsum(pieces) + 0.0))
+        piece(even, odd, y1, y2, y3, pieces[:-1:2])         # opening triples
+        piece(odd, even, y3, y2, y1, pieces[1::2])          # closing triples
+        piece(dx[-1:], dx[-2:-1], y[-1:], y[-2:-1], y[-3:-2], pieces[-1:])
+    np.cumsum(pieces, out=res[1:])
+    res += 0.0      # scipy's ``res += initial``, which turns -0.0 into +0.0
+    return res
 
 
 def build_kernels(p: SystemParams, t_max: float, h: float) -> KernelTable:
@@ -179,14 +191,17 @@ def _kernels(grid: np.ndarray, r: dict[str, np.ndarray]) -> KernelTable:
     exp_minus_eta = np.exp(-eta)
     f = exp_minus_eta * _cumulative_simpson(r["gamma2"] * np.exp(eta), grid)
     g = f + exp_minus_eta
-    margins = {"f >= 0": f, "g <= 1": 1.0 - g,
-               "exp(-2 zeta) <= g (1 - f)": g * (1.0 - f) - np.exp(-2.0 * zeta)}
-    ok = np.array(list(margins.values())) >= -1e-10      # NaN fails
-    if not ok.all():
-        i = int(np.argmin(ok.all(axis=0)))          # the first failing time
-        name = list(margins)[np.argmin(ok[:, i])]   # and condition there
+    # each margin is formed when its row is, and again only to be printed
+    margins = {"f >= 0": lambda: f, "g <= 1": lambda: 1.0 - g,
+               "exp(-2 zeta) <= g (1 - f)":
+                   lambda: g * (1.0 - f) - np.exp(-2.0 * zeta)}
+    ok = [m() >= -1e-10 for m in margins.values()]      # NaN fails
+    ok_all = np.logical_and.reduce(ok)
+    if not ok_all.all():
+        i = int(np.argmin(ok_all))                  # the first failing time
+        name = next(n for n, row in zip(margins, ok) if not row[i])
         raise StepError(f"map not completely positive at t={float(grid[i])}: "
-                        f"{name} fails (margin {margins[name][i]:.3e})")
+                        f"{name} fails (margin {margins[name]()[i]:.3e})")
     for a in (grid, eta, zeta, f, g):
         a.flags.writeable = False
     return KernelTable(grid=grid, eta=eta, zeta=zeta, f=f, g=g)
@@ -410,14 +425,16 @@ def _backflow(k: KernelTable) -> float:
     np.gradient's formulas (first-order edges) and np.trapezoid's, in
     numpy's operation order, so bit for bit those two calls.  The grid
     terms, np.gradient's spacing test and its a, b, c coefficients among
-    them, are worked out once per table.
+    them, are worked out once per table, the coefficients only for a grid
+    that is not exactly uniform.
     """
     pop, coh = np.exp(-2.0 * k.eta), np.exp(-2.0 * k.zeta)
     dx = np.diff(k.grid)
     uniform = (dx == dx[0]).all()       # np.gradient's scalar-step branch
-    dx1, dx2 = dx[:-1], dx[1:]
-    a, b, c = (-dx2 / (dx1 * (dx1 + dx2)), (dx2 - dx1) / (dx1 * dx2),
-               dx1 / (dx2 * (dx1 + dx2)))
+    if not uniform:         # only that branch reads them; they may overflow
+        dx1, dx2 = dx[:-1], dx[1:]
+        a, b, c = (-dx2 / (dx1 * (dx1 + dx2)), (dx2 - dx1) / (dx1 * dx2),
+                   dx1 / (dx2 * (dx1 + dx2)))
     dist, sigma = np.empty((2, len(dx) + 1))
     trap = np.empty(len(dx))
     inner, term = sigma[1:-1], trap[1:]

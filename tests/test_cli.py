@@ -1,6 +1,7 @@
 """CLI tests: config handling, CSV emission, exit codes, determinism."""
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import hashlib
@@ -12,6 +13,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +172,31 @@ def test_strided_always_includes_last_row():
     assert list(_strided(10, 3)) == [0, 3, 6, 9]
     assert list(_strided(5, 1)) == [0, 1, 2, 3, 4]
     assert list(_strided(7, 100)) == [0, 6]
+
+
+def test_strided_takes_a_stride_beyond_int64():
+    # --stride is a Python int; np.arange would overflow on 2**63
+    assert list(_strided(7, 2 ** 63)) == [0, 6]
+
+
+@pytest.mark.parametrize("command,bound", [("rates", 96), ("evolve", 128)])
+def test_command_peak_memory_per_grid_point(command, bound):
+    # drained at the default 50,001 rows, after a warm-up: rates holds its
+    # grid, six rate columns and omega0 t; evolve at most 16 arrays (112
+    # and 168 B a point with the row indices built through Python ints
+    # and the kernels' full-grid temporaries)
+    cfg = RunConfig()
+
+    def drain():
+        collections.deque(COMMANDS[command][0](cfg), maxlen=0)
+    drain()
+    tracemalloc.start()
+    try:
+        drain()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 50_001 <= bound
 
 
 # --- CSV bytes: each file rebuilt one value at a time from library arrays --

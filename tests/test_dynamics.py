@@ -151,7 +151,9 @@ def test_kernel_initial_values_and_identity():
     assert np.max(np.abs(k.g - (k.f + np.exp(-k.eta)))) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 1234, 1235, 50_001])
+# every short length: the opening, closing and last pieces are strided
+# slices whose ends shift with the parity of n
+@pytest.mark.parametrize("n", [*range(2, 41), 1234, 1235, 50_001])
 @pytest.mark.parametrize("kind", ["random", "negative_zero", "signed_zeros"])
 def test_cumulative_simpson_matches_scipy_bit_for_bit(n, kind):
     from scipy.integrate import cumulative_simpson
@@ -164,6 +166,22 @@ def test_cumulative_simpson_matches_scipy_bit_for_bit(n, kind):
         want = cumulative_simpson(y, x=x, initial=0.0)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_build_kernels_holds_at_most_16_arrays():
+    # at the default 50,001 points: the grid, the six rate columns and the
+    # five kernel arrays, with _cumulative_simpson's half-grid temporaries
+    # and one CP margin at a time (168 B a point when every triple was
+    # evaluated and the three margins stacked)
+    p = fig_params()
+    build_kernels(p, 50.0, 1e-3)                       # warm-up
+    tracemalloc.start()
+    try:
+        build_kernels(p, 50.0, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 50_001 <= 16 * 8
 
 
 def test_build_kernels_grid_error():
@@ -710,6 +728,15 @@ def test_blp_non_finite_horizon(t_max):
         blp_measure(fig_params(), t_max)
     with pytest.raises(DomainError):
         next(blp_sweep(fig_params(), t_max, BLP_RATIOS))
+
+
+@pytest.mark.parametrize("t_max", [1e-300, 3e-300, 1e-200])
+def test_blp_at_tiny_horizon_is_zero_without_warnings(t_max):
+    # three-point grids, exactly uniform; np.gradient's coefficients for
+    # uneven spacing divide by an underflowed dx1 * dx2 there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert blp_measure(fig_params(), t_max) == 0.0
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
