@@ -314,12 +314,13 @@ COMMANDS = {"rates": (cmd_rates, 50.0, "rates.csv"),
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="spinboson",
+        prog="spinboson", allow_abbrev=False,
         description="Weak-coupling spin-boson decay rates, dynamics, and "
                     "jump unraveling (all quantities in units of omega_c)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        sp = sub.add_parser(name, help=f"run the {name} computation")
+        sp = sub.add_parser(name, help=f"run the {name} computation",
+                            allow_abbrev=False)
         sp.add_argument("--config", help="flat key=value config file")
         for key in _FIELD_TYPES:
             sp.add_argument(_flag(key), dest=key)   # load_config types it

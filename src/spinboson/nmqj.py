@@ -55,8 +55,8 @@ MAX_N_TRAJ = 2 ** 63 - 1
 #: upper bound on dt * (|g1| + |g2| + 2 |g3|) for a first-order step
 STEP_PROBABILITY_BOUND = 0.1
 
-#: steps whose count-free ladder and drift terms run_unraveling computes at
-#: once: the block bounds the Python floats its step loop holds
+#: steps whose rates and drift terms run_unraveling turns into Python floats
+#: at once: the block bounds the floats its step loop holds
 _BLOCK = 1024
 
 # --- counter-based randomness (SplitMix64) -------------------------------
@@ -153,40 +153,27 @@ def deterministic_step(s: PureState, rates: RateSet, dt: float) -> PureState:
 
 # --- ensemble step -------------------------------------------------------
 
-def _ladders(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray, dt: float):
-    """The count-free ladder terms of a run of steps, from its rates.
-
-    Returns the forward probabilities f1 and f2 and the dephasing
-    probabilities gamma3 dt (lists), all cut at the first step whose
-    gamma3 < 0, and that step's StepError (None if there is none).
-    """
-    negative = np.flatnonzero(g3 < 0.0)
-    error = None
-    if negative.size:
-        k = negative[0]
-        error = StepError(f"gamma3 = {g3[k].item()!r} < 0: reversed "
-                          "dephasing jumps are outside this scheme")
-        g1, g2, g3 = g1[:k], g2[:k], g3[:k]
-    return (np.where(g1 > 0.0, g1 * dt, 0.0).tolist(),
-            np.where(g2 > 0.0, g2 * dt, 0.0).tolist(), (g3 * dt).tolist(),
-            error)
-
-
-def _jumps(counts: tuple[int, int, int, int], rep: np.ndarray, f1: float,
-           f2: float, g3_dt: float, g1: float, g2: float, p_plus: float,
-           p_minus: float, dt: float,
+def _jumps(counts: tuple[int, int, int, int], rep: np.ndarray, g1: float,
+           g2: float, g3: float, p_plus: float, p_minus: float, dt: float,
            rng: np.random.Generator) -> tuple[int, int, int, int]:
-    """The count-dependent half of a step; the new counts.
+    """One step's jumps at the step's rates; the new counts.
 
-    Writes the representatives' ladder (f1 p+, f2 p-, gamma3 dt, 0), at
-    the step start's populations, into the 4-slot array ``rep``; f1, f2
-    are also the eigenstates' forward jumps.  Adds their reversed jumps
-    (only where a rate is negative and the target class holds members),
-    checks each class's total against the 0.5 budget in class order, then
-    draws, in class order, each class with members and a non-zero ladder
-    as one multinomial over its zero-padded ladder and the counts at the
-    step start; numpy never reads the last ("no jump") slot.
+    Raises StepError first if gamma3 < 0.  Forms the forward probabilities
+    f1 = max(gamma1, 0) dt and f2 = max(gamma2, 0) dt, writes the
+    representatives' ladder (f1 p+, f2 p-, gamma3 dt, 0), at the step
+    start's populations, into the 4-slot array ``rep``; f1, f2 are also
+    the eigenstates' forward jumps.  Adds their reversed jumps (only where
+    a rate is negative and the target class holds members), checks each
+    class's total against the 0.5 budget in class order, then draws, in
+    class order, each class with members and a non-zero ladder as one
+    multinomial over its zero-padded ladder and the counts at the step
+    start; numpy never reads the last ("no jump") slot.
     """
+    if g3 < 0.0:
+        raise StepError(f"gamma3 = {float(g3)!r} < 0: reversed dephasing "
+                        "jumps are outside this scheme")
+    f1, f2, g3_dt = (g1 * dt if g1 > 0.0 else 0.0,
+                     g2 * dt if g2 > 0.0 else 0.0, g3 * dt)
     n0, nph, npl, nmi = counts
     r1, r2 = f1 * p_plus, f2 * p_minus
     rep[0], rep[1], rep[2] = r1, r2, g3_dt
@@ -257,15 +244,11 @@ def step_ensemble(counts: tuple[int, int, int, int], g1: float, g2: float,
                   rng: np.random.Generator) -> tuple[int, int, int, int]:
     """One synchronized jump step of the whole ensemble; the new counts.
 
-    The step's ladder terms and draws are run_unraveling's: _ladders for
-    this one step, then _jumps.  Survivors' drift is not applied.
+    The same _jumps call as each of run_unraveling's steps, with the
+    gamma3 < 0 check, the ladder and the draws.  Survivors' drift is not
+    applied.
     """
-    f1, f2, g3_dt, error = _ladders(
-        *(np.array([x], dtype=float) for x in (g1, g2, g3)), dt)
-    if error is not None:
-        raise error
-    return _jumps(counts, np.zeros(4), f1[0], f2[0], g3_dt[0], g1, g2, p_plus,
-                  p_minus, dt, rng)
+    return _jumps(counts, np.zeros(4), g1, g2, g3, p_plus, p_minus, dt, rng)
 
 
 # --- driver --------------------------------------------------------------
@@ -362,22 +345,18 @@ def _rows(grid: np.ndarray, table: dict[str, np.ndarray], n_traj: int,
     try:
         for lo in range(0, n_steps, _BLOCK):
             b = slice(lo, lo + _BLOCK)
-            f1, f2, g3_dt, error = _ladders(g1[b], g2[b], g3[b], dt)
-            for i, f1_i, f2_i, g3_dt_i, r1, r2, grow_p, grow_m, budget in zip(
-                    range(lo, n_steps), f1, f2, g3_dt, g1[b].tolist(),
-                    g2[b].tolist(), *(x.tolist() for x in _drift_terms(
+            for i, r1, r2, r3, grow_p, grow_m, budget in zip(
+                    range(lo, n_steps), g1[b].tolist(), g2[b].tolist(),
+                    g3[b].tolist(), *(x.tolist() for x in _drift_terms(
                         g1[b], g2[b], g3[b], dt))):
-                counts = _jumps(counts, rep, f1_i, f2_i, g3_dt_i, r1, r2,
-                                abs(ap) ** 2, abs(am) ** 2, dt, rng)
+                counts = _jumps(counts, rep, r1, r2, r3, abs(ap) ** 2,
+                                abs(am) ** 2, dt, rng)
                 ap, am = _drift(ap, am, grow_p, grow_m, budget)
                 if sum(counts) != n_traj or min(counts) < 0:
                     raise DomainError(
                         f"counts {counts} do not sum to n={n_traj}")
                 if (i + 1) % stride == 0 or i == n_steps - 1:
                     rows.append((i + 1, counts, ap, am))
-            if error is not None:
-                i = lo + len(f1)
-                raise error
     except (StepError, ProbabilityError) as err:
         raise type(err)(f"at t = {grid[i]:.6g}: {err}") from err
     return rows
@@ -389,10 +368,10 @@ def run_unraveling(p: SystemParams, n_traj: int, t_max: float, dt: float,
 
     Rows are recorded at t = 0 and every ``stride`` steps thereafter (the
     final time is always included).  The rates are first checked for a CP
-    map, as in build_kernels.  A step is step_ensemble's jumps on the
-    representative's populations at the step start, then the
-    representative's drift, then the count check; a block of steps gets
-    its count-free ladder and drift terms as lists before its step loop.
+    map, as in build_kernels.  A step is step_ensemble's _jumps call on
+    the step's rates and the representative's populations at the step
+    start, then the representative's drift, then the count check; a block
+    of steps gets its rates and drift terms as lists before its step loop.
     Each error raises at its own step, re-raised with the failing time
     attached: at a step, gamma3 < 0 first, then the jump budgets in class
     order, then the drift, then the counts.

@@ -589,11 +589,16 @@ def test_bad_flag_value_is_config_error(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
-def test_unknown_flag_is_a_usage_error(capsys):
+@pytest.mark.parametrize("flag", ["--n-trajectories", "--alph", "--t-m",
+                                  "--ou", "--e"])
+def test_unknown_flag_is_a_usage_error(tmp_path, capsys, flag):
+    # flags are spelled in full, as config keys are: no prefix of one
+    out = tmp_path / "r.csv"
     with pytest.raises(SystemExit) as exc:
-        main(["rates", "--n-trajectories", "100"])
+        main(["rates", "--t-max", "1", flag, "100", "--out", str(out)])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def checkout_env() -> dict[str, str]:

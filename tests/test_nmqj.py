@@ -302,9 +302,26 @@ def test_step_ensemble_zero_slots_draw_nothing():
 
 
 def test_step_ensemble_rejects_negative_dephasing():
-    with pytest.raises(StepError):
-        step_ensemble((100, 0, 0, 0), 0.0, 0.0, -0.01, *HALF, 1e-3,
-                      np.random.default_rng(0))
+    # a numpy scalar prints as the float it holds
+    for g3 in (-0.01, np.float64(-0.01)):
+        with pytest.raises(StepError, match=r"^gamma3 = -0\.01 < 0: reversed "
+                           r"dephasing jumps are outside this scheme$"):
+            step_ensemble((100, 0, 0, 0), 0.0, 0.0, g3, *HALF, 1e-3,
+                          np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("rates", [(3, -2, 1), (-4, 5, 0)])
+def test_step_ensemble_rates_of_any_number_type_draw_alike(rates):
+    # int and np.float64 rates draw the counts that their floats draw, and
+    # leave the stream where the floats leave it
+    counts = (5000, 1000, 2000, 2000)
+    draws = []
+    for kind in (float, np.float64, int):
+        rng = np.random.default_rng(13)
+        out = step_ensemble(counts, *map(kind, rates), 0.3, 0.7, 1e-2, rng)
+        draws.append((out, rng.random()))
+    assert draws[0][0] != counts
+    assert draws[1] == draws[0] and draws[2] == draws[0]
 
 
 def test_step_ensemble_probability_budget():
@@ -538,6 +555,13 @@ def test_run_failure_stops_the_drift_at_the_failing_step(monkeypatch):
         run_unraveling(SystemParams.from_ratios(0.0, 10.0, 0.01), 10 ** 7,
                        5.0, 1e-3, seed=1)
     assert len(calls) == 480
+    # the gamma3 < 0 check of step 7 comes before its drift: steps 0..6
+    calls.clear()
+    rig_rates(monkeypatch, gamma3=(0.0,) * 7 + (-1.0,))
+    with pytest.raises(StepError, match=r"^at t = 0\.007: gamma3 = -1\.0 < 0: "
+                       r"reversed dephasing jumps are outside this scheme$"):
+        run_unraveling(fig_params(), 100, 0.01, 1e-3, seed=1)
+    assert len(calls) == 7
 
 
 def test_run_snapshots_equal_constructed_states(monkeypatch):
