@@ -9,10 +9,12 @@ Two independent propagation routes are provided on purpose:
   map acts on (rho_pp, rho_pm) at every grid time.
 * :func:`ode_oracle` — direct Runge-Kutta integration of the dissipator
   built from the three channel operators lifted to a 4x4 superoperator.
-  It shares nothing with the map construction beyond the rate functions
-  themselves, so elementwise agreement of the two routes validates the
-  kernel algebra (in particular the sign of the inner exponent in f, where
-  a naive reading of the population kernel is unstable to typos).
+  It shares no code with the map construction, not even the rates: the
+  map's come from rate_table's closed form, the oracle's from
+  oracle_rates' quadrature of their defining integral.  So elementwise
+  agreement of the two routes validates the rates and the kernel algebra
+  (in particular the sign of the inner exponent in f, where a naive
+  reading of the population kernel is unstable to typos).
 
 The map works in the interaction picture: coherences carry no free
 e^{-i omega0 t} rotation, matching the convention of the rate derivation.
@@ -30,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, StepError, ToleranceError
-from .model import (SystemParams, channel_rates, integer, rate_table,
-                    uniform_grid)
+from .model import (SystemParams, channel_rates, integer, oracle_rates,
+                    rate_table, uniform_grid)
 
 #: |eta| or |zeta| beyond which exp(+-kernel) leaves double range safely
 _KERNEL_EXP_LIMIT = 600.0
@@ -251,10 +253,11 @@ def ode_oracle(p: SystemParams, rho0: DensityMatrix, t_max: float,
 
     The generator at each time is assembled from the channel operators as
     a 4x4 superoperator with the time-dependent rates as coefficients; no
-    kernel function enters.  RK4 runs at step 2h on two interleaved
-    chains, so every midpoint is a grid point: one over the even grid
-    indices, one over the odd ones after an RK4 step of h from t = 0.
-    Rates are sampled once, on the grid plus t = h/2.  The states are
+    kernel function and no code of the map enters.  RK4 runs at step 2h
+    on two interleaved chains, so every midpoint is a grid point: one
+    over the even grid indices, one over the odd ones after an RK4 step of
+    h from t = 0.  The rates, on the grid plus t = h/2, come from one
+    oracle_rates call, by quadrature rather than rate_table.  The states are
     checked once over the finished trajectory: StepError names the first
     grid time where |tr - 1| exceeds 1e-12, DensityMatrix's bound, or is
     not a number; then the first state that is not positive raises
@@ -265,10 +268,7 @@ def ode_oracle(p: SystemParams, rho0: DensityMatrix, t_max: float,
     """
     grid = uniform_grid(t_max, h)
     n = len(grid) - 1
-    r = rate_table(p, np.append(grid, 0.5 * h))
-    coeffs = np.stack([r["gamma1"], r["gamma2"], r["gamma3"]], axis=1)
-    del r                       # frees the six rate columns before the states
-
+    coeffs = oracle_rates(p, n, h)
     v = np.empty((n + 1, 4), dtype=complex)
     v[0] = (rho0.rho_pp, rho0.rho_pm, complex(rho0.rho_pm).conjugate(),
             rho0.rho_mm)

@@ -13,8 +13,9 @@ equation has three decay channels,
 where gp/gm are the downward/upward rates at the eigenfrequency
 omega0 = sqrt(epsilon^2 + delta^2) and g0 is the zero-frequency
 (pure-dephasing) rate.  This module provides the closed-form rates, an
-independent double-integral quadrature oracle for them, and utilities for
-locating the times where a rate changes sign.
+independent double-integral quadrature oracle for them, the same
+integrand's cumulative quadrature on a uniform grid for the ODE oracle,
+and utilities for locating the times where a rate changes sign.
 
 All quantities are in units of the bath cutoff omega_c, so omega_c = 1
 throughout: frequencies and rates in omega_c, times in 1/omega_c.
@@ -267,13 +268,23 @@ _TAIL_COEFFS = [float(math.factorial(j)) for j in range(_TAIL_TERMS, 0, -1)]
 
 
 @functools.cache
-def _gauss_rules() -> tuple[np.ndarray, np.ndarray]:
-    """The 16- and 20-node Gauss-Legendre rules on [-1, 1]: their nodes
-    side by side (16 first), and their weights likewise.  Built on first
-    use, not at import: leggauss's eigenvalue solve adds ~0.7 MB of
-    resident memory to a process that calls no other LAPACK routine."""
-    return tuple(map(np.concatenate, zip(
-        *(np.polynomial.legendre.leggauss(n) for n in (16, 20)))))
+def _gauss_rules() -> dict:
+    """Gauss-Legendre rules on [-1, 1] as (nodes, weights): the 4-node
+    rule for oracle_rates, and under (16, 20) the 16- and 20-node rules
+    side by side, 16 first, for rates_quadrature.  Built on first use, not
+    at import: leggauss's eigenvalue solve adds ~0.7 MB of resident memory
+    to a process that calls no other LAPACK routine."""
+    rules = {n: np.polynomial.legendre.leggauss(n) for n in (4, 16, 20)}
+    return {4: rules[4], (16, 20): tuple(map(np.concatenate,
+                                             zip(rules[16], rules[20])))}
+
+
+def _integrand_parts(s: np.ndarray, omega: float):
+    """Re[e^{i omega s} (1 + i s)^{-2}] = (a + b) q^2 at s, as (a, b, q):
+    a = (1 - s^2) cos(omega s) and b = 2 s sin(omega s) are its parts even
+    and odd in omega, and q = 1/(1 + s^2)."""
+    x = omega * s
+    return (1.0 - s * s) * np.cos(x), 2.0 * s * np.sin(x), 1.0 / (1.0 + s * s)
 
 
 def rates_quadrature(p: SystemParams, omega: float, t: float) -> float:
@@ -330,7 +341,7 @@ def rates_quadrature(p: SystemParams, omega: float, t: float) -> float:
         edges.append(min(max(1.0, 2.0 * edges[-1]), t))
     start, width = edges[-1], np.diff(edges)
     panels = np.maximum(np.ceil(w / 6.0 * width), 1.0).astype(int)
-    nodes, weights = _gauss_rules()
+    nodes, weights = _gauss_rules()[16, 20]
     if panels.sum() * nodes.size > QUAD_BUDGET:
         raise ToleranceError(f"quadrature budget {QUAD_BUDGET} exhausted "
                              f"at t={t}, omega={omega}")
@@ -339,8 +350,8 @@ def rates_quadrature(p: SystemParams, omega: float, t: float) -> float:
                                              panels)
     s = (np.repeat(edges[:-1], panels) + step * index)[:, None] \
         + 0.5 * step[:, None] * (1.0 + nodes)
-    x, q = omega * s, 1.0 / (1.0 + s * s)
-    g = ((1.0 - s * s) * np.cos(x) + 2.0 * s * np.sin(x)) * q * q * weights
+    a, b, q = _integrand_parts(s, omega)
+    g = (a + b) * q * q * weights
     rules = np.add.reduceat(g, [0, 16], axis=1) * (0.5 * step)[:, None]
     value = float(rules[:, 0].sum())
     err = float(np.abs(rules[:, 1] - rules[:, 0]).sum())
@@ -364,6 +375,83 @@ def rates_quadrature(p: SystemParams, omega: float, t: float) -> float:
             f"estimate {0.5 * p.alpha * err:.3e} (tolerance 1.000e-10) at "
             f"t={t}, omega={omega}")
     return p.alpha * value
+
+
+#: bound on the summed Gauss remainder of each bare rate of oracle_rates,
+#: over all its panels, in units of alpha
+ORACLE_TOLERANCE = 1e-16
+
+#: hard cap on the quadrature nodes of one oracle_rates call; a step's
+#: panels must also fit one block of _ORACLE_BLOCK_NODES nodes, the unit
+#: of evaluation that bounds the temporaries
+ORACLE_BUDGET = 100_000_000
+_ORACLE_BLOCK_NODES = 16_384
+
+
+def oracle_rates(p: SystemParams, n: int, h: float) -> np.ndarray:
+    """ode_oracle's channel rates gamma1, gamma2, gamma3 (columns) at
+    t = k h, k = 0, ..., n, then at t = h/2 (rows), by cumulative
+    quadrature of rates_quadrature's integrand at omega = +-omega0 and 0:
+    alpha Re e^{+-i omega0 s} (1 + i s)^{-2} and alpha (1 - s^2)(1 + s^2)^{-2}.
+
+    Each step [k h, (k + 1) h], and [0, h/2], is cut into m panels of the
+    4-node Gauss-Legendre rule; one cos, sin and 1/(1 + s^2) pass serves
+    all three rates, one cumulative sum joins the steps, and the bare
+    rates are weighted as channel_rates weights them.  No code of
+    rate_table enters, so each validates the other.
+
+    The accuracy is enforced: on a panel of width w the rule errs by at
+    most w^9 (4!)^4 / (9 (8!)^3) D, where
+    D = sum_{j=0}^{8} 8!/j! (9 - j) omega0^j bounds the 8th derivative of
+    e^{+-i omega0 s}(1 + i s)^{-2} at real s (Leibniz's rule, with
+    |1 + i s| >= 1).  m is the fewest panels whose bounds, summed over all
+    of them, stay within ORACLE_TOLERANCE alpha = 1e-16 alpha: so that
+    bounds every bare rate's quadrature error, before rounding.
+    ToleranceError if that takes more than _ORACLE_BLOCK_NODES nodes on a
+    step or ORACLE_BUDGET in all; rate_table's DomainError at a non-finite
+    rate.
+    """
+    w0 = p.omega0
+    d = sum(40320 // math.factorial(j) * (9 - j) * w0 ** j for j in range(9))
+    # the fewest panels m with (n + 1/2) h (4!)^4 / (9 (8!)^3) (h / m)^8 d
+    # <= ORACLE_TOLERANCE
+    m = max(1.0, np.ceil(h * ((n + 0.5) * h * 24 ** 4 / (9 * 40320 ** 3)
+                              * d / ORACLE_TOLERANCE) ** 0.125))
+    if not (4 * m <= _ORACLE_BLOCK_NODES and 4 * m * (n + 1) <= ORACLE_BUDGET):
+        raise ToleranceError(
+            f"quadrature needs {4 * m:g} nodes on each of {n + 1} steps of "
+            f"h={h} at omega0={w0}: beyond {_ORACLE_BLOCK_NODES} a step or "
+            f"{ORACLE_BUDGET} in all")
+    m = int(m)
+    nodes, weights = _gauss_rules()[4]
+
+    def pieces(starts: np.ndarray, width: float) -> np.ndarray:
+        """The three bare integrals over [start, start + width], per start."""
+        w = width / m
+        s = starts[:, None] + (np.arange(m)[:, None] * w
+                               + 0.5 * w * (1.0 + nodes)).ravel()
+        a, b, q = _integrand_parts(s, w0)
+        q *= q
+        wts = np.tile(0.5 * w * weights, m)
+        even, odd = (a * q) @ wts, (b * q) @ wts
+        return np.stack([even + odd, even - odd,
+                         ((1.0 - s * s) * q) @ wts], axis=1)
+
+    out = np.empty((n + 2, 3))
+    out[0] = 0.0
+    block = _ORACLE_BLOCK_NODES // (4 * m)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        out[lo + 1:hi + 1] = pieces(np.arange(lo, hi) * h, h)
+    out[n + 1] = pieces(np.zeros(1), 0.5 * h)
+    np.cumsum(out[:n + 1], axis=0, out=out[:n + 1])
+    out *= p.alpha
+    if not np.isfinite(out).all():      # the first column, then its first row
+        col, k = np.argwhere(~np.isfinite(out.T))[0].tolist()
+        raise DomainError(f"rate {_BARE_RATES[col]} is not finite at "
+                          f"t={h * k if k <= n else 0.5 * h}")
+    out *= _channel_weights(p)
+    return out
 
 
 # --- sign structure ----------------------------------------------------

@@ -16,6 +16,7 @@ from spinboson import (DensityMatrix, DomainError, GridError, StepError,
                        build_kernels, ode_oracle, pair_directions, rate_table,
                        recoherence_mask, uniform_grid)
 import spinboson.dynamics as dynamics
+import spinboson.model as model
 from spinboson.cli import BLP_RATIOS
 
 FIG_RATIO = 1.0 / (2.0 * math.sqrt(3.0))
@@ -443,12 +444,13 @@ def test_ode_oracle_names_first_trace_drift(monkeypatch):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_ode_oracle_nan_state_is_step_error(monkeypatch):
     # infinite rates from t = 0.5 on turn the state NaN at that step
-    def rates_blowing_up(p, tgrid):
-        r = rate_table(p, tgrid)
-        r["gamma1"] = np.where(tgrid >= 0.5, np.inf, r["gamma1"])
+    def rates_blowing_up(p, n, h):
+        r = model.oracle_rates(p, n, h)
+        t = np.append(np.arange(n + 1) * h, 0.5 * h)
+        r[:, 0] = np.where(t >= 0.5, np.inf, r[:, 0])
         return r
 
-    monkeypatch.setattr(dynamics, "rate_table", rates_blowing_up)
+    monkeypatch.setattr(dynamics, "oracle_rates", rates_blowing_up)
     with pytest.raises(StepError, match=r"nan at t=0\.5$"):
         ode_oracle(fig_params(), plus_minus_super(), 1.0, 1e-3)
 
@@ -593,20 +595,53 @@ def test_ode_oracle_names_first_non_positive_state(monkeypatch):
     assert str(err.value).startswith("state not positive: det = -")
 
 
-def test_ode_oracle_reads_rates_on_its_grid_and_half_a_step(monkeypatch):
-    # the grid's n + 1 points plus t = h/2, in one rate_table call
+def test_ode_oracle_takes_its_rates_from_one_oracle_rates_call(monkeypatch):
+    # the grid's n + 1 points plus t = h/2, which oracle_rates returns
     calls = []
 
-    def counting_table(p, tgrid):
-        calls.append(np.asarray(tgrid).copy())
-        return rate_table(p, tgrid)
+    def counting_rates(p, n, h):
+        calls.append((p, n, h))
+        return model.oracle_rates(p, n, h)
 
-    monkeypatch.setattr(dynamics, "rate_table", counting_table)
+    monkeypatch.setattr(dynamics, "oracle_rates", counting_rates)
     n, h = 1000, 1e-3
     ode_oracle(fig_params(), plus_minus_super(), n * h, h)
-    assert len(calls) == 1
-    assert len(calls[0]) == n + 2
-    assert sorted(calls[0]) == sorted([*(np.arange(n + 1) * h), 0.5 * h])
+    assert calls == [(fig_params(), n, h)]
+
+
+def test_ode_oracle_evaluates_no_e1(monkeypatch):
+    # criterion 5's three biases: the oracle's rates come from quadrature
+    # alone, so with E1 and rate_table out of reach it still tracks the map
+    def unreachable(*args):
+        raise AssertionError("E1 evaluated")
+
+    rho0 = plus_minus_super()
+    for ratio in (FIG_RATIO, 0.0, 1.0):
+        p = fig_params(ratio)
+        rho_pp, rho_pm = apply_map_series(build_kernels(p, 50.0, 1e-3), rho0)
+        monkeypatch.setattr(model, "expint_e1", unreachable)
+        monkeypatch.setattr(dynamics, "rate_table", unreachable)
+        traj = ode_oracle(p, rho0, 50.0, 1e-3)
+        monkeypatch.undo()
+        assert np.abs(np.array([s.rho_pp for s in traj]) - rho_pp).max() \
+            <= 1e-6
+        assert np.abs(np.array([s.rho_pm for s in traj]) - rho_pm).max() \
+            <= 1e-6
+
+
+def test_ode_oracle_peak_memory_per_grid_point():
+    # at 50,001 points: the states (144 B each), the propagated vectors,
+    # the rate rows and the state columns; oracle_rates evaluates its
+    # nodes in blocks, and all 200,008 of them at once exceed this bound
+    rho0 = plus_minus_super()
+    ode_oracle(fig_params(), rho0, 50.0, 1e-3)         # warm-up
+    tracemalloc.start()
+    try:
+        ode_oracle(fig_params(), rho0, 50.0, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 50_001 <= 280
 
 
 def test_ode_oracle_trace_drift_stays_small():

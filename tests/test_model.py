@@ -394,6 +394,46 @@ def test_quadrature_non_finite_frequency(omega):
         rates_quadrature(fig_params(), omega, 1.0)
 
 
+# --- the ODE oracle's rates ------------------------------------------------
+
+@pytest.mark.parametrize("omega0", [10.0, 150.0, 300.0])
+@pytest.mark.parametrize("h", [1e-3, 0.02, 0.5])
+def test_oracle_rates_match_rate_table(omega0, h):
+    # every grid row to t = 50 and the row at h/2 against the closed form,
+    # which shares no code with the quadrature; at omega0 300 and h 0.5 a
+    # step spans 150 rad, so a rule without enough panels fails here
+    n = round(50.0 / h)
+    t = np.append(np.arange(n + 1) * h, 0.5 * h)
+    for ratio in (0.0, FIG_RATIO, 1.0):
+        p = fig_params(ratio, omega0)
+        got, table = model.oracle_rates(p, n, h), rate_table(p, t)
+        for col, name in enumerate(("gamma1", "gamma2", "gamma3")):
+            assert np.abs(got[:, col] - table[name]).max() <= 1e-15 * p.alpha
+
+
+def test_oracle_rates_past_the_budget_are_a_tolerance_error(monkeypatch):
+    # a step of 100 at omega0 300 needs more nodes than one block holds;
+    # at the figure parameters each of 1001 steps takes 4 nodes
+    with pytest.raises(ToleranceError, match="beyond 16384 a step"):
+        model.oracle_rates(fig_params(omega0=300.0), 2, 100.0)
+    monkeypatch.setattr(model, "ORACLE_BUDGET", 4004)
+    model.oracle_rates(fig_params(), 1000, 1e-3)
+    monkeypatch.setattr(model, "ORACLE_BUDGET", 4003)
+    with pytest.raises(ToleranceError, match="4 nodes on each of 1001 steps"):
+        model.oracle_rates(fig_params(), 1000, 1e-3)
+
+
+@pytest.mark.filterwarnings("ignore:omega0/omega_c",
+                            "ignore::RuntimeWarning")
+def test_oracle_rates_non_finite_rate_is_a_domain_error():
+    # at omega0 1, gamma_plus / alpha first passes 1.797e308 / 1.7e308 at
+    # t = 2.25 (rate_table at alpha 1), so alpha 1.7e308 overflows there
+    p = SystemParams.from_ratios(0.0, 1.0, 1.7e308)
+    with pytest.raises(DomainError,
+                       match=r"^rate gamma_plus is not finite at t=2\.25$"):
+        model.oracle_rates(p, 1000, 0.01)
+
+
 # --- sign changes --------------------------------------------------------
 
 def test_sign_changes_channel3_empty():
