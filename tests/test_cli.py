@@ -179,13 +179,17 @@ def test_strided_takes_a_stride_beyond_int64():
     assert list(_strided(7, 2 ** 63)) == [0, 6]
 
 
-@pytest.mark.parametrize("command,bound", [("rates", 96), ("evolve", 128)])
+@pytest.mark.parametrize("command,bound", [("rates", 96), ("evolve", 128),
+                                           ("unravel", 540)])
 def test_command_peak_memory_per_grid_point(command, bound):
-    # drained at the default 50,001 rows, after a warm-up: rates holds its
-    # grid, six rate columns and omega0 t; evolve at most 16 arrays (112
-    # and 168 B a point with the row indices built through Python ints
-    # and the kernels' full-grid temporaries)
-    cfg = RunConfig()
+    # drained after a warm-up: rates at 50,001 rows holds its grid, six
+    # rate columns and omega0 t; evolve at most 16 arrays (112 and 168 B a
+    # point with the row indices built through Python ints and the
+    # kernels' full-grid temporaries); unravel at 5,001 rows of 13 columns
+    # peaks at 524 B a point in the unraveling, and formatting
+    # _CSV_CHUNK_VALUES rows (13 times as many values) at once fails it
+    cfg = RunConfig(n_traj=1000, t_max=5.0) if command == "unravel" \
+        else RunConfig()
 
     def drain():
         collections.deque(COMMANDS[command][0](cfg), maxlen=0)
@@ -196,7 +200,78 @@ def test_command_peak_memory_per_grid_point(command, bound):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / 50_001 <= bound
+    assert peak / (round(cfg.t_max / cfg.dt) + 1) <= bound
+
+
+def _percent_lines(rows) -> str:
+    return "".join(",".join("%.12g" % v for v in row) + "\n" for row in rows)
+
+
+def _beside(values, ulps: int = 3) -> list[float]:
+    """values and the doubles up to ulps steps below and above each"""
+    lo = hi = np.array(values, dtype=float)
+    out = [lo]
+    for _ in range(ulps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return np.concatenate(out).tolist()
+
+
+#: zeros, the extremes, the non-finite values; each power of ten from
+#: 1e-30 to 1e30 (where log10 may land off by one), the notation switches
+#: at 1e-5/1e-4 and 1e11/1e12, and 12th-digit rounding ties, with their
+#: neighbouring doubles
+G12_CASES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+             1.7976931348623157e308, -1.7976931348623157e308, math.nan,
+             -math.nan, math.inf, -math.inf] + _beside(
+    [float(f"1e{k}") for k in range(-30, 31)]
+    + [9.999999999995e-06, 9.99999999999e-05, 9.999999999995e-05,
+       99999999999.95, 99999999999.5, 999999999999.0, 999999999999.5,
+       123456789012.5, 1.000000000005, -2.000000000005e-3, 1.5e-12,
+       2.5e33])
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+def test_g12_matches_percent_format_on_edge_cases(columns):
+    values = np.array(G12_CASES[:len(G12_CASES) // columns * columns])
+    rows = values.reshape(-1, columns)
+    assert cli._g12(rows) == _percent_lines(rows.tolist())
+
+
+def _from_bits(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats() | st.integers(0, 2 ** 64 - 1).map(_from_bits),
+                min_size=1, max_size=24))
+def test_g12_matches_percent_format(values):
+    # any doubles, NaN, infinities and subnormals included, and raw bit
+    # patterns, as one column and as one row
+    column = np.array(values)[:, None]
+    assert cli._g12(column) == _percent_lines(column.tolist())
+    assert cli._g12(column.T) == _percent_lines(column.T.tolist())
+
+
+#: a chunk's rows of three columns
+_ROWS = cli._CSV_CHUNK_VALUES // 3
+
+
+@pytest.mark.parametrize("n,stride", [(0, 1), (1, 1), (_ROWS - 1, 1),
+                                      (_ROWS, 1), (_ROWS + 1, 1),
+                                      (7 * _ROWS + 3, 7)])
+def test_csv_rows_across_chunk_boundaries(n, stride):
+    # rows of three columns: none, one, a chunk's rows - 1, + 0 and + 1,
+    # and a stride whose last row is appended
+    rng = np.random.default_rng(n)
+    columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-40, 40, n)
+               for _ in range(3)]
+    columns[1][::7] = 0.0
+    idx = _strided(n, stride) if n else np.arange(0)
+    assert stride == 1 or (n - 1) % stride != 0
+    text = "".join(cli._csv_rows(["a", "b", "c"], columns, idx))
+    assert text == "a,b,c\n" + _percent_lines(
+        zip(*(c[idx].tolist() for c in columns)))
 
 
 # --- CSV bytes: each file rebuilt one value at a time from library arrays --

@@ -411,6 +411,21 @@ def test_oracle_rates_match_rate_table(omega0, h):
             assert np.abs(got[:, col] - table[name]).max() <= 1e-15 * p.alpha
 
 
+@pytest.mark.filterwarnings("ignore:omega0/omega_c")
+@pytest.mark.parametrize("omega0,t_max,bound", [(1.0, 10.0, 3e-15),
+                                                (5.0, 320.0, 1e-15)])
+def test_oracle_rates_cumulative_sum_does_not_drift(omega0, t_max, bound):
+    # where gamma1 levels off at a large value, one running sum over every
+    # step drifts from the closed form: past 3e-15 alpha by t = 9.9 at
+    # omega0 1 and past 1e-15 alpha by t = 316 at omega0 5 (h = 1e-3)
+    n, h = round(t_max / 1e-3), 1e-3
+    p = fig_params(0.0, omega0)
+    got = model.oracle_rates(p, n, h)
+    table = rate_table(p, np.append(np.arange(n + 1) * h, 0.5 * h))
+    for col, name in enumerate(("gamma1", "gamma2", "gamma3")):
+        assert np.abs(got[:, col] - table[name]).max() <= bound * p.alpha
+
+
 def test_oracle_rates_past_the_budget_are_a_tolerance_error(monkeypatch):
     # a step of 100 at omega0 300 needs more nodes than one block holds;
     # at the figure parameters each of 1001 steps takes 4 nodes
