@@ -268,15 +268,23 @@ _TAIL_COEFFS = [float(math.factorial(j)) for j in range(_TAIL_TERMS, 0, -1)]
 
 
 @functools.cache
-def _gauss_rules() -> dict:
-    """Gauss-Legendre rules on [-1, 1] as (nodes, weights): the 4-node
-    rule for oracle_rates, and under (16, 20) the 16- and 20-node rules
-    side by side, 16 first, for rates_quadrature.  Built on first use, not
-    at import: leggauss's eigenvalue solve adds ~0.7 MB of resident memory
-    to a process that calls no other LAPACK routine."""
-    rules = {n: np.polynomial.legendre.leggauss(n) for n in (4, 16, 20)}
-    return {4: rules[4], (16, 20): tuple(map(np.concatenate,
-                                             zip(rules[16], rules[20])))}
+def _gauss_rules() -> tuple[np.ndarray, np.ndarray]:
+    """The 16- and 20-node Gauss-Legendre rules on [-1, 1] side by side,
+    16 first, as (nodes, weights), for rates_quadrature.  Built on first
+    use, not at import: leggauss's eigenvalue solve adds ~0.6 MB of
+    resident memory to a process that calls no other LAPACK routine, so
+    oracle_rates, which the unraveling calls, carries its 4-node rule as
+    _GAUSS4 instead."""
+    return tuple(map(np.concatenate,
+                     zip(*(np.polynomial.legendre.leggauss(n)
+                           for n in (16, 20)))))
+
+
+#: leggauss(4) as (nodes, weights), as literal doubles
+_GAUSS4 = (np.array([-0.8611363115940526, -0.33998104358485626,
+                     0.33998104358485626, 0.8611363115940526]),
+           np.array([0.34785484513745357, 0.6521451548625464,
+                     0.6521451548625464, 0.34785484513745357]))
 
 
 def _integrand_parts(s: np.ndarray, omega: float):
@@ -341,7 +349,7 @@ def rates_quadrature(p: SystemParams, omega: float, t: float) -> float:
         edges.append(min(max(1.0, 2.0 * edges[-1]), t))
     start, width = edges[-1], np.diff(edges)
     panels = np.maximum(np.ceil(w / 6.0 * width), 1.0).astype(int)
-    nodes, weights = _gauss_rules()[16, 20]
+    nodes, weights = _gauss_rules()
     if panels.sum() * nodes.size > QUAD_BUDGET:
         raise ToleranceError(f"quadrature budget {QUAD_BUDGET} exhausted "
                              f"at t={t}, omega={omega}")
@@ -381,9 +389,9 @@ def rates_quadrature(p: SystemParams, omega: float, t: float) -> float:
 #: over all its panels, in units of alpha
 ORACLE_TOLERANCE = 1e-16
 
-#: hard cap on the quadrature nodes of one oracle_rates call; a step's
-#: panels must also fit one block of _ORACLE_BLOCK_NODES nodes, the unit
-#: of evaluation that bounds the temporaries
+#: hard cap on the quadrature nodes of one oracle_rates call, which
+#: evaluates them in blocks of _ORACLE_BLOCK_NODES nodes, the unit of
+#: evaluation that bounds the temporaries
 ORACLE_BUDGET = 100_000_000
 _ORACLE_BLOCK_NODES = 16_384
 
@@ -407,10 +415,11 @@ def _blocked_cumsum(a: np.ndarray) -> None:
 
 
 def oracle_rates(p: SystemParams, n: int, h: float) -> np.ndarray:
-    """ode_oracle's channel rates gamma1, gamma2, gamma3 (columns) at
-    t = k h, k = 0, ..., n, then at t = h/2 (rows), by cumulative
-    quadrature of rates_quadrature's integrand at omega = +-omega0 and 0:
-    alpha Re e^{+-i omega0 s} (1 + i s)^{-2} and alpha (1 - s^2)(1 + s^2)^{-2}.
+    """ode_oracle's and run_unraveling's channel rates gamma1, gamma2,
+    gamma3 (columns) at t = k h, k = 0, ..., n, then at t = h/2 (rows), by
+    cumulative quadrature of rates_quadrature's integrand at omega =
+    +-omega0 and 0: alpha Re e^{+-i omega0 s} (1 + i s)^{-2} and
+    alpha (1 - s^2)(1 + s^2)^{-2}.
 
     Each step [k h, (k + 1) h], and [0, h/2], is cut into m panels of the
     4-node Gauss-Legendre rule; one cos, sin and 1/(1 + s^2) pass serves
@@ -427,9 +436,9 @@ def oracle_rates(p: SystemParams, n: int, h: float) -> np.ndarray:
     |1 + i s| >= 1).  m is the fewest panels whose bounds, summed over all
     of them, stay within ORACLE_TOLERANCE alpha = 1e-16 alpha: so that
     bounds every bare rate's quadrature error, before rounding.
-    ToleranceError if that takes more than _ORACLE_BLOCK_NODES nodes on a
-    step or ORACLE_BUDGET in all; rate_table's DomainError at a non-finite
-    rate.
+    ToleranceError if that takes more than ORACLE_BUDGET nodes in all; a
+    step of more than _ORACLE_BLOCK_NODES nodes is evaluated in blocks of
+    that many, summed.  rate_table's DomainError at a non-finite rate.
     """
     w0 = p.omega0
     d = sum(40320 // math.factorial(j) * (9 - j) * w0 ** j for j in range(9))
@@ -437,29 +446,34 @@ def oracle_rates(p: SystemParams, n: int, h: float) -> np.ndarray:
     # <= ORACLE_TOLERANCE
     m = max(1.0, np.ceil(h * ((n + 0.5) * h * 24 ** 4 / (9 * 40320 ** 3)
                               * d / ORACLE_TOLERANCE) ** 0.125))
-    if not (4 * m <= _ORACLE_BLOCK_NODES and 4 * m * (n + 1) <= ORACLE_BUDGET):
+    if not 4 * m * (n + 1) <= ORACLE_BUDGET:
         raise ToleranceError(
             f"quadrature needs {4 * m:g} nodes on each of {n + 1} steps of "
-            f"h={h} at omega0={w0}: beyond {_ORACLE_BLOCK_NODES} a step or "
-            f"{ORACLE_BUDGET} in all")
+            f"h={h} at omega0={w0}: beyond {ORACLE_BUDGET} in all")
     m = int(m)
-    nodes, weights = _gauss_rules()[4]
+    nodes, weights = _GAUSS4
+    chunk = _ORACLE_BLOCK_NODES // 4           # panels a block holds
 
     def pieces(starts: np.ndarray, width: float) -> np.ndarray:
-        """The three bare integrals over [start, start + width], per start."""
+        """The three bare integrals over [start, start + width], per start:
+        its m panels summed a block of nodes at a time."""
         w = width / m
-        s = starts[:, None] + (np.arange(m)[:, None] * w
-                               + 0.5 * w * (1.0 + nodes)).ravel()
-        a, b, q = _integrand_parts(s, w0)
-        q *= q
-        wts = np.tile(0.5 * w * weights, m)
-        even, odd = (a * q) @ wts, (b * q) @ wts
-        return np.stack([even + odd, even - odd,
-                         ((1.0 - s * s) * q) @ wts], axis=1)
+        for lo in range(0, m, chunk):
+            k = np.arange(lo, min(lo + chunk, m))
+            s = starts[:, None] + (k[:, None] * w
+                                   + 0.5 * w * (1.0 + nodes)).ravel()
+            a, b, q = _integrand_parts(s, w0)
+            q *= q
+            wts = np.tile(0.5 * w * weights, k.size)
+            even, odd = (a * q) @ wts, (b * q) @ wts
+            part = np.stack([even + odd, even - odd,
+                             ((1.0 - s * s) * q) @ wts], axis=1)
+            total = part if lo == 0 else total + part
+        return total
 
     out = np.empty((n + 2, 3))
     out[0] = 0.0
-    block = _ORACLE_BLOCK_NODES // (4 * m)
+    block = max(1, _ORACLE_BLOCK_NODES // (4 * m))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         out[lo + 1:hi + 1] = pieces(np.arange(lo, hi) * h, h)

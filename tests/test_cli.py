@@ -186,7 +186,7 @@ def test_command_peak_memory_per_grid_point(command, bound):
     # rate columns and omega0 t; evolve at most 16 arrays (112 and 168 B a
     # point with the row indices built through Python ints and the
     # kernels' full-grid temporaries); unravel at 5,001 rows of 13 columns
-    # peaks at 524 B a point in the unraveling, and formatting
+    # peaks at 500 B a point in the unraveling, and formatting
     # _CSV_CHUNK_VALUES rows (13 times as many values) at once fails it
     cfg = RunConfig(n_traj=1000, t_max=5.0) if command == "unravel" \
         else RunConfig()
@@ -379,6 +379,44 @@ def test_unravel_golden_sha256(tmp_path):
         text = "".join(",".join(row[i] for i in keep) + "\n" for row in lines)
         got[args] = hashlib.sha256(text.encode()).hexdigest()
     assert got == UNRAVEL_GOLDEN_SHA256
+
+
+#: sha256 of whole seeded unravel CSVs (seed 1), every column as written
+#: (numpy 2.4.6 on x86-64).  se_rho_pp's plug-in variance is a difference
+#: of two numbers near 0.25 that leaves ~1e-6, so its last printed digits
+#: move with the amplitudes' last ulps, and a last-ulp change of the rates
+#: can show here
+UNRAVEL_CSV_SHA256 = {
+    ():
+        "6283d3a6c0b6e1336d6c6e961c1fad9163ea7e8f18ff8b09f195422404f7a809",
+    ("--epsilon-over-delta", "0.1", "--omega0-over-omegac", "150",
+     "--alpha", "0.05", "--n-traj", "1000000", "--t-max", "2", "--dt",
+     "2e-3"):
+        "da28aa642c1aadbc4024575d0c64f65f84af3636c04fcca83467aeae3146a3c0",
+}
+
+
+def test_unravel_csv_sha256(tmp_path):
+    got = {}
+    for args in UNRAVEL_CSV_SHA256:
+        out = tmp_path / "u.csv"
+        assert main(["unravel", *args, "--out", str(out)]) == 0
+        got[args] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == UNRAVEL_CSV_SHA256
+
+
+def test_unravel_runs_steps_wider_than_a_block_of_nodes(tmp_path):
+    # a step of 50 takes 8,144 panels of oracle_rates' 4-node rule, more
+    # than one block of 16,384 nodes holds; at alpha 0 nothing moves
+    out = tmp_path / "u.csv"
+    assert main(["unravel", "--alpha", "0", "--t-max", "100", "--dt", "50",
+                 "--out", str(out)]) == 0
+    assert out.read_text() == (
+        "t,omega0_t,rho_pp,re_rho_pm,im_rho_pm,abs_rho_pm,n0,n0_ph,n_plus,"
+        "n_minus,se_rho_pp,se_re_rho_pm,se_count_diff\n"
+        "0,0,0.5,0.5,0,0.5,1,0,0,0,0,0,0\n"
+        "50,500,0.5,0.5,0,0.5,1,0,0,0,0,0,0\n"
+        "100,1000,0.5,0.5,0,0.5,1,0,0,0,0,0,0\n")
 
 
 # --- rates command ---------------------------------------------------------

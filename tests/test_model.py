@@ -427,15 +427,37 @@ def test_oracle_rates_cumulative_sum_does_not_drift(omega0, t_max, bound):
 
 
 def test_oracle_rates_past_the_budget_are_a_tolerance_error(monkeypatch):
-    # a step of 100 at omega0 300 needs more nodes than one block holds;
     # at the figure parameters each of 1001 steps takes 4 nodes
-    with pytest.raises(ToleranceError, match="beyond 16384 a step"):
-        model.oracle_rates(fig_params(omega0=300.0), 2, 100.0)
     monkeypatch.setattr(model, "ORACLE_BUDGET", 4004)
     model.oracle_rates(fig_params(), 1000, 1e-3)
     monkeypatch.setattr(model, "ORACLE_BUDGET", 4003)
     with pytest.raises(ToleranceError, match="4 nodes on each of 1001 steps"):
         model.oracle_rates(fig_params(), 1000, 1e-3)
+
+
+def test_oracle_rates_sum_a_wide_step_block_by_block(monkeypatch):
+    # a step of 100 at omega0 300 takes 420,280 panels, more than one
+    # block of nodes holds: summed a block at a time, it keeps the bound
+    p = fig_params(omega0=300.0)
+    got = model.oracle_rates(p, 2, 100.0)
+    table = rate_table(p, np.array([0.0, 100.0, 200.0, 50.0]))
+    for col, name in enumerate(("gamma1", "gamma2", "gamma3")):
+        assert np.abs(got[:, col] - table[name]).max() <= 1e-16 * p.alpha
+    # 3 panels a step at h 1e-3: blocks of 2 panels and 1 sum what one
+    # block of 3 sums, up to the order of the additions
+    whole = model.oracle_rates(p, 1000, 1e-3)
+    monkeypatch.setattr(model, "_ORACLE_BLOCK_NODES", 8)
+    split = model.oracle_rates(p, 1000, 1e-3)
+    assert not np.array_equal(split, whole)
+    assert np.abs(split - whole).max() <= 1e-17 * p.alpha
+
+
+def test_gauss4_literals_are_leggauss_to_one_ulp():
+    # oracle_rates carries leggauss(4) as literal doubles, so a process
+    # that only unravels makes no LAPACK call; numpy versions may round
+    # the eigenvalue solve's last bit differently
+    for got, ref in zip(model._GAUSS4, np.polynomial.legendre.leggauss(4)):
+        assert (np.abs(got - ref) <= np.spacing(np.abs(ref))).all()
 
 
 @pytest.mark.filterwarnings("ignore:omega0/omega_c",

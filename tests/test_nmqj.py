@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinboson.dynamics as dynamics
+import spinboson.model as model
 import spinboson.nmqj as nmqj
 from spinboson import (DensityMatrix, DomainError, GridError,
                        ProbabilityError, PureState, RateSet, StepError,
@@ -15,7 +16,7 @@ from spinboson import (DensityMatrix, DomainError, GridError,
                        build_kernels, count_difference_series,
                        deterministic_step, equal_superposition,
                        run_unraveling, step_ensemble)
-from spinboson.model import rate_table, uniform_grid
+from spinboson.model import oracle_rates, uniform_grid
 from spinboson.nmqj import member_uniforms
 
 FIG_RATIO = 1.0 / (2.0 * math.sqrt(3.0))
@@ -396,19 +397,19 @@ def test_run_drift_matches_deterministic_step(monkeypatch):
     # the driver's drift is deterministic_step's arithmetic, and its
     # block-wise jump loop draws what step_ensemble draws one step at a
     # time from the same stream: the recorded amplitudes and counts equal
-    # iterating both over the rate table, across block boundaries and the
-    # reversed jumps of the negative-rate windows
+    # iterating both over the driver's rates, oracle_rates' grid rows,
+    # across block boundaries and the reversed jumps of the negative-rate
+    # windows
     monkeypatch.setattr(nmqj, "_BLOCK", 7)
     p = SystemParams.from_ratios(0.3, 10.0, 0.05)
     r = run_unraveling(p, 100_000, 1.0, 1e-3, seed=4, stride=1)
     grid = uniform_grid(1.0, 1e-3)
-    table = rate_table(p, grid)
+    table = oracle_rates(p, len(grid) - 1, 1e-3)
     rng = np.random.Generator(np.random.PCG64(4))
     s, counts, reversed_jumps = equal_superposition(), (100_000, 0, 0, 0), 0
     assert (r.a_plus[0], r.a_minus[0]) == (s.a_plus, s.a_minus)
     for i in range(len(grid) - 1):
-        rates = RateSet(t=float(grid[i]),
-                        **{k: float(v[i]) for k, v in table.items()})
+        rates = jump_rates(*table[i].tolist())
         reversed_jumps += (rates.gamma1 < 0.0 and counts[3] > 0) \
             + (rates.gamma2 < 0.0 and counts[2] > 0)
         counts = step_ensemble(counts, rates.gamma1, rates.gamma2,
@@ -420,16 +421,58 @@ def test_run_drift_matches_deterministic_step(monkeypatch):
 
 
 def test_run_nan_rate_stops_the_drift(monkeypatch):
-    # rate_table rejects non-finite rates; past it, a NaN fails the CP check
-    # on the rate table before the first drift step
-    def table_with_nan(p, grid):
-        table = rate_table(p, grid)
-        table["gamma2"][3] = math.nan
+    # oracle_rates rejects non-finite rates; past it, a NaN fails the CP
+    # check on the rate table before the first drift step
+    def table_with_nan(p, n, h):
+        table = oracle_rates(p, n, h)
+        table[3, 1] = math.nan
         return table
-    monkeypatch.setattr(nmqj, "rate_table", table_with_nan)
+    monkeypatch.setattr(nmqj, "oracle_rates", table_with_nan)
     with pytest.raises(StepError, match=r"^map not completely positive at "
                        r"t=0\.003: f >= 0 fails \(margin nan\)$"):
         run_unraveling(fig_params(), 100, 0.01, 1e-3, seed=1)
+
+
+def test_run_unraveling_takes_its_rates_from_one_oracle_rates_call(
+        monkeypatch):
+    # the call's grid rows 0..n, not its t = h/2 row, are the table that
+    # the CP check and the steps read
+    calls, tables = [], []
+
+    def counting_rates(p, n, h):
+        calls.append((p, n, h))
+        return oracle_rates(p, n, h)
+
+    def kernels(grid, table):
+        tables.append(table)
+        return dynamics._kernels(grid, table)
+
+    monkeypatch.setattr(nmqj, "oracle_rates", counting_rates)
+    monkeypatch.setattr(nmqj, "_kernels", kernels)
+    p = fig_params(alpha=0.05)
+    run_unraveling(p, 1000, 1.0, 1e-3, seed=1)
+    assert calls == [(p, 1000, 1e-3)]
+    rows = oracle_rates(p, 1000, 1e-3)[:1001]
+    assert [np.array_equal(tables[0][k], rows[:, i]) for i, k in
+            enumerate(("gamma1", "gamma2", "gamma3"))] == [True] * 3
+
+
+def test_run_unraveling_evaluates_no_e1(monkeypatch):
+    # the unraveling's rates come from quadrature alone, so with E1 and
+    # rate_table out of reach it still tracks the map within criterion 6's
+    # band of 5/sqrt(N)
+    def unreachable(*args):
+        raise AssertionError("E1 evaluated")
+
+    p = fig_params(alpha=0.05)
+    rho_pp, rho_pm = apply_map_series(build_kernels(p, 1.0, 1e-3),
+                                      DensityMatrix(rho_pp=0.5, rho_mm=0.5,
+                                                    rho_pm=0.5))
+    monkeypatch.setattr(model, "expint_e1", unreachable)
+    monkeypatch.setattr(nmqj, "rate_table", unreachable)
+    r = run_unraveling(p, 100_000, 1.0, 1e-3, seed=2)
+    assert np.abs(r.rho_pp - rho_pp).max() <= 5.0 / math.sqrt(100_000)
+    assert np.abs(r.rho_pm - rho_pm).max() <= 5.0 / math.sqrt(100_000)
 
 
 def test_run_deterministic_for_fixed_seed():
@@ -488,14 +531,12 @@ def test_run_attaches_failure_time():
 def rig_rates(monkeypatch, gamma1=(), gamma2=(), gamma3=()):
     """Make run_unraveling step on the given channel rates, one per step
     from t = 0 and zero after the last, past the table's CP check."""
-    def table(p, grid):
-        rates = {}
-        for name, values in (("gamma1", gamma1), ("gamma2", gamma2),
-                             ("gamma3", gamma3)):
-            rates[name] = np.zeros(len(grid))
-            rates[name][:len(values)] = values
+    def table(p, n, h):
+        rates = np.zeros((n + 2, 3))
+        for col, values in enumerate((gamma1, gamma2, gamma3)):
+            rates[:len(values), col] = values
         return rates
-    monkeypatch.setattr(nmqj, "rate_table", table)
+    monkeypatch.setattr(nmqj, "oracle_rates", table)
     monkeypatch.setattr(nmqj, "_kernels", lambda grid, table: None)
 
 
