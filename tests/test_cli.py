@@ -344,6 +344,10 @@ def test_unravel_csv_bytes(tmp_path):
          "se_count_diff"], rows)
 
 
+OMEGA0_150 = ("--epsilon-over-delta", "0.1", "--omega0-over-omegac", "150",
+              "--alpha", "0.05", "--n-traj", "1000000", "--t-max", "2",
+              "--dt", "2e-3")
+
 #: sha256 of the t and class-fraction columns of seeded unravel CSVs (seed
 #: 1), as written: any change to the draws changes them.  The other columns
 #: go through np.sin/np.cos and libm, whose last ulp may vary with the CPU
@@ -365,6 +369,11 @@ UNRAVEL_GOLDEN_SHA256 = {
     # the benchmark's unravel config
     ("--n-traj", "100000", "--stride", "50"):
         "f32cc6bdfca954c34aadccaf49abe2ffbc287419e5b46d966971276657fc00a5",
+    # the default config, and a fast dressed frequency on a 2e-3 step
+    ():
+        "2482391df881ea166438839c058e6734bf80c6b24c4e4e9632d14d37386048dc",
+    OMEGA0_150:
+        "83f1e2e262b6eea00528350def9320856147ac1b7157424e1edbcee18630f0e2",
 }
 
 
@@ -381,28 +390,26 @@ def test_unravel_golden_sha256(tmp_path):
     assert got == UNRAVEL_GOLDEN_SHA256
 
 
-#: sha256 of whole seeded unravel CSVs (seed 1), every column as written
-#: (numpy 2.4.6 on x86-64).  se_rho_pp's plug-in variance is a difference
-#: of two numbers near 0.25 that leaves ~1e-6, so its last printed digits
-#: move with the amplitudes' last ulps, and a last-ulp change of the rates
-#: can show here
-UNRAVEL_CSV_SHA256 = {
-    ():
-        "6283d3a6c0b6e1336d6c6e961c1fad9163ea7e8f18ff8b09f195422404f7a809",
-    ("--epsilon-over-delta", "0.1", "--omega0-over-omegac", "150",
-     "--alpha", "0.05", "--n-traj", "1000000", "--t-max", "2", "--dt",
-     "2e-3"):
-        "da28aa642c1aadbc4024575d0c64f65f84af3636c04fcca83467aeae3146a3c0",
-}
-
-
-def test_unravel_csv_sha256(tmp_path):
-    got = {}
-    for args in UNRAVEL_CSV_SHA256:
-        out = tmp_path / "u.csv"
-        assert main(["unravel", *args, "--out", str(out)]) == 0
-        got[args] = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert got == UNRAVEL_CSV_SHA256
+@pytest.mark.parametrize("args", [(), OMEGA0_150],
+                         ids=["default", "omega0-150"])
+def test_unravel_csv_bytes_at_golden_configs(tmp_path, args):
+    # every column, rebuilt from run_unraveling in-process: the amplitude
+    # and se columns' last ulps may vary with the CPU and the numpy build,
+    # so no golden hash pins them
+    out = tmp_path / "u.csv"
+    assert main(["unravel", *args, "--out", str(out)]) == 0
+    cfg = load_config(None, {flag[2:].replace("-", "_"): value for flag, value
+                             in zip(args[::2], args[1::2])}, "unravel")
+    p, n = cfg.system_params(), cfg.n_traj
+    result = run_unraveling(p, n, cfg.t_max, cfg.dt, cfg.seed)
+    rows = [(s.t, p.omega0 * s.t, s.rho.rho_pp, s.rho.rho_pm.real,
+             s.rho.rho_pm.imag, abs(s.rho.rho_pm), *(c / n for c in s.counts),
+             s.se_rho_pp, s.se_re_rho_pm, s.se_count_diff)
+            for s in result.snapshots]
+    assert out.read_text() == csv_text(
+        ["t", "omega0_t", "rho_pp", "re_rho_pm", "im_rho_pm", "abs_rho_pm",
+         "n0", "n0_ph", "n_plus", "n_minus", "se_rho_pp", "se_re_rho_pm",
+         "se_count_diff"], rows)
 
 
 def test_unravel_runs_steps_wider_than_a_block_of_nodes(tmp_path):
@@ -417,6 +424,19 @@ def test_unravel_runs_steps_wider_than_a_block_of_nodes(tmp_path):
         "0,0,0.5,0.5,0,0.5,1,0,0,0,0,0,0\n"
         "50,500,0.5,0.5,0,0.5,1,0,0,0,0,0,0\n"
         "100,1000,0.5,0.5,0,0.5,1,0,0,0,0,0,0\n")
+
+
+def test_unravel_grid_past_the_quadrature_budget_exits_3(tmp_path, capsys):
+    # at omega0/omega_c 300 the rates' quadrature takes 6,112 panels on a
+    # step of 1 out to t = 5000: 1.2e8 nodes, past the 1e8-node budget at
+    # any step, though the map would be completely positive at alpha 0
+    out = tmp_path / "u.csv"
+    assert main(["unravel", "--omega0-over-omegac", "300", "--alpha", "0",
+                 "--t-max", "5000", "--dt", "1", "--out", str(out)]) == 3
+    assert capsys.readouterr() == (
+        "", "numerical error: quadrature needs 24448 nodes on each of 5001 "
+        "steps of h=1.0 at omega0=300.0: beyond 100000000 in all\n")
+    assert not out.exists()
 
 
 # --- rates command ---------------------------------------------------------
