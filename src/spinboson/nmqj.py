@@ -249,8 +249,11 @@ def step_ensemble(counts: tuple[int, int, int, int], g1: float, g2: float,
 
     The same _jumps call as each of run_unraveling's steps, with the
     gamma3 < 0 check, the ladder and the draws.  Survivors' drift is not
-    applied.
+    applied.  DomainError unless counts are four integers >= 0.
     """
+    counts = tuple(integer("counts", c) for c in counts)
+    if len(counts) != 4 or min(counts) < 0:
+        raise DomainError(f"counts must be four integers >= 0, got {counts}")
     return _jumps(counts, np.zeros(4), g1, g2, g3, p_plus, p_minus, dt, rng)
 
 
@@ -307,7 +310,15 @@ class UnravelingResult:
 def _columns(n: int, rows: list) -> dict[str, np.ndarray]:
     """UnravelingResult's columns from (step, counts, a_plus, a_minus) rows:
     rho = sum of (N_c/N) |phi_c><phi_c| and the plug-in standard errors in
-    the scalar formulas' IEEE operations; raises DensityMatrix's errors."""
+    the scalar formulas' IEEE operations; raises DensityMatrix's errors.
+
+    A member's estimate x takes one value per class, so its variance is
+    sum_{i<j} q_i q_j (x_i - x_j)^2 over the class fractions q: for rho_pp
+    (x = p+ in the two representative classes, 1 in PLUS, 0 in MINUS)
+    rep q+ (1 - p+)^2 + rep q- p+^2 + q+ q-, with rep = q0 + q0_ph, and
+    for the count difference (x = +1, -1, 0, 0) 4 q0 q0_ph + rep (q+ + q-).
+    Each term is >= 0, where E[x^2] - E[x]^2 cancels to a few digits once
+    most members share one class."""
     steps, counts, ap, am = zip(*rows)
     counts = np.fromiter(itertools.chain.from_iterable(counts), np.int64,
                          count=4 * len(counts)).reshape(-1, 4)
@@ -326,13 +337,12 @@ def _columns(n: int, rows: list) -> dict[str, np.ndarray]:
     rho_pm = np.zeros(len(cd), dtype=complex)
     rho_pm.real = cd * cross
     _check_states(rho_pp, rho_mm, rho_pm)
-    var_pp = rep * pp * pp + qp - np.array([x ** 2 for x in rho_pp.tolist()])
-    var_cd = rep - cd * cd
-    se_cd = np.sqrt(np.where(var_cd > 0.0, var_cd, 0.0) / float(n))
+    var_pp = rep * qp * (1.0 - pp) ** 2 + rep * qm * pp * pp + qp * qm
+    var_cd = 4.0 * q0 * qph + rep * (qp + qm)
+    se_cd = np.sqrt(var_cd / float(n))
     return {"steps": np.array(steps), "counts": counts, "fractions": q,
             "a_plus": ap, "a_minus": am, "rho_pp": rho_pp, "rho_mm": rho_mm,
-            "rho_pm": rho_pm, "se_rho_pp": np.sqrt(
-                np.where(var_pp > 0.0, var_pp, 0.0) / float(n)),
+            "rho_pm": rho_pm, "se_rho_pp": np.sqrt(var_pp / float(n)),
             "se_re_rho_pm": cross * se_cd, "count_diff": cd,
             "se_count_diff": se_cd}
 

@@ -352,10 +352,37 @@ def test_quadrature_leaks_no_warnings(omega, t):
     assert math.isfinite(value) and abs(value) <= 1e-10
 
 
-def test_quadrature_budget_error(monkeypatch):
-    monkeypatch.setattr(model, "QUAD_BUDGET", 40)
-    with pytest.raises(ToleranceError):
-        rates_quadrature(fig_params(), 10.0, 30.0)
+@pytest.mark.parametrize("alpha", [1e-300, 1e5, 1e200])
+def test_quadrature_is_linear_in_alpha(alpha):
+    # the rate is alpha times one integral, and its error bound is
+    # alpha times 3.1e-14, so no coupling is refused
+    p, unit = fig_params(alpha=alpha), fig_params(alpha=1.0)
+    for omega in (p.omega0, -p.omega0, 0.0):
+        for t in (0.05, 1.0, 5.0, 50.0, 1e3):
+            assert rates_quadrature(p, omega, t) == \
+                alpha * rates_quadrature(unit, omega, t)
+
+
+@pytest.mark.parametrize("omega,t,pieces,panels", [
+    (1e-300, 1e154, 513, 1), (math.nextafter(64.0, 0.0), 1e150, 2, 11),
+    (-math.nextafter(64.0, 0.0), 1e150, 2, 11)])
+def test_quadrature_at_the_layout_extremes(omega, t, pieces, panels):
+    # the most pieces (t^2 finite), and the most panels in a piece (|omega|
+    # just below the tail's 64): finite, and within the proven 3.1e-14
+    # alpha of the closed form, or of alpha t/(1 + t^2) as omega -> 0
+    w, edges = abs(omega), [0.0]
+    while edges[-1] < t and w * max(1.0, edges[-1]) < 64.0:
+        edges.append(min(max(1.0, 2.0 * edges[-1]), t))
+    width = np.diff(edges)
+    assert len(width) == pieces
+    assert np.ceil(w / 6.0 * width).max(initial=1.0) == panels
+    value = rates_quadrature(fig_params(alpha=1.0), omega, t)
+    if panels == 1:
+        reference = t / (1.0 + t * t)
+    else:
+        r = rates_closed_form(SystemParams.from_ratios(0.0, w, 1.0), t)
+        reference = r.gamma_plus if omega > 0.0 else r.gamma_minus
+    assert math.isfinite(value) and abs(value - reference) <= 3.1e-14
 
 
 def test_quadrature_negative_time():
@@ -469,6 +496,91 @@ def test_oracle_rates_non_finite_rate_is_a_domain_error():
     with pytest.raises(DomainError,
                        match=r"^rate gamma_plus is not finite at t=2\.25$"):
         model.oracle_rates(p, 1000, 0.01)
+
+
+# --- 40-digit rate references ----------------------------------------------
+
+RATES_REFERENCE = pathlib.Path(__file__).parent / "fixtures" / \
+    "rates_reference.json"
+BARE = ("gamma_plus", "gamma_minus", "gamma_zero")
+
+#: bound on each code's absolute error per alpha against the references,
+#: per omega0/omega_c band, as (rate_table, rates_quadrature, oracle_rates);
+#: each at most twice the worst measured in its band, which was
+#: (2.9e-14, 3.3e-16, 2.0e-15), (1.2e-15, 7.6e-16, 2.9e-16) and
+#: (6.1e-16, 1.7e-16, 3.1e-16)
+REFERENCE_BOUNDS = {(0.5, 1.0, 2.0): (4e-14, 5e-16, 3e-15),
+                    (5.0, 10.0, 30.0): (2e-15, 1.5e-15, 5e-16),
+                    (150.0, 300.0): (1e-15, 3e-16, 5e-16)}
+
+
+@pytest.fixture(scope="module")
+def rates_reference():
+    points = json.loads(RATES_REFERENCE.read_text())["points"]
+    by_omega0 = {}
+    for pt in points:
+        by_omega0.setdefault(pt["omega0"], []).append(pt)
+    return {y: (np.array([pt["k"] for pt in pts]),
+                {name: np.array([pt[name] for pt in pts]) for name in BARE})
+            for y, pts in by_omega0.items()}
+
+
+def test_rates_reference_covers_its_domain(rates_reference):
+    # exact grid times k * 1e-3 over (0, 500] at every omega0 of the bands
+    assert RATES_REFERENCE.stat().st_size < 100_000
+    assert sorted(rates_reference) == sorted(
+        y for band in REFERENCE_BOUNDS for y in band)
+    points = json.loads(RATES_REFERENCE.read_text())["points"]
+    assert 280 <= len(points) <= 320
+    grid = np.arange(500_001) * 1e-3
+    assert all(pt["t"] == grid[pt["k"]] for pt in points)
+    for k, _ in rates_reference.values():
+        assert k.min() == 1 and k.max() == 500_000
+    # rates_quadrature's bounds sit under its proven truncation bound
+    assert all(b[1] < 3.1e-14 for b in REFERENCE_BOUNDS.values())
+
+
+@pytest.mark.filterwarnings("ignore:omega0/omega_c")
+@pytest.mark.parametrize("omega0", [y for band in REFERENCE_BOUNDS
+                                    for y in band])
+def test_rate_codes_against_40_digit_references(rates_reference, omega0):
+    # at alpha 1 and epsilon 0: oracle_rates' channels 1 and 2 weigh the
+    # bare rates by exactly 1/4, and its gamma_zero is graded below
+    bounds = next(b for band, b in REFERENCE_BOUNDS.items() if omega0 in band)
+    k, ref = rates_reference[omega0]
+    t, p = k * 1e-3, SystemParams.from_ratios(0.0, omega0, 1.0)
+    table = rate_table(p, t)
+    quadrature = {name: [rates_quadrature(p, omega, x) for x in t.tolist()]
+                  for name, omega in zip(BARE, (omega0, -omega0, 0.0))}
+    oracle = model.oracle_rates(p, int(k.max()), 1e-3)[k]
+    for name in BARE:
+        assert np.abs(table[name] - ref[name]).max() <= bounds[0]
+        assert np.abs(quadrature[name] - ref[name]).max() <= bounds[1]
+    for col, name in enumerate(BARE[:2]):
+        assert np.abs(4.0 * oracle[:, col] - ref[name]).max() <= bounds[2]
+
+
+def test_oracle_rates_gamma_zero_against_40_digit_references(rates_reference):
+    # the gamma_zero integrand does not involve omega0; its channel weight
+    # epsilon^2/(4 omega0^2) is divided out, which rounds by an ulp
+    k, ref = rates_reference[10.0]
+    p = SystemParams.from_ratios(1.0, 10.0, 1.0)
+    got = model.oracle_rates(p, int(k.max()), 1e-3)[k, 2]
+    worst = np.abs(got / model._channel_weights(p)[2] - ref["gamma_zero"]).max()
+    assert worst <= 8e-16          # measured 4.4e-16
+
+
+@pytest.mark.filterwarnings("ignore:omega0/omega_c")
+def test_rate_table_gamma2_error_at_omega0_2_pinned(rates_reference):
+    # the Lorentzian term and alpha y e^y Im E1(y - ix) cancel: rate_table's
+    # gamma2 is 7.4e-15 off at t = 2.122 (gamma_minus 2.9e-14), where
+    # rates_quadrature and oracle_rates are within 2e-16
+    k, ref = rates_reference[2.0]
+    i = int(np.flatnonzero(k == 2122)[0])
+    p = SystemParams.from_ratios(0.0, 2.0, 1.0)
+    got = rate_table(p, np.array([2.122]))["gamma2"][0]
+    assert got - 0.25 * ref["gamma_minus"][i] == pytest.approx(-7.35e-15,
+                                                               rel=0.02)
 
 
 # --- sign changes --------------------------------------------------------

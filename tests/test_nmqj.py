@@ -1,6 +1,7 @@
 """Monte-Carlo unraveling tests: RNG, drift, jumps, ensemble driver."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -184,9 +185,9 @@ def test_ensemble_density_mixed_counts():
 
 def test_ensemble_density_columns_match_scalar_estimators():
     # every column == the one-row scalar formulas (and the DensityMatrix
-    # checks).  x ** 2 != x * x for the population at a+ = 0.6352 and for
-    # rho_pp at a+ = 0.4625, and numpy's int64 / int rounds n_plus and
-    # n_minus of these counts differently from Python
+    # checks).  x ** 2 != x * x for the population at a+ = 0.6352, and
+    # numpy's int64 / int rounds n_plus and n_minus of these counts
+    # differently from Python
     n = 2 ** 63 - 1
     counts = (8204355856186225350, 141865678067203912, 27059197271659290,
               850091305329687255)
@@ -200,9 +201,9 @@ def test_ensemble_density_columns_match_scalar_estimators():
         rho = DensityMatrix(rho_pp=(q0 + qph) * pp + qp,
                             rho_mm=(q0 + qph) * pm + qm,
                             rho_pm=(q0 - qph) * cross)
-        var_pp = max(0.0, (q0 + qph) * pp * pp + qp - rho.rho_pp ** 2)
-        cd = q0 - qph
-        var_cd = max(0.0, (q0 + qph) - cd * cd)
+        rep, cd, d = q0 + qph, q0 - qph, 1.0 - pp
+        var_pp = rep * qp * (d * d) + rep * qm * pp * pp + qp * qm
+        var_cd = 4.0 * q0 * qph + rep * (qp + qm)
         assert c["fractions"][k].tolist() == [q0, qph, qp, qm]
         assert (c["rho_pp"][k], c["rho_mm"][k]) == (rho.rho_pp, rho.rho_mm)
         assert complex(c["rho_pm"][k]) == rho.rho_pm
@@ -210,6 +211,30 @@ def test_ensemble_density_columns_match_scalar_estimators():
         assert c["se_re_rho_pm"][k] == abs(cross) * math.sqrt(var_cd / n)
         assert c["count_diff"][k] == cd
         assert c["se_count_diff"][k] == math.sqrt(var_cd / n)
+
+
+@pytest.mark.parametrize("ratio,omega0,n,t_max,dt", [
+    (0.1, 150.0, 10 ** 6, 0.2, 2e-3), (0.3, 10.0, 10 ** 5, 0.5, 1e-3)])
+def test_run_standard_errors_match_exact_arithmetic(ratio, omega0, n, t_max,
+                                                    dt):
+    # the plug-in variances from the rows' exact fractions and amplitudes:
+    # early on most members share one class, and a variance formed as a
+    # difference of two numbers near 0.25 kept only ~5 of its digits
+    res = run_unraveling(SystemParams.from_ratios(ratio, omega0, 0.05), n,
+                         t_max, dt, 1)
+    for c, ap, am, se_pp, se_cd, se_pm in zip(
+            res.counts.tolist(), res.a_plus.tolist(), res.a_minus.tolist(),
+            res.se_rho_pp.tolist(), res.se_count_diff.tolist(),
+            res.se_re_rho_pm.tolist()):
+        q0, qph, qp, qm = (Fraction(k, n) for k in c)
+        pp, rep = Fraction(ap) ** 2, q0 + qph
+        var_pp = rep * pp * pp + qp - (rep * pp + qp) ** 2
+        var_cd = rep - (q0 - qph) ** 2
+        cross = float(abs(Fraction(ap) * Fraction(am)))
+        for got, exact in ((se_pp, math.sqrt(var_pp / n)),
+                           (se_cd, math.sqrt(var_cd / n)),
+                           (se_pm, cross * math.sqrt(var_cd / n))):
+            assert abs(got - exact) <= 2e-15 * exact
 
 
 def test_ensemble_density_check_rejects_bad_rows():
@@ -227,6 +252,16 @@ def test_step_ensemble_no_rates_no_motion():
     out = step_ensemble(counts, 0.0, 0.0, 0.0, *HALF, 1e-3,
                         np.random.default_rng(0))
     assert out == counts
+
+
+@pytest.mark.parametrize("counts,message", [
+    ((100, -1, 0, 0), "four integers >= 0"), ((100, 0, 0), "four integers"),
+    ((100.0, 0, 0, 0), "counts must be an integer, got 100.0")],
+    ids=["negative", "three", "float"])
+def test_step_ensemble_rejects_bad_counts(counts, message):
+    with pytest.raises(DomainError, match=message):
+        step_ensemble(counts, 0.5, 0.0, 0.0, *HALF, 1e-3,
+                      np.random.default_rng(0))
 
 
 def test_step_ensemble_reversed_jump_needs_sources():
