@@ -37,7 +37,7 @@ from .dynamics import (DensityMatrix, apply_map_series, blp_measure,
                        blp_sweep, build_kernels, recoherence_mask)
 from .errors import ConfigError, GridError, SpinBosonError
 from .model import SystemParams, rate_table, uniform_grid
-from .nmqj import MAX_N_TRAJ, run_unraveling
+from .nmqj import MAX_N_TRAJ, MIN_N_TRAJ, run_unraveling
 
 #: epsilon/delta sweep of the recoherence map and the blp table
 RATIO_GRID_STEP = 0.005
@@ -67,8 +67,9 @@ class RunConfig:
         except GridError as err:
             raise ConfigError(f"bad time grid t_max={self.t_max}, "
                               f"dt={self.dt}: {err}") from err
-        if not 100 <= self.n_traj <= MAX_N_TRAJ:
-            raise ConfigError(f"n_traj {self.n_traj} not in 100..{MAX_N_TRAJ}")
+        if not MIN_N_TRAJ <= self.n_traj <= MAX_N_TRAJ:
+            raise ConfigError(f"n_traj {self.n_traj} not in "
+                              f"{MIN_N_TRAJ}..{MAX_N_TRAJ}")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
         if self.emit_stride < 1:

@@ -256,8 +256,9 @@ def ode_oracle(p: SystemParams, rho0: DensityMatrix, t_max: float,
     kernel function and no code of the map enters.  RK4 runs at step 2h
     on two interleaved chains, so every midpoint is a grid point: one
     over the even grid indices, one over the odd ones after an RK4 step of
-    h from t = 0.  The rates, on the grid plus t = h/2, come from one
-    oracle_rates call, by quadrature rather than rate_table.  The states are
+    h from t = 0.  The rates come from oracle_rates, by quadrature rather
+    than rate_table: one call on the grid, and one of a single step of h/2
+    whose rows t = 0 and h/2 start that first step.  The states are
     checked once over the finished trajectory: StepError names the first
     grid time where |tr - 1| exceeds 1e-12, DensityMatrix's bound, or is
     not a number; then the first state that is not positive raises
@@ -272,9 +273,9 @@ def ode_oracle(p: SystemParams, rho0: DensityMatrix, t_max: float,
     v = np.empty((n + 1, 4), dtype=complex)
     v[0] = (rho0.rho_pp, rho0.rho_pm, complex(rho0.rho_pm).conjugate(),
             rho0.rho_mm)
-    _rk4_chain(coeffs[[0, n + 1, 1]], h, v[:2])       # the odd chain's start
-    _rk4_chain(coeffs[:n + 1], 2.0 * h, v[0::2])
-    _rk4_chain(coeffs[1:n + 1], 2.0 * h, v[1::2])
+    _rk4_chain(np.vstack((oracle_rates(p, 1, 0.5 * h), coeffs[1])), h, v[:2])
+    _rk4_chain(coeffs, 2.0 * h, v[0::2])
+    _rk4_chain(coeffs[1:], 2.0 * h, v[1::2])
 
     rho_pp, rho_mm, rho_pm = v[:, 0].real, v[:, 3].real, v[:, 1]
     trace = rho_pp + rho_mm

@@ -408,13 +408,13 @@ def _blocked_cumsum(a: np.ndarray) -> None:
 
 def oracle_rates(p: SystemParams, n: int, h: float) -> np.ndarray:
     """ode_oracle's and run_unraveling's channel rates gamma1, gamma2,
-    gamma3 (columns) at t = k h, k = 0, ..., n, then at t = h/2 (rows), by
-    cumulative quadrature of rates_quadrature's integrand at omega =
-    +-omega0 and 0: alpha Re e^{+-i omega0 s} (1 + i s)^{-2} and
+    gamma3 (columns) at t = k h, k = 0, ..., n (rows), by cumulative
+    quadrature of rates_quadrature's integrand at omega = +-omega0 and 0:
+    alpha Re e^{+-i omega0 s} (1 + i s)^{-2} and
     alpha (1 - s^2)(1 + s^2)^{-2}.
 
-    Each step [k h, (k + 1) h], and [0, h/2], is cut into m panels of the
-    4-node Gauss-Legendre rule; one cos, sin and 1/(1 + s^2) pass serves
+    Each step [k h, (k + 1) h] is cut into m panels of the 4-node
+    Gauss-Legendre rule; one cos, sin and 1/(1 + s^2) pass serves
     all three rates, _blocked_cumsum joins the steps (one running sum
     over 500,000 steps drifts by 1.8e-14 alpha where a rate levels off
     near 0.3 alpha), and the bare rates are weighted as channel_rates
@@ -442,40 +442,29 @@ def oracle_rates(p: SystemParams, n: int, h: float) -> np.ndarray:
         raise ToleranceError(
             f"quadrature needs {4 * m:g} nodes on each of {n + 1} steps of "
             f"h={h} at omega0={w0}: beyond {ORACLE_BUDGET} in all")
-    m = int(m)
+    m, w = int(m), h / m                        # panels per step, their width
     nodes, weights = _GAUSS4
     chunk = _ORACLE_BLOCK_NODES // 4           # panels a block holds
-
-    def pieces(starts: np.ndarray, width: float) -> np.ndarray:
-        """The three bare integrals over [start, start + width], per start:
-        its m panels summed a block of nodes at a time."""
-        w = width / m
-        for lo in range(0, m, chunk):
-            k = np.arange(lo, min(lo + chunk, m))
-            s = starts[:, None] + (k[:, None] * w
-                                   + 0.5 * w * (1.0 + nodes)).ravel()
+    out = np.zeros((n + 1, 3))
+    block = max(1, _ORACLE_BLOCK_NODES // (4 * m))
+    for lo in range(0, n, block):
+        starts = np.arange(lo, min(lo + block, n))[:, None] * h
+        for first in range(0, m, chunk):
+            k = np.arange(first, min(first + chunk, m))
+            s = starts + (k[:, None] * w + 0.5 * w * (1.0 + nodes)).ravel()
             a, b, q = _integrand_parts(s, w0)
             q *= q
             wts = np.tile(0.5 * w * weights, k.size)
             even, odd = (a * q) @ wts, (b * q) @ wts
             part = np.stack([even + odd, even - odd,
                              ((1.0 - s * s) * q) @ wts], axis=1)
-            total = part if lo == 0 else total + part
-        return total
-
-    out = np.empty((n + 2, 3))
-    out[0] = 0.0
-    block = max(1, _ORACLE_BLOCK_NODES // (4 * m))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        out[lo + 1:hi + 1] = pieces(np.arange(lo, hi) * h, h)
-    out[n + 1] = pieces(np.zeros(1), 0.5 * h)
-    _blocked_cumsum(out[:n + 1])
+            out[lo + 1:lo + 1 + len(starts)] += part
+    _blocked_cumsum(out)
     out *= p.alpha
     if not np.isfinite(out).all():      # the first column, then its first row
         col, k = np.argwhere(~np.isfinite(out.T))[0].tolist()
         raise DomainError(f"rate {_BARE_RATES[col]} is not finite at "
-                          f"t={h * k if k <= n else 0.5 * h}")
+                          f"t={h * k}")
     out *= _channel_weights(p)
     return out
 

@@ -52,8 +52,8 @@ from .model import (RateSet, SystemParams, integer, oracle_rates, rate_table,
 # ensemble class codes
 PSI0, PSI0_PH, PLUS, MINUS = 0, 1, 2, 3
 
-#: largest ensemble a step can draw (numpy's multinomial takes int64 counts)
-MAX_N_TRAJ = 2 ** 63 - 1
+#: ensemble sizes a run takes (numpy's multinomial takes int64 counts)
+MIN_N_TRAJ, MAX_N_TRAJ = 100, 2 ** 63 - 1
 
 #: upper bound on dt * (|g1| + |g2| + 2 |g3|) for a first-order step
 STEP_PROBABILITY_BOUND = 0.1
@@ -148,8 +148,11 @@ def deterministic_step(s: PureState, rates: RateSet, dt: float) -> PureState:
     The drift uses the *signed* rates (a negative rate grows its
     amplitude back — that is the deterministic half of the reversed-jump
     scheme) and renormalizes.  The drift is diagonal: |psi_+> decays with
-    gamma1 + gamma3 and |psi_-> with gamma2 + gamma3.
+    gamma1 + gamma3 and |psi_-> with gamma2 + gamma3.  DomainError unless
+    dt is finite and > 0.
     """
+    if not 0.0 < dt < math.inf:                 # also catches NaN
+        raise DomainError(f"dt must be finite and > 0, got {dt!r}")
     return PureState(*_drift(s.a_plus, s.a_minus, *_drift_terms(
         rates.gamma1, rates.gamma2, rates.gamma3, dt)))
 
@@ -249,11 +252,16 @@ def step_ensemble(counts: tuple[int, int, int, int], g1: float, g2: float,
 
     The same _jumps call as each of run_unraveling's steps, with the
     gamma3 < 0 check, the ladder and the draws.  Survivors' drift is not
-    applied.  DomainError unless counts are four integers >= 0.
+    applied.  DomainError unless counts are four integers >= 0, the rates
+    are finite, the populations lie in [0, 1] and dt is finite and > 0.
     """
     counts = tuple(integer("counts", c) for c in counts)
     if len(counts) != 4 or min(counts) < 0:
         raise DomainError(f"counts must be four integers >= 0, got {counts}")
+    if not (all(map(math.isfinite, (g1, g2, g3))) and 0.0 < dt < math.inf
+            and 0.0 <= p_plus <= 1.0 and 0.0 <= p_minus <= 1.0):  # also NaN
+        raise DomainError(f"need finite rates, populations in [0, 1] and dt "
+                          f"> 0, got {(g1, g2, g3, p_plus, p_minus, dt)}")
     return _jumps(counts, np.zeros(4), g1, g2, g3, p_plus, p_minus, dt, rng)
 
 
@@ -393,14 +401,14 @@ def run_unraveling(p: SystemParams, n_traj: int, t_max: float, dt: float,
     """
     n_traj, seed, stride = (integer("n_traj", n_traj), integer("seed", seed),
                             integer("stride", stride))
-    if not 100 <= n_traj <= MAX_N_TRAJ:
-        raise DomainError(f"need 100 <= n_traj <= 2**63 - 1, got {n_traj}")
+    if not MIN_N_TRAJ <= n_traj <= MAX_N_TRAJ:
+        raise DomainError(f"need {MIN_N_TRAJ} <= n_traj <= 2**63 - 1, "
+                          f"got {n_traj}")
     if stride < 1:
         raise DomainError("stride must be >= 1")
     grid = uniform_grid(t_max, dt)
-    n = len(grid) - 1
     table = dict(zip(("gamma1", "gamma2", "gamma3"),
-                     oracle_rates(p, n, dt)[:n + 1].T))
+                     oracle_rates(p, len(grid) - 1, dt).T))
     _kernels(grid, table)
     rng = np.random.Generator(np.random.PCG64(seed & _MASK64))
     columns = _columns(n_traj, _rows(grid, table, n_traj, dt, stride, rng))

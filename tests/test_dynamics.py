@@ -446,8 +446,7 @@ def test_ode_oracle_nan_state_is_step_error(monkeypatch):
     # infinite rates from t = 0.5 on turn the state NaN at that step
     def rates_blowing_up(p, n, h):
         r = model.oracle_rates(p, n, h)
-        t = np.append(np.arange(n + 1) * h, 0.5 * h)
-        r[:, 0] = np.where(t >= 0.5, np.inf, r[:, 0])
+        r[:, 0] = np.where(np.arange(n + 1) * h >= 0.5, np.inf, r[:, 0])
         return r
 
     monkeypatch.setattr(dynamics, "oracle_rates", rates_blowing_up)
@@ -595,8 +594,10 @@ def test_ode_oracle_names_first_non_positive_state(monkeypatch):
     assert str(err.value).startswith("state not positive: det = -")
 
 
-def test_ode_oracle_takes_its_rates_from_one_oracle_rates_call(monkeypatch):
-    # the grid's n + 1 points plus t = h/2, which oracle_rates returns
+def test_ode_oracle_takes_its_rates_from_a_grid_call_and_a_half_step_call(
+        monkeypatch):
+    # the grid's n + 1 points, then one step of h/2 for the first RK4
+    # step's midpoint
     calls = []
 
     def counting_rates(p, n, h):
@@ -606,7 +607,7 @@ def test_ode_oracle_takes_its_rates_from_one_oracle_rates_call(monkeypatch):
     monkeypatch.setattr(dynamics, "oracle_rates", counting_rates)
     n, h = 1000, 1e-3
     ode_oracle(fig_params(), plus_minus_super(), n * h, h)
-    assert calls == [(fig_params(), n, h)]
+    assert calls == [(fig_params(), n, h), (fig_params(), 1, 0.5 * h)]
 
 
 def test_ode_oracle_evaluates_no_e1(monkeypatch):
@@ -632,7 +633,7 @@ def test_ode_oracle_evaluates_no_e1(monkeypatch):
 def test_ode_oracle_peak_memory_per_grid_point():
     # at 50,001 points: the states (144 B each), the propagated vectors,
     # the rate rows and the state columns; oracle_rates evaluates its
-    # nodes in blocks, and all 200,008 of them at once exceed this bound
+    # nodes in blocks, and the grid call's 200,000 at once exceed this bound
     rho0 = plus_minus_super()
     ode_oracle(fig_params(), rho0, 50.0, 1e-3)         # warm-up
     tracemalloc.start()

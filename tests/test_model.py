@@ -426,16 +426,19 @@ def test_quadrature_non_finite_frequency(omega):
 @pytest.mark.parametrize("omega0", [10.0, 150.0, 300.0])
 @pytest.mark.parametrize("h", [1e-3, 0.02, 0.5])
 def test_oracle_rates_match_rate_table(omega0, h):
-    # every grid row to t = 50 and the row at h/2 against the closed form,
-    # which shares no code with the quadrature; at omega0 300 and h 0.5 a
-    # step spans 150 rad, so a rule without enough panels fails here
-    n = round(50.0 / h)
-    t = np.append(np.arange(n + 1) * h, 0.5 * h)
-    for ratio in (0.0, FIG_RATIO, 1.0):
-        p = fig_params(ratio, omega0)
-        got, table = model.oracle_rates(p, n, h), rate_table(p, t)
-        for col, name in enumerate(("gamma1", "gamma2", "gamma3")):
-            assert np.abs(got[:, col] - table[name]).max() <= 1e-15 * p.alpha
+    # every grid row to t = 50, and ode_oracle's one step of h/2, against
+    # the closed form, which shares no code with the quadrature; at
+    # omega0 300 and h 0.5 a step spans 150 rad, so a rule without enough
+    # panels fails here
+    for n, step in ((round(50.0 / h), h), (1, 0.5 * h)):
+        t = np.arange(n + 1) * step
+        for ratio in (0.0, FIG_RATIO, 1.0):
+            p = fig_params(ratio, omega0)
+            got, table = model.oracle_rates(p, n, step), rate_table(p, t)
+            assert got.shape == (n + 1, 3)
+            for col, name in enumerate(("gamma1", "gamma2", "gamma3")):
+                assert np.abs(got[:, col] - table[name]).max() \
+                    <= 1e-15 * p.alpha
 
 
 @pytest.mark.filterwarnings("ignore:omega0/omega_c")
@@ -448,7 +451,7 @@ def test_oracle_rates_cumulative_sum_does_not_drift(omega0, t_max, bound):
     n, h = round(t_max / 1e-3), 1e-3
     p = fig_params(0.0, omega0)
     got = model.oracle_rates(p, n, h)
-    table = rate_table(p, np.append(np.arange(n + 1) * h, 0.5 * h))
+    table = rate_table(p, np.arange(n + 1) * h)
     for col, name in enumerate(("gamma1", "gamma2", "gamma3")):
         assert np.abs(got[:, col] - table[name]).max() <= bound * p.alpha
 
@@ -467,7 +470,7 @@ def test_oracle_rates_sum_a_wide_step_block_by_block(monkeypatch):
     # block of nodes holds: summed a block at a time, it keeps the bound
     p = fig_params(omega0=300.0)
     got = model.oracle_rates(p, 2, 100.0)
-    table = rate_table(p, np.array([0.0, 100.0, 200.0, 50.0]))
+    table = rate_table(p, np.array([0.0, 100.0, 200.0]))
     for col, name in enumerate(("gamma1", "gamma2", "gamma3")):
         assert np.abs(got[:, col] - table[name]).max() <= 1e-16 * p.alpha
     # 3 panels a step at h 1e-3: blocks of 2 panels and 1 sum what one

@@ -88,8 +88,17 @@ def test_nan_state_and_nan_drift_rejected():
     # NaN fails every comparison, so each check is written to fail on it
     with pytest.raises(DomainError, match="norm"):
         PureState(math.nan, 0.0)
-    with pytest.raises(StepError, match="norm nan"):
+    with pytest.raises(DomainError, match="dt must be finite and > 0"):
         deterministic_step(equal_superposition(), zero_rates(), math.nan)
+    with pytest.raises(StepError, match="norm nan"):
+        nmqj._drift(1.0, 0.0, math.nan, math.nan, 0.0)
+
+
+@pytest.mark.parametrize("dt", [-1e-3, 0.0, math.inf])
+def test_deterministic_step_rejects_bad_dt(dt):
+    # a negative step would return a back-propagated state
+    with pytest.raises(DomainError, match="dt must be finite and > 0"):
+        deterministic_step(equal_superposition(), zero_rates(), dt)
 
 
 def test_drift_identity_when_rates_vanish():
@@ -262,6 +271,22 @@ def test_step_ensemble_rejects_bad_counts(counts, message):
     with pytest.raises(DomainError, match=message):
         step_ensemble(counts, 0.5, 0.0, 0.0, *HALF, 1e-3,
                       np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("slot,value", [
+    (0, math.nan), (2, math.nan), (1, math.inf), (3, -0.2), (3, 1.5),
+    (4, math.nan), (5, -1e-3), (5, 0.0), (5, math.nan), (5, math.inf)],
+    ids=["nan-g1", "nan-g3", "inf-g2", "negative-p", "p-above-1", "nan-p",
+         "negative-dt", "zero-dt", "nan-dt", "inf-dt"])
+def test_step_ensemble_rejects_bad_inputs(slot, value):
+    # one bad value among g1, g2, g3, p_plus, p_minus, dt: numpy's
+    # multinomial would raise its own ValueError on some, and draw a step
+    # from the others
+    args = [0.5, 0.0, 0.0, *HALF, 1e-3]
+    args[slot] = value
+    with pytest.raises(DomainError, match=r"^need finite rates, populations "
+                       r"in \[0, 1\] and dt > 0, got "):
+        step_ensemble((1000, 0, 0, 0), *args, np.random.default_rng(0))
 
 
 def test_step_ensemble_reversed_jump_needs_sources():
@@ -470,8 +495,8 @@ def test_run_nan_rate_stops_the_drift(monkeypatch):
 
 def test_run_unraveling_takes_its_rates_from_one_oracle_rates_call(
         monkeypatch):
-    # the call's grid rows 0..n, not its t = h/2 row, are the table that
-    # the CP check and the steps read
+    # the call's rows, grid points 0..n, are the table that the CP check
+    # and the steps read
     calls, tables = [], []
 
     def counting_rates(p, n, h):
@@ -487,7 +512,7 @@ def test_run_unraveling_takes_its_rates_from_one_oracle_rates_call(
     p = fig_params(alpha=0.05)
     run_unraveling(p, 1000, 1.0, 1e-3, seed=1)
     assert calls == [(p, 1000, 1e-3)]
-    rows = oracle_rates(p, 1000, 1e-3)[:1001]
+    rows = oracle_rates(p, 1000, 1e-3)
     assert [np.array_equal(tables[0][k], rows[:, i]) for i, k in
             enumerate(("gamma1", "gamma2", "gamma3"))] == [True] * 3
 
@@ -567,7 +592,7 @@ def rig_rates(monkeypatch, gamma1=(), gamma2=(), gamma3=()):
     """Make run_unraveling step on the given channel rates, one per step
     from t = 0 and zero after the last, past the table's CP check."""
     def table(p, n, h):
-        rates = np.zeros((n + 2, 3))
+        rates = np.zeros((n + 1, 3))
         for col, values in enumerate((gamma1, gamma2, gamma3)):
             rates[:len(values), col] = values
         return rates
