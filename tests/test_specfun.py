@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,11 @@ def test_e1_conjugation():
             pytest.approx(expint_e1(z).conjugate(), rel=1e-13)
 
 
+def nan_message(shown: str) -> str:
+    """The pattern of a NaN argument's DomainError, which names the point."""
+    return f"not defined at NaN; got z={re.escape(shown)}$"
+
+
 def test_e1_domain_errors():
     with pytest.raises(DomainError):
         expint_e1(0.0)
@@ -78,6 +84,13 @@ def test_e1_domain_errors():
         expint_e1(complex(-5.0, 0.0))
     with pytest.raises(DomainError):
         expint_e1(np.array([1.0 + 1.0j, -2.0 + 0.0j]))
+    # a NaN real or imaginary part, alone or inside an array, names the point
+    nan = math.nan
+    for z, shown in ((nan, "(nan+0j)"), (complex(1.0, nan), "(1+nanj)"),
+                     (complex(-1.0, nan), "(-1+nanj)"),
+                     (np.array([1.0 + 1.0j, complex(nan, 2.0)]), "(nan+2j)")):
+        with pytest.raises(DomainError, match=nan_message(shown)):
+            expint_e1(z)
 
 
 def test_e1_scalar_and_array_forms():
@@ -100,6 +113,17 @@ def test_si_zero_and_ci_singularity():
         sin_cos_integral(0.0)
     with pytest.raises(DomainError):
         sin_cos_integral(-2.0 + 1.0j)
+
+
+def test_si_ci_nan_domain_errors():
+    nan = math.nan
+    for z, shown in ((nan, "(nan+0j)"), (complex(1.0, nan), "(1+nanj)"),
+                     (complex(nan, -1.0), "(nan-1j)")):
+        with pytest.raises(DomainError, match=nan_message(shown)):
+            sin_cos_integral(z)
+    # an infinite argument is not NaN: Si(+inf) = pi/2, Ci(+inf) = 0
+    si, ci = sin_cos_integral(math.inf)
+    assert si == pytest.approx(math.pi / 2, rel=1e-15) and ci == 0.0
 
 
 def test_si_ci_real_limits():
