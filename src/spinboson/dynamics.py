@@ -177,8 +177,9 @@ def _zeta_rate(r: dict[str, np.ndarray]) -> np.ndarray:
 
 def _kernels(grid: np.ndarray, r: dict[str, np.ndarray]) -> KernelTable:
     """build_kernels on a grid and a rate table of it."""
-    eta = _cumulative_simpson(r["gamma1"] + r["gamma2"], grid)
-    zeta = _cumulative_simpson(_zeta_rate(r), grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        eta = _cumulative_simpson(r["gamma1"] + r["gamma2"], grid)
+        zeta = _cumulative_simpson(_zeta_rate(r), grid)
     if np.max(np.abs(eta)) > _KERNEL_EXP_LIMIT or \
             np.max(np.abs(zeta)) > _KERNEL_EXP_LIMIT:
         # the exponent that passes the limit first, eta on a tie

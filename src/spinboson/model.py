@@ -168,22 +168,23 @@ def _bare_rate(p: SystemParams, tgrid: np.ndarray, name: str) -> np.ndarray:
     (at most 1/4) is finite, so this checks the channel column too.
     """
     y, alpha = p.omega0, p.alpha
-    if name == "gamma_zero":
-        col = alpha * tgrid / (1.0 + tgrid * tgrid)
-    else:
-        live = tgrid > 0.0
-        u = tgrid[live]
-        x = y * u
-        lorentz = alpha / (1.0 + u * u)
-        col = np.zeros(tgrid.shape)
-        if name == "gamma_plus":
-            col[live] = lorentz * (u * np.cos(x) - np.sin(x)) \
-                + _times_alpha(alpha, y, math.exp(-y),
-                               math.pi + expint_e1(-y + 1j * x).imag)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        if name == "gamma_zero":
+            col = alpha * tgrid / (1.0 + tgrid * tgrid)
         else:
-            col[live] = lorentz * (u * np.cos(x) + np.sin(x)) \
-                - _times_alpha(alpha, y, math.exp(y),
-                               expint_e1(y - 1j * x).imag)
+            live = tgrid > 0.0
+            u = tgrid[live]
+            x = y * u
+            lorentz = alpha / (1.0 + u * u)
+            col = np.zeros(tgrid.shape)
+            if name == "gamma_plus":
+                col[live] = lorentz * (u * np.cos(x) - np.sin(x)) \
+                    + _times_alpha(alpha, y, math.exp(-y),
+                                   math.pi + expint_e1(-y + 1j * x).imag)
+            else:
+                col[live] = lorentz * (u * np.cos(x) + np.sin(x)) \
+                    - _times_alpha(alpha, y, math.exp(y),
+                                   expint_e1(y - 1j * x).imag)
     bad = np.flatnonzero(~np.isfinite(col))
     if bad.size:
         raise DomainError(f"rate {name} is not finite at "
@@ -320,8 +321,8 @@ def rates_quadrature(p: SystemParams, omega: float, t: float) -> float:
     sum_{j=0}^{32} C(32, j) |omega|^(32-j) (j+1)!/r^(j+2) <= 9.14e-16/r.
     A piece holds at most 11 panels (|omega| r < 64 before A) and
     sum 1/r <= 3 over the pieces, so the near part errs by <= 3.02e-14.
-    The tail's remainder is <= 16!/(|omega|^16 A^17) <= 16!/64^16 = 2.6e-16
-    for A >= 1, and <= 17! (pi/2)/|omega|^16 <= 7.1e-15 for A = 0, where
+    The tail's remainder is <= 16!/(|omega|^16 A^17) <= 16!/64^16 <= 2.65e-16
+    for A >= 1, and <= 17! (pi/2)/|omega|^16 <= 7.06e-15 for A = 0, where
     there is no near part.  t^2 is finite, so t < 2^512: at most 513
     pieces of 11 panels of 16 nodes, ~90,000 nodes in all.
 
@@ -460,7 +461,8 @@ def oracle_rates(p: SystemParams, n: int, h: float) -> np.ndarray:
                              ((1.0 - s * s) * q) @ wts], axis=1)
             out[lo + 1:lo + 1 + len(starts)] += part
     _blocked_cumsum(out)
-    out *= p.alpha
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        out *= p.alpha
     if not np.isfinite(out).all():      # the first column, then its first row
         col, k = np.argwhere(~np.isfinite(out.T))[0].tolist()
         raise DomainError(f"rate {_BARE_RATES[col]} is not finite at "

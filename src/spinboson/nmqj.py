@@ -44,10 +44,12 @@ import numpy as np
 
 from .errors import DomainError, ProbabilityError, StepError
 from .dynamics import DensityMatrix, _check_states, _kernels, _states
-# rate_table is not called here: perfbench/tracing.py wraps it by name in
-# nmqj, as it does member_uniforms
+# rate_table and member_uniforms are not used here: they stay only because
+# perfbench/tracing.py's TARGETS wraps both by name in nmqj (ROADMAP item 1
+# deletes the two names together with their tracer entries)
 from .model import (RateSet, SystemParams, integer, oracle_rates, rate_table,
                     uniform_grid)
+member_uniforms = None
 
 # ensemble class codes
 PSI0, PSI0_PH, PLUS, MINUS = 0, 1, 2, 3
@@ -62,37 +64,8 @@ STEP_PROBABILITY_BOUND = 0.1
 #: at once: the block bounds the floats its step loop holds
 _BLOCK = 1024
 
-# --- counter-based randomness (SplitMix64) -------------------------------
-
+#: run_unraveling seeds its PCG64 stream with the seed modulo 2**64
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-
-
-def _mix64(z: int) -> int:
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
-
-
-def member_uniforms(seed: int, step: int, members: np.ndarray) -> np.ndarray:
-    """Uniforms in [0, 1), one per member index, for one time step.
-
-    Pure function of (seed, step, member index): member streams never
-    depend on evaluation order or batching.  The count-level engine does
-    not call it, and the package does not export it; it stays here
-    because perfbench/tracing.py wraps it by name.
-    """
-    base = _mix64((seed + _GOLDEN * (step + 1)) & _MASK64)
-    z = (np.asarray(members, dtype=np.uint64) + np.uint64(1)) \
-        * np.uint64(_GOLDEN) + np.uint64(base)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
 # --- pure states and the deterministic drift -----------------------------

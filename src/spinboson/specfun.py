@@ -33,7 +33,7 @@ def expint_e1(z):
     ------
     DomainError
         If any point is 0, lies on the negative real axis or has a NaN
-        real or imaginary part.
+        or infinite real or imaginary part.
     """
     z = np.asarray(z, dtype=complex)
     if np.any(z == 0):
@@ -45,6 +45,9 @@ def expint_e1(z):
     if np.isnan(z).any():
         raise DomainError(
             f"E1 is not defined at NaN; got z={z[np.isnan(z)].flat[0]}")
+    if np.isinf(z).any():
+        raise DomainError("E1 is not evaluated at an infinite point; "
+                          f"got z={z[np.isinf(z)].flat[0]}")
     from scipy import special
     e1 = special.exp1(z)
     return complex(e1) if e1.ndim == 0 else e1

@@ -850,8 +850,14 @@ NOT_CP = {a: ["--epsilon-over-delta", "0", "--omega0-over-omegac", "0.5",
     (["unravel", *NOT_CP[3.0], "--n-traj", "1000"], 3),
     (["evolve", *NOT_CP[1.5]], 3),
     (["rates", "--n-traj", "50", "--t-max", "1"], 2),  # validated everywhere
+    # a rate (evolve, recoherence-map) or a kernel exponent (unravel) past
+    # the double range at a huge alpha
+    (["evolve", "--alpha", "1.7e308"], 3),
+    (["recoherence-map", "--alpha", "1e308"], 3),
+    (["unravel", "--alpha", "1.7e308", "--epsilon-over-delta", "1e155",
+      "--n-traj", "100"], 3),
 ])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_failed_run_leaves_no_file(tmp_path, argv, code):
     assert main([*argv, "--out", str(tmp_path / "u.csv")]) == code
     assert list(tmp_path.iterdir()) == []
@@ -943,6 +949,18 @@ def test_negative_exponent_values_reach_validation(tmp_path, capsys, flag,
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert flag[2:].replace("-", "_") in err
+
+
+def test_dash_value_that_is_not_a_number_stays_an_option(tmp_path, capsys,
+                                                        monkeypatch):
+    # only values float() reads are attached to their flag: "-x.csv" is
+    # left to argparse, which takes it for an option, so --out has no value
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["rates", "--t-max", "1", "--out", "-x.csv"])
+    assert exc.value.code == 2
+    assert "--out: expected one argument" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exit_code_config_error_from_file(tmp_path, capsys):
@@ -1056,7 +1074,9 @@ FUZZ_VALUES = {
 @example(command="evolve", empty_out=False, flags={}, odd={"--alpha": "abc"})
 @example(command="blp", empty_out=False, flags={},
          odd={"--t-max": "1e300", "--dt": "1e300"})
-@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+@example(command="rates", empty_out=False, flags={},
+         odd={"--t-max": "1e300", "--dt": "1e300"})
+@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_any_flag_values_end_in_an_exit_code(command, empty_out, flags, odd):
     # t_max and dt default to a short grid, so every draw stays cheap
     flags = {"--t-max": "0.5", "--dt": "0.01",

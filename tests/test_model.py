@@ -5,6 +5,7 @@ import math
 import pathlib
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -207,7 +208,6 @@ def test_rateset_rejects_non_finite():
                 gamma1=0.0, gamma2=0.0, gamma3=0.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_rate_table_names_first_non_finite_column(monkeypatch):
     # alpha*t overflows from t = 2 dt on: gamma_zero and gamma3 turn NaN
     # there while gamma_plus and gamma_minus stay finite
@@ -415,6 +415,35 @@ def test_quadrature_non_finite_result():
         rates_quadrature(fig_params(), 10.0, 1e300)
 
 
+@pytest.mark.filterwarnings("ignore:omega0/omega_c")
+def test_quadrature_value_past_the_double_range():
+    # omega t and t^2 are finite, but alpha times the integral is not
+    p = SystemParams(0.0, 1.0, 1.7e308)
+    with pytest.raises(ToleranceError, match=re.escape(
+            "quadrature value inf is not finite at t=10.0, omega=1.0")):
+        rates_quadrature(p, 1.0, 10.0)
+
+
+def test_quadrature_error_bound_constants():
+    # the docstring's truncation bounds, recomputed in exact arithmetic
+    # (pi < 355/113); each stated value bounds its constant to 1%
+    f = math.factorial
+    panel = Fraction(f(16) ** 4, 33 * f(32) ** 3) * sum(
+        math.comb(32, j) * 6 ** (32 - j) * f(j + 1) for j in range(33))
+    assert math.ceil(Fraction(64, 6)) == 11         # panels in a piece
+    near = 11 * 3 * panel                           # sum 1/r <= 3
+    tail = Fraction(f(16), 64 ** 16)
+    tail_all = Fraction(f(17), 64 ** 16) * Fraction(355, 113) / 2
+    doc = rates_quadrature.__doc__
+    for exact, stated in ((panel, "9.14e-16/r"), (near, "3.02e-14"),
+                          (tail, "2.65e-16"), (tail_all, "7.06e-15")):
+        assert stated in doc
+        bound = Fraction(stated.removesuffix("/r"))
+        assert exact <= bound <= Fraction(101, 100) * exact
+    assert "at most 3.1e-14 alpha" in doc
+    assert max(near + tail, tail_all) <= Fraction("3.1e-14")
+
+
 @pytest.mark.parametrize("omega", [math.nan, math.inf])
 def test_quadrature_non_finite_frequency(omega):
     with pytest.raises(DomainError):
@@ -490,8 +519,7 @@ def test_gauss4_literals_are_leggauss_to_one_ulp():
         assert (np.abs(got - ref) <= np.spacing(np.abs(ref))).all()
 
 
-@pytest.mark.filterwarnings("ignore:omega0/omega_c",
-                            "ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:omega0/omega_c")
 def test_oracle_rates_non_finite_rate_is_a_domain_error():
     # at omega0 1, gamma_plus / alpha first passes 1.797e308 / 1.7e308 at
     # t = 2.25 (rate_table at alpha 1), so alpha 1.7e308 overflows there

@@ -18,7 +18,6 @@ from spinboson import (DensityMatrix, DomainError, GridError,
                        deterministic_step, equal_superposition,
                        run_unraveling, step_ensemble)
 from spinboson.model import oracle_rates, uniform_grid
-from spinboson.nmqj import member_uniforms
 
 FIG_RATIO = 1.0 / (2.0 * math.sqrt(3.0))
 
@@ -36,42 +35,6 @@ def jump_rates(g1: float = 0.0, g2: float = 0.0, g3: float = 0.0) -> RateSet:
     """RateSet carrying only the channel rates (bare rates unused here)."""
     return RateSet(t=0.0, gamma_plus=0.0, gamma_minus=0.0, gamma_zero=0.0,
                    gamma1=g1, gamma2=g2, gamma3=g3)
-
-
-# --- counter-based uniforms ----------------------------------------------
-
-def test_member_uniforms_deterministic_and_in_range():
-    members = np.arange(1000)
-    u1 = member_uniforms(12345, 7, members)
-    u2 = member_uniforms(12345, 7, members)
-    assert np.array_equal(u1, u2)
-    assert u1.shape == (1000,)
-    assert np.all(u1 >= 0.0) and np.all(u1 < 1.0)
-
-
-def test_member_uniforms_chunk_invariant():
-    # uniforms depend only on (seed, step, member index), so splitting the
-    # member range into worker chunks must reproduce the same stream
-    full = member_uniforms(99, 3, np.arange(0, 257))
-    parts = np.concatenate([
-        member_uniforms(99, 3, np.arange(0, 31)),
-        member_uniforms(99, 3, np.arange(31, 200)),
-        member_uniforms(99, 3, np.arange(200, 257)),
-    ])
-    assert np.array_equal(full, parts)
-
-
-def test_member_uniforms_vary_with_seed_and_step():
-    members = np.arange(64)
-    base = member_uniforms(1, 0, members)
-    assert not np.array_equal(base, member_uniforms(2, 0, members))
-    assert not np.array_equal(base, member_uniforms(1, 1, members))
-
-
-def test_member_uniforms_roughly_uniform():
-    u = member_uniforms(2026, 0, np.arange(100_000))
-    assert abs(float(u.mean()) - 0.5) < 0.005
-    assert abs(float(u.var()) - 1.0 / 12.0) < 0.005
 
 
 # --- pure states and drift ------------------------------------------------

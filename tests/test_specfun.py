@@ -91,6 +91,15 @@ def test_e1_domain_errors():
                      (np.array([1.0 + 1.0j, complex(nan, 2.0)]), "(nan+2j)")):
         with pytest.raises(DomainError, match=nan_message(shown)):
             expint_e1(z)
+    # so does an infinite real or imaginary part, where scipy gives nan+nanj
+    inf = math.inf
+    for z, shown in ((inf, "(inf+0j)"), (complex(inf, 1.0), "(inf+1j)"),
+                     (complex(1.0, inf), "(1+infj)"),
+                     (complex(-inf, 1.0), "(-inf+1j)"),
+                     (np.array([1.0 + 1.0j, complex(2.0, -inf)]), "(2-infj)")):
+        with pytest.raises(DomainError, match=re.escape(
+                f"not evaluated at an infinite point; got z={shown}") + "$"):
+            expint_e1(z)
 
 
 def test_e1_scalar_and_array_forms():

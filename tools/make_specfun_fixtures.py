@@ -1,10 +1,10 @@
 """Generate high-precision reference fixtures for the special functions.
 
 Evaluates E1, Si, Ci with mpmath at 40 significant digits and freezes the
-correctly-rounded double values into tests/fixtures/specfun_reference.json.
-Run from the repository root:
+correctly-rounded double values into tests/fixtures/specfun_reference.json,
+or into the path given as the one argument.  Run from the repository root:
 
-    python3 tools/make_specfun_fixtures.py
+    python3 tools/make_specfun_fixtures.py [OUT]
 
 The main set is 200 points with Re z >= 0 and |z| in [1e-3, 500]:
 real-axis points, pure-imaginary points, and a log-radial fan of general
@@ -16,12 +16,14 @@ including points just off the branch cut on both sides.
 import json
 import math
 import pathlib
+import sys
 
 import mpmath as mp
 
 mp.mp.dps = 40
 
-OUT = pathlib.Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+OUT = (pathlib.Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+       / "specfun_reference.json")
 
 R_MIN, R_MAX = 1e-3, 500.0
 
@@ -93,7 +95,7 @@ def build() -> dict:
 
 
 if __name__ == "__main__":
-    OUT.mkdir(parents=True, exist_ok=True)
-    path = OUT / "specfun_reference.json"
+    path = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else OUT
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(build(), indent=1) + "\n")
     print(f"wrote {path}")
