@@ -2,7 +2,7 @@
 
 Commands
 --------
-rates            channel decay rates on a time grid
+rates            channel decay rates on a time grid (model.grid_rates)
 evolve           analytic-map evolution of the standard initial state
 unravel          Monte Carlo jump unraveling with error bands
 recoherence-map  coherence-growth region over (time, epsilon/delta)
@@ -36,7 +36,11 @@ import numpy as np
 from .dynamics import (DensityMatrix, apply_map_series, blp_measure,
                        blp_sweep, build_kernels, recoherence_mask)
 from .errors import ConfigError, GridError, SpinBosonError
-from .model import SystemParams, rate_table, uniform_grid
+# rate_table is not used here: it stays only because perfbench/tracing.py's
+# TARGETS wraps it by name in cli (ROADMAP item 1 deletes the name together
+# with its tracer entry)
+from .model import (_BARE_RATES, SystemParams, channel_rates, grid_rates,
+                    rate_table, uniform_grid)
 from .nmqj import MAX_N_TRAJ, MIN_N_TRAJ, run_unraveling
 
 #: epsilon/delta sweep of the recoherence map and the blp table
@@ -320,7 +324,8 @@ def _strided(n_rows: int, stride: int) -> np.ndarray:
 def cmd_rates(cfg: RunConfig):
     p = cfg.system_params()
     grid = uniform_grid(cfg.t_max, cfg.dt)
-    r = rate_table(p, grid)
+    bare = grid_rates(p, len(grid) - 1, cfg.dt)
+    r = channel_rates(p, dict(zip(_BARE_RATES, bare.T)))
     yield from _csv_rows(["t", "omega0_t", *r],
                          [grid, p.omega0 * grid, *r.values()],
                          _strided(len(grid), cfg.emit_stride))

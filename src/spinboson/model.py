@@ -13,11 +13,12 @@ equation has three decay channels,
 where gp/gm are the downward/upward rates at the eigenfrequency
 omega0 = sqrt(epsilon^2 + delta^2) and g0 is the zero-frequency
 (pure-dephasing) rate.  This module provides the closed-form rates, an
-independent quadrature oracle for them at one time, the same integrand's
-cumulative quadrature on a uniform grid for the ODE oracle and the
-unraveling, and utilities for locating the times where a rate changes
-sign.  Both quadratures bound their error a priori, from the Gauss
-remainder, so neither estimates it at run time.
+independent quadrature oracle for them at one time, and the grid rates
+that the rates command, the ODE oracle and the unraveling take: the same
+integrand's cumulative quadrature on a uniform grid, and past omega0 t =
+64 its far-range series.  It also locates the times where a rate
+changes sign.  Both quadratures and the series bound their error a
+priori, so none is estimated at run time.
 
 All quantities are in units of the bath cutoff omega_c, so omega_c = 1
 throughout: frequencies and rates in omega_c, times in 1/omega_c.
@@ -25,6 +26,7 @@ throughout: frequencies and rates in omega_c, times in 1/omega_c.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
@@ -172,11 +174,12 @@ def _bare_rate(p: SystemParams, tgrid: np.ndarray, name: str) -> np.ndarray:
         if name == "gamma_zero":
             col = alpha * tgrid / (1.0 + tgrid * tgrid)
         else:
-            live = tgrid > 0.0
+            # E1 is not evaluated where omega0 t overflows: NaN stands there
+            col = np.where(tgrid > 0.0, math.nan, 0.0)
+            live = (tgrid > 0.0) & (y * tgrid < math.inf)
             u = tgrid[live]
             x = y * u
             lorentz = alpha / (1.0 + u * u)
-            col = np.zeros(tgrid.shape)
             if name == "gamma_plus":
                 col[live] = lorentz * (u * np.cos(x) - np.sin(x)) \
                     + _times_alpha(alpha, y, math.exp(-y),
@@ -260,10 +263,11 @@ def uniform_grid(t_max: float, h: float) -> np.ndarray:
 
 # --- quadrature oracle -------------------------------------------------
 
-#: integrations by parts in the tail, and its series' Horner coefficients
-#: J!, ..., 2!, 1!
-_TAIL_TERMS = 16
-_TAIL_COEFFS = [float(math.factorial(j)) for j in range(_TAIL_TERMS, 0, -1)]
+#: integrations by parts in rates_quadrature's tail and in grid_rates'
+#: far-range series, and the Horner coefficients J!, ..., 2!, 1! of the
+#: series with J = _FAR_TERMS; the tail takes the last _TAIL_TERMS of them
+_TAIL_TERMS, _FAR_TERMS = 16, 20
+_SERIES_COEFFS = [float(math.factorial(j)) for j in range(_FAR_TERMS, 0, -1)]
 
 
 @functools.cache
@@ -271,7 +275,7 @@ def _gauss16() -> tuple[np.ndarray, np.ndarray]:
     """leggauss(16) as (nodes, weights), for rates_quadrature.  Built on
     first use, not at import: leggauss's eigenvalue solve adds ~0.6 MB of
     resident memory to a process that calls no other LAPACK routine, so
-    oracle_rates, which the unraveling calls, carries its 4-node rule as
+    grid_rates, which the unraveling calls, carries its 4-node rule as
     _GAUSS4 instead."""
     return np.polynomial.legendre.leggauss(16)
 
@@ -367,7 +371,7 @@ def rates_quadrature(p: SystemParams, omega: float, t: float) -> float:
         for sign, end in ((1.0, t), (-1.0, start)):
             inv = complex(1.0, -end) / (1.0 + end * end)
             ratio, poly = inv / omega, 0j
-            for c in _TAIL_COEFFS:
+            for c in _SERIES_COEFFS[-_TAIL_TERMS:]:
                 poly = poly * ratio + c
             value -= sign * (1j * cmath.exp(1j * omega * end) * inv * ratio
                              * poly).real
@@ -378,18 +382,23 @@ def rates_quadrature(p: SystemParams, omega: float, t: float) -> float:
     return value
 
 
-#: bound on the summed Gauss remainder of each bare rate of oracle_rates,
+#: bound on the summed Gauss remainder of each bare rate of grid_rates,
 #: over all its panels, in units of alpha
 ORACLE_TOLERANCE = 1e-16
 
-#: hard cap on the quadrature nodes of one oracle_rates call, which
+#: hard cap on the quadrature nodes of one grid_rates call, which
 #: evaluates them in blocks of _ORACLE_BLOCK_NODES nodes, the unit of
 #: evaluation that bounds the temporaries
 ORACLE_BUDGET = 100_000_000
 _ORACLE_BLOCK_NODES = 16_384
 
-#: steps per block of oracle_rates' cumulative sum
+#: steps per block of grid_rates' cumulative sum
 _SUM_BLOCK = 256
+
+#: rows per block of grid_rates' far-range series: at 4,096 its complex
+#: temporaries left 1.5 MB more heap resident after 16 passes of the
+#: benchmark's oracles, and raised that workload's peak RSS by 0.37 MB
+_SERIES_BLOCK = 1024
 
 
 def _blocked_cumsum(a: np.ndarray) -> None:
@@ -407,49 +416,90 @@ def _blocked_cumsum(a: np.ndarray) -> None:
         a[full:] += carry[-1]
 
 
-def oracle_rates(p: SystemParams, n: int, h: float) -> np.ndarray:
-    """ode_oracle's and run_unraveling's channel rates gamma1, gamma2,
-    gamma3 (columns) at t = k h, k = 0, ..., n (rows), by cumulative
-    quadrature of rates_quadrature's integrand at omega = +-omega0 and 0:
-    alpha Re e^{+-i omega0 s} (1 + i s)^{-2} and
-    alpha (1 - s^2)(1 + s^2)^{-2}.
+#: far-range rows: those with t >= 1 and omega0 t >= _FAR_RADIANS, and
+#: every row t > 0 from omega0 = _FAR_OMEGA0 up
+_FAR_RADIANS, _FAR_OMEGA0 = 64.0, 128.0
 
-    Each step [k h, (k + 1) h] is cut into m panels of the 4-node
-    Gauss-Legendre rule; one cos, sin and 1/(1 + s^2) pass serves
-    all three rates, _blocked_cumsum joins the steps (one running sum
+
+def _near_rows(w0: float, n: int, h: float) -> int:
+    """How many rows of the grid t = k h, k = 0, ..., n, grid_rates takes
+    by quadrature: a prefix, since every later row is far (t >= 1 and
+    w0 t >= 64, or w0 >= 128 and t > 0).  Row 0 is always near."""
+    def far(k: int) -> bool:
+        return w0 >= _FAR_OMEGA0 or (k * h >= 1.0
+                                     and w0 * (k * h) >= _FAR_RADIANS)
+    return bisect.bisect_left(range(n + 1), True, lo=1, key=far)
+
+
+def _far_series(omega: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Re S(s), where S(s) = -i e^{i omega s} (1 + i s)^{-2} / omega
+    * sum_{j < 20} (j+1)! [omega (1 + i s)]^{-j} is rates_quadrature's
+    tail series with 20 terms; broadcast over omega and s."""
+    inv = (1.0 - 1j * s) / (1.0 + s * s)
+    ratio = inv / omega
+    poly = np.full(ratio.shape, _SERIES_COEFFS[0], dtype=complex)
+    for c in _SERIES_COEFFS[1:]:
+        poly *= ratio
+        poly += c
+    poly *= ratio
+    poly *= inv
+    poly *= np.exp(1j * omega * s)
+    return poly.imag                    # Re(-i z) = Im z
+
+
+def grid_rates(p: SystemParams, n: int, h: float) -> np.ndarray:
+    """The bare rates gamma_plus, gamma_minus, gamma_zero (columns) at
+    t = k h, k = 0, ..., n (rows), from rates_quadrature's integrand at
+    omega = +-omega0 and 0: alpha Re e^{+-i omega0 s} (1 + i s)^{-2} and
+    alpha (1 - s^2)(1 + s^2)^{-2}.  No code of rate_table enters, so each
+    validates the other.  The rows take one of two forms.
+
+    The near rows, a prefix (_near_rows), by cumulative quadrature: each
+    step [k h, (k + 1) h] is cut into m panels of the 4-node
+    Gauss-Legendre rule; one cos, sin and 1/(1 + s^2) pass serves all
+    three rates, and _blocked_cumsum joins the steps (one running sum
     over 500,000 steps drifts by 1.8e-14 alpha where a rate levels off
-    near 0.3 alpha), and the bare rates are weighted as channel_rates
-    weights them.  No code of
-    rate_table enters, so each validates the other.
+    near 0.3 alpha).  On a panel of width w the rule errs by at most
+    w^9 (4!)^4 / (9 (8!)^3) D, where D = sum_{j=0}^{8} 8!/j! (9 - j)
+    omega0^j bounds the 8th derivative of e^{+-i omega0 s}(1 + i s)^{-2}
+    at real s (Leibniz's rule, with |1 + i s| >= 1).  m is the fewest
+    panels whose bounds, summed over all the prefix's steps, stay within
+    ORACLE_TOLERANCE alpha = 1e-16 alpha: so that bounds every bare
+    rate's quadrature error, before rounding.  ToleranceError if that
+    takes more than ORACLE_BUDGET nodes in all; a step of more than
+    _ORACLE_BLOCK_NODES nodes is evaluated in blocks of that many, summed.
 
-    The accuracy is enforced: on a panel of width w the rule errs by at
-    most w^9 (4!)^4 / (9 (8!)^3) D, where
-    D = sum_{j=0}^{8} 8!/j! (9 - j) omega0^j bounds the 8th derivative of
-    e^{+-i omega0 s}(1 + i s)^{-2} at real s (Leibniz's rule, with
-    |1 + i s| >= 1).  m is the fewest panels whose bounds, summed over all
-    of them, stay within ORACLE_TOLERANCE alpha = 1e-16 alpha: so that
-    bounds every bare rate's quadrature error, before rounding.
-    ToleranceError if that takes more than ORACLE_BUDGET nodes in all; a
-    step of more than _ORACLE_BLOCK_NODES nodes is evaluated in blocks of
-    that many, summed.  rate_table's DomainError at a non-finite rate.
+    The far rows, t >= 1 with omega0 t >= 64 (every t > 0 from omega0 =
+    128 up), by the far-range series: gamma+-(t) = gamma+-(inf)
+    + alpha Re S+-(t), with _far_series' 20 terms, gamma+(inf) =
+    pi alpha omega0 e^{-omega0} and gamma-(inf) = 0; and gamma_zero =
+    alpha t/(1 + t^2).  At t >= 1 the series' remainder is at most
+    20!/((omega0 t)^20 t) <= 20!/64^20 <= 1.84e-18 alpha, and at omega0
+    >= 128 and t < 1 at most 21! (pi/2)/omega0^20 <= 5.76e-23 alpha.  The
+    series runs in blocks of _SERIES_BLOCK rows.
+
+    rate_table's DomainError at a non-finite rate, first column first.
     """
-    w0 = p.omega0
+    w0, alpha = p.omega0, p.alpha
+    near = _near_rows(w0, n, h)
+    steps = near - 1
     d = sum(40320 // math.factorial(j) * (9 - j) * w0 ** j for j in range(9))
-    # the fewest panels m with (n + 1/2) h (4!)^4 / (9 (8!)^3) (h / m)^8 d
-    # <= ORACLE_TOLERANCE
-    m = max(1.0, np.ceil(h * ((n + 0.5) * h * 24 ** 4 / (9 * 40320 ** 3)
-                              * d / ORACLE_TOLERANCE) ** 0.125))
-    if not 4 * m * (n + 1) <= ORACLE_BUDGET:
+    # the fewest panels m with (steps + 1/2) h (4!)^4 / (9 (8!)^3)
+    # (h / m)^8 d <= ORACLE_TOLERANCE; 1 where there is no near step
+    m = max(1.0, np.ceil(h * ((steps + 0.5) * h * 24 ** 4 / (9 * 40320 ** 3)
+                              * d / ORACLE_TOLERANCE) ** 0.125)) \
+        if steps else 1.0
+    if not 4 * m * near <= ORACLE_BUDGET:
         raise ToleranceError(
-            f"quadrature needs {4 * m:g} nodes on each of {n + 1} steps of "
+            f"quadrature needs {4 * m:g} nodes on each of {near} steps of "
             f"h={h} at omega0={w0}: beyond {ORACLE_BUDGET} in all")
     m, w = int(m), h / m                        # panels per step, their width
     nodes, weights = _GAUSS4
     chunk = _ORACLE_BLOCK_NODES // 4           # panels a block holds
     out = np.zeros((n + 1, 3))
     block = max(1, _ORACLE_BLOCK_NODES // (4 * m))
-    for lo in range(0, n, block):
-        starts = np.arange(lo, min(lo + block, n))[:, None] * h
+    for lo in range(0, steps, block):
+        starts = np.arange(lo, min(lo + block, steps))[:, None] * h
         for first in range(0, m, chunk):
             k = np.arange(first, min(first + chunk, m))
             s = starts + (k[:, None] * w + 0.5 * w * (1.0 + nodes)).ravel()
@@ -460,13 +510,30 @@ def oracle_rates(p: SystemParams, n: int, h: float) -> np.ndarray:
             part = np.stack([even + odd, even - odd,
                              ((1.0 - s * s) * q) @ wts], axis=1)
             out[lo + 1:lo + 1 + len(starts)] += part
-    _blocked_cumsum(out)
+    _blocked_cumsum(out[:near])
+    omega = np.array([w0, -w0])
+    limit = math.pi * w0 * math.exp(-w0)        # gamma_plus(inf) / alpha
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        out *= p.alpha
+        out[:near] *= alpha
+        for lo in range(near, n + 1, _SERIES_BLOCK):
+            t = np.arange(lo, min(lo + _SERIES_BLOCK, n + 1)) * h
+            rows = out[lo:lo + len(t)]
+            rows[:, :2] = _far_series(omega, t[:, None])
+            rows[:, 0] += limit
+            rows[:, :2] *= alpha
+            rows[:, 2] = alpha * t / (1.0 + t * t)
     if not np.isfinite(out).all():      # the first column, then its first row
         col, k = np.argwhere(~np.isfinite(out.T))[0].tolist()
         raise DomainError(f"rate {_BARE_RATES[col]} is not finite at "
                           f"t={h * k}")
+    return out
+
+
+def oracle_rates(p: SystemParams, n: int, h: float) -> np.ndarray:
+    """ode_oracle's and run_unraveling's channel rates gamma1, gamma2,
+    gamma3 (columns) at t = k h, k = 0, ..., n (rows): grid_rates' bare
+    rates, weighted as channel_rates weights them."""
+    out = grid_rates(p, n, h)
     out *= _channel_weights(p)
     return out
 

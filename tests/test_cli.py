@@ -30,7 +30,7 @@ from spinboson.cli import (BLP_RATIOS, COMMANDS, RATIO_GRID_MAX,
                            main, parse_config)
 from spinboson.dynamics import (apply_map_series, build_kernels,
                                 recoherence_mask)
-from spinboson.model import rate_table
+from spinboson.model import channel_rates, grid_rates
 from spinboson.nmqj import run_unraveling
 
 FIG_PARAMS = SystemParams.from_ratios(1.0 / (2.0 * math.sqrt(3.0)), 10.0, 0.01)
@@ -281,14 +281,21 @@ def csv_text(header, rows):
         ",".join(f"{v:.12g}" for v in row) + "\n" for row in rows)
 
 
+def engine_table(p, n, h):
+    """The rates command's table: grid_rates' bare columns, weighted."""
+    return channel_rates(p, dict(zip(("gamma_plus", "gamma_minus",
+                                      "gamma_zero"), grid_rates(p, n, h).T)))
+
+
 @pytest.mark.parametrize("t_max,dt,stride", [(2.0, 0.001, 1),   # > 1 chunk
-                                             (1.0, 0.01, 7)])   # last appended
+                                             (1.0, 0.01, 7),    # last appended
+                                             (20.0, 0.01, 3)])  # far rows
 def test_rates_csv_bytes(tmp_path, t_max, dt, stride):
     out = tmp_path / "r.csv"
     assert main(["rates", "--t-max", str(t_max), "--dt", str(dt),
                  "--stride", str(stride), "--out", str(out)]) == 0
     grid = np.arange(round(t_max / dt) + 1) * dt
-    r = rate_table(FIG_PARAMS, grid)
+    r = engine_table(FIG_PARAMS, len(grid) - 1, dt)
     names = ["gamma_plus", "gamma_minus", "gamma_zero", "gamma1", "gamma2",
              "gamma3"]
     rows = [(grid[i], FIG_PARAMS.omega0 * grid[i], *(r[n][i] for n in names))
@@ -426,17 +433,40 @@ def test_unravel_runs_steps_wider_than_a_block_of_nodes(tmp_path):
         "100,1000,0.5,0.5,0,0.5,1,0,0,0,0,0,0\n")
 
 
+def assert_past_the_quadrature_budget(command, tmp_path, capsys):
+    # at omega0/omega_c 1e-4 every row below t = 640,000 is near, and the
+    # quadrature takes 184 panels on each of its steps of 1: 4.7e8 nodes,
+    # past the 1e8-node budget
+    out = tmp_path / "u.csv"
+    with pytest.warns(UserWarning, match="omega0/omega_c"):
+        code = main([command, "--omega0-over-omegac", "1e-4", "--alpha", "0",
+                     "--t-max", "6.4e5", "--dt", "1", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr() == (
+        "", "numerical error: quadrature needs 736 nodes on each of 640000 "
+        "steps of h=1.0 at omega0=0.0001: beyond 100000000 in all\n")
+    assert not out.exists()
+
+
 def test_unravel_grid_past_the_quadrature_budget_exits_3(tmp_path, capsys):
-    # at omega0/omega_c 300 the rates' quadrature takes 6,112 panels on a
-    # step of 1 out to t = 5000: 1.2e8 nodes, past the 1e8-node budget at
-    # any step, though the map would be completely positive at alpha 0
+    # though the map would be completely positive at alpha 0
+    assert_past_the_quadrature_budget("unravel", tmp_path, capsys)
+
+
+def test_rates_grid_past_the_quadrature_budget_exits_3(tmp_path, capsys):
+    # where rate_table, one E1 a row, had no such bound
+    assert_past_the_quadrature_budget("rates", tmp_path, capsys)
+
+
+def test_unravel_grid_of_far_rows_runs(tmp_path):
+    # at omega0/omega_c 300 every row t > 0 takes the far-range series, so
+    # a step of 1 out to t = 5000 needs no quadrature node
     out = tmp_path / "u.csv"
     assert main(["unravel", "--omega0-over-omegac", "300", "--alpha", "0",
-                 "--t-max", "5000", "--dt", "1", "--out", str(out)]) == 3
-    assert capsys.readouterr() == (
-        "", "numerical error: quadrature needs 24448 nodes on each of 5001 "
-        "steps of h=1.0 at omega0=300.0: beyond 100000000 in all\n")
-    assert not out.exists()
+                 "--t-max", "5000", "--dt", "1", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 5002
+    assert lines[-1] == "5000,1500000,0.5,0.5,0,0.5,1,0,0,0,0,0,0"
 
 
 # --- rates command ---------------------------------------------------------
@@ -472,7 +502,7 @@ def test_rates_cells_match_library_values(tmp_path):
     main(["rates", "--t-max", "1", "--dt", "0.25", "--out", str(out)])
     header, rows = read_csv(out)
     p = SystemParams.from_ratios(1.0 / (2.0 * math.sqrt(3.0)), 10.0, 0.01)
-    table = rate_table(p, np.arange(5) * 0.25)
+    table = engine_table(p, 4, 0.25)
     for j, row in enumerate(rows):
         for name in ("gamma_plus", "gamma_minus", "gamma_zero",
                      "gamma1", "gamma2", "gamma3"):
@@ -706,6 +736,20 @@ def test_kernel_exponent_error_names_its_exponent_and_time(tmp_path, capsys,
                           "double-precision range: ")
     assert named in err
     assert err.endswith("; reduce t_max or the coupling\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["rates", "evolve", "recoherence-map"])
+def test_rate_past_the_double_range_names_its_column_and_time(tmp_path,
+                                                              capsys, command):
+    # omega0 t overflows at t = 1e308: the rates command's far-range
+    # series and the closed form (where E1 is not evaluated) both report
+    # the rate, not a special function's argument
+    out = tmp_path / "r.csv"
+    assert main([command, "--t-max", "1e308", "--dt", "1e308",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr() == (
+        "", "numerical error: rate gamma_plus is not finite at t=1e+308\n")
     assert not out.exists()
 
 

@@ -227,6 +227,21 @@ def test_rate_table_names_first_non_finite_column(monkeypatch):
         rate_table(p, grid)
 
 
+def test_rate_table_where_omega0_t_overflows_evaluates_no_e1(monkeypatch):
+    # omega0 t = inf at t = 1e308: the column is NaN there and reported,
+    # E1 is not called at a non-finite argument
+    calls, e1 = [], model.expint_e1
+
+    def recording_e1(z):
+        calls.append(z)
+        return e1(z)
+    monkeypatch.setattr(model, "expint_e1", recording_e1)
+    with pytest.raises(DomainError, match=re.escape(
+            "rate gamma_plus is not finite at t=1e+308")):
+        rate_table(fig_params(), np.array([0.0, 1.0, 1e308]))
+    assert [np.isfinite(z).all() for z in calls] == [True]
+
+
 # --- quadrature oracle ---------------------------------------------------
 
 def test_quadrature_zero_time():
@@ -442,6 +457,17 @@ def test_quadrature_error_bound_constants():
         assert exact <= bound <= Fraction(101, 100) * exact
     assert "at most 3.1e-14 alpha" in doc
     assert max(near + tail, tail_all) <= Fraction("3.1e-14")
+    # grid_rates' far-range series, 20 terms: its remainder at the
+    # junction, omega0 t = 64 with t >= 1, and at omega0 >= 128 with t < 1
+    assert model._FAR_TERMS == 20
+    far = Fraction(f(20), 64 ** 20)
+    far_all = Fraction(f(21), 128 ** 20) * Fraction(355, 113) / 2
+    doc = model.grid_rates.__doc__
+    for exact, stated in ((far, "1.84e-18"), (far_all, "5.76e-23")):
+        assert stated in doc
+        assert exact <= Fraction(stated) <= Fraction(101, 100) * exact
+    assert far < Fraction(model.ORACLE_TOLERANCE)
+    assert far_all < Fraction("1e-22")
 
 
 @pytest.mark.parametrize("omega", [math.nan, math.inf])
@@ -494,20 +520,28 @@ def test_oracle_rates_past_the_budget_are_a_tolerance_error(monkeypatch):
         model.oracle_rates(fig_params(), 1000, 1e-3)
 
 
+@pytest.mark.filterwarnings("ignore:omega0/omega_c")
 def test_oracle_rates_sum_a_wide_step_block_by_block(monkeypatch):
-    # a step of 100 at omega0 300 takes 420,280 panels, more than one
-    # block of nodes holds: summed a block at a time, it keeps the bound
-    p = fig_params(omega0=300.0)
-    got = model.oracle_rates(p, 2, 100.0)
-    table = rate_table(p, np.array([0.0, 100.0, 200.0]))
+    # a step of 100 at omega0 0.5 takes 6,836 panels, more than one block
+    # of nodes holds: summed a block at a time, it keeps the bound
+    p = fig_params(omega0=0.5)
+    got = model.oracle_rates(p, 3, 100.0)
+    table = rate_table(p, np.arange(4) * 100.0)
     for col, name in enumerate(("gamma1", "gamma2", "gamma3")):
         assert np.abs(got[:, col] - table[name]).max() <= 1e-16 * p.alpha
-    # 3 panels a step at h 1e-3: blocks of 2 panels and 1 sum what one
-    # block of 3 sums, up to the order of the additions
-    whole = model.oracle_rates(p, 1000, 1e-3)
-    monkeypatch.setattr(model, "_ORACLE_BLOCK_NODES", 8)
-    split = model.oracle_rates(p, 1000, 1e-3)
-    assert not np.array_equal(split, whole)
+    # at omega0 10 a near step of 1 takes 113 panels: blocks of 64 panels
+    # and 49 sum what one block of 113 sums, up to the order of the
+    # additions (8.1e-18 alpha apart); rows from t = 7 on are far and
+    # take no node, and every row is within 1e-16 alpha of the closed form
+    p = fig_params(omega0=10.0)
+    whole = model.oracle_rates(p, 10, 1.0)
+    table = rate_table(p, np.arange(11) * 1.0)
+    for col, name in enumerate(("gamma1", "gamma2", "gamma3")):
+        assert np.abs(whole[:, col] - table[name]).max() <= 1e-16 * p.alpha
+    monkeypatch.setattr(model, "_ORACLE_BLOCK_NODES", 256)
+    split = model.oracle_rates(p, 10, 1.0)
+    assert not np.array_equal(split[:7], whole[:7])
+    assert np.array_equal(split[7:], whole[7:])
     assert np.abs(split - whole).max() <= 1e-17 * p.alpha
 
 
@@ -536,13 +570,13 @@ RATES_REFERENCE = pathlib.Path(__file__).parent / "fixtures" / \
 BARE = ("gamma_plus", "gamma_minus", "gamma_zero")
 
 #: bound on each code's absolute error per alpha against the references,
-#: per omega0/omega_c band, as (rate_table, rates_quadrature, oracle_rates);
-#: each at most twice the worst measured in its band, which was
-#: (2.9e-14, 3.3e-16, 2.0e-15), (1.2e-15, 7.6e-16, 2.9e-16) and
-#: (6.1e-16, 1.7e-16, 3.1e-16)
-REFERENCE_BOUNDS = {(0.5, 1.0, 2.0): (4e-14, 5e-16, 3e-15),
+#: per omega0/omega_c band, as (rate_table, rates_quadrature, oracle_rates
+#: on gamma_plus and gamma_minus); each at most twice the worst measured
+#: in its band, which was (2.9e-14, 3.3e-16, 8.9e-16), (1.2e-15, 7.6e-16,
+#: 2.8e-16) and (6.1e-16, 1.7e-16, 2.3e-17)
+REFERENCE_BOUNDS = {(0.5, 1.0, 2.0): (4e-14, 5e-16, 1.5e-15),
                     (5.0, 10.0, 30.0): (2e-15, 1.5e-15, 5e-16),
-                    (150.0, 300.0): (1e-15, 3e-16, 5e-16)}
+                    (150.0, 300.0): (1e-15, 3e-16, 4e-17)}
 
 
 @pytest.fixture(scope="module")
@@ -589,6 +623,64 @@ def test_rate_codes_against_40_digit_references(rates_reference, omega0):
         assert np.abs(quadrature[name] - ref[name]).max() <= bounds[1]
     for col, name in enumerate(BARE[:2]):
         assert np.abs(4.0 * oracle[:, col] - ref[name]).max() <= bounds[2]
+    # the rates command's bare rates: no worse than rate_table's in any
+    # column, and within 2e-15 alpha
+    bare = model.grid_rates(p, int(k.max()), 1e-3)[k]
+    worst = max(np.abs(bare[:, col] - ref[name]).max()
+                for col, name in enumerate(BARE))
+    assert worst <= min(2e-15, max(np.abs(table[name] - ref[name]).max()
+                                   for name in BARE))
+
+
+@pytest.mark.filterwarnings("ignore:omega0/omega_c")
+@pytest.mark.parametrize("omega0", [y for band in REFERENCE_BOUNDS
+                                    for y in band if y < 128.0])
+def test_grid_rates_on_both_sides_of_the_junction(rates_reference, omega0):
+    # the fixture holds the last near row and the first far row; the near
+    # prefix is sized on its own length, so a grid that ends at the first
+    # far row gives the same near rows as the fixture's 500,000 steps
+    bound = next(b for band, b in REFERENCE_BOUNDS.items()
+                 if omega0 in band)[2]
+    k, ref = rates_reference[omega0]
+    first = model._near_rows(omega0, 500_000, 1e-3)    # the first far row
+    assert first == model._near_rows(omega0, first, 1e-3)
+    t_near, t_far = (first - 1) * 1e-3, first * 1e-3
+    assert omega0 * t_near < 64.0 <= omega0 * t_far and t_far >= 1.0
+    p = SystemParams.from_ratios(0.0, omega0, 1.0)
+    got = model.grid_rates(p, first, 1e-3)
+    assert np.array_equal(got,
+                          model.grid_rates(p, 500_000, 1e-3)[:first + 1])
+    for row in (first - 1, first):
+        i = int(np.flatnonzero(k == row)[0])
+        for col, name in enumerate(BARE[:2]):
+            assert abs(got[row, col] - ref[name][i]) <= bound
+        assert abs(got[row, 2] - ref["gamma_zero"][i]) <= 8e-16
+
+
+@pytest.mark.parametrize("omega0", [1e-4, 0.5, 10.0, 30.0, 64.0, 100.0,
+                                    math.nextafter(128.0, 0.0), 128.0, 300.0])
+@pytest.mark.parametrize("n,h", [(1, 1e-3), (500, 0.1), (7, 1.0), (3, 50.0),
+                                 (2, 1e308), (1000, 1e-300)])
+def test_near_rows_are_the_rows_before_the_first_far_row(omega0, n, h):
+    with np.errstate(over="ignore"):        # omega0 t = inf is far
+        t = np.arange(n + 1) * h
+        far = (t > 0.0) if omega0 >= 128.0 else \
+            (t >= 1.0) & (omega0 * t >= 64.0)
+    assert model._near_rows(omega0, n, h) == (np.argmax(far) if far.any()
+                                              else n + 1)
+
+
+@pytest.mark.parametrize("ratio,omega0,h", [(FIG_RATIO, 10.0, 1e-3),
+                                            (0.0, 30.0, 0.01),
+                                            (1.0, 300.0, 0.5)])
+def test_oracle_rates_weight_the_bare_grid_rates(ratio, omega0, h):
+    # bit for bit as channel_rates weights them, near and far rows alike
+    p = fig_params(ratio, omega0)
+    bare = model.grid_rates(p, 1000, h)
+    table = model.channel_rates(p, dict(zip(BARE, bare.T)))
+    got = model.oracle_rates(p, 1000, h)
+    for col, name in enumerate(("gamma1", "gamma2", "gamma3")):
+        assert np.array_equal(got[:, col], table[name])
 
 
 def test_oracle_rates_gamma_zero_against_40_digit_references(rates_reference):

@@ -56,9 +56,11 @@ run("unravel", "--n-traj", "100")
 value = rates_quadrature(p, 10.0, 2.5)
 ode_oracle(p, DensityMatrix(rho_pp=0.5, rho_mm=0.5, rho_pm=0.5), 1.0, 1e-3)
 stages["unravel"] = scipy_modules()
-run("rates")
-stages["rates"] = [name for name in ("scipy.special",) if name in sys.modules]
-for command in ("evolve", "recoherence-map", "blp"):
+for command in ("rates", "evolve"):
+    run(command)
+    stages[command] = [name for name in ("scipy.special",)
+                       if name in sys.modules]
+for command in ("recoherence-map", "blp"):
     run(command)
 loaded = [name for name in ("scipy.integrate", "scipy.linalg",
                             "scipy.optimize") if name in sys.modules]
@@ -70,8 +72,9 @@ print(json.dumps({"stages": stages, "loaded": loaded, "value": value,
 
 def test_import_leaves_out_scipy_integrate(tmp_path):
     # scipy.special costs ~0.17 s and ~18 MB: the import, a rejected NaN
-    # argument, the unraveling and the quadrature oracles load no scipy
-    # module; the E1 commands load scipy.special on their first E1 call.
+    # argument, the unraveling, the quadrature oracles and rates, whose
+    # rates come from the grid quadrature, load no scipy module; the E1
+    # commands load scipy.special on their first E1 call.
     # scipy.integrate, with the scipy.linalg and scipy.optimize it pulls
     # in, costs ~0.17 s and ~25 MB more: no command loads them
     proc = subprocess.run(
@@ -80,7 +83,7 @@ def test_import_leaves_out_scipy_integrate(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["stages"] == {"import": [], "nan": [], "unravel": [],
-                                "rates": ["scipy.special"]}
+                                "rates": [], "evolve": ["scipy.special"]}
     assert report["loaded"] == []
     expected = spinboson.rates_quadrature(
         spinboson.SystemParams.from_ratios(0.3, 10.0, 0.01), 10.0, 2.5)

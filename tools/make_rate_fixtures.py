@@ -20,9 +20,12 @@ integral at the points where omega0 t is at most 20.
 The times are exact doubles t = k * 1e-3, as np.arange(n + 1) * 1e-3
 gives them, over (0, 500]: a fixed set of k at every omega0/omega_c, the
 two grid times on each side of the first two sign changes of gamma_plus
-and of gamma_minus up to t = 50, and the two around omega0 t = 128.
-Every choice is made in integer or mpmath arithmetic, so the output is
-the same bytes on every platform.
+and of gamma_minus up to t = 50, and, at each omega0 below 128, the two
+on each side of the junction where the grid rates switch from quadrature
+to their far-range series: the last row below, and the first row at,
+t >= 1 and omega0 t >= 64.  Every choice is made in integer, mpmath or
+single correctly rounded double arithmetic, so the output is the same
+bytes on every platform.
 """
 
 import json
@@ -53,6 +56,10 @@ CROSSINGS, K_SCAN = 2, 50000
 
 #: the mp.quad check runs where omega0 t is at most this
 QUAD_RADIANS = 20
+
+#: the far-range series takes the grid rows with t >= 1 and omega0 t >=
+#: FAR_RADIANS, and every row t > 0 from omega0 = FAR_OMEGA0 up
+FAR_RADIANS, FAR_OMEGA0 = 64.0, 128.0
 
 
 def bare(y: float, sign: int, t: float) -> mp.mpf:
@@ -104,11 +111,20 @@ def crossings(y: float, sign: int) -> list[int]:
     return found
 
 
+def first_far_row(y: float) -> int:
+    """The least k with t = k H >= 1 and y t >= FAR_RADIANS, as doubles."""
+    k = int(FAR_RADIANS / y / H) - 2
+    while not (k * H >= 1.0 and y * (k * H) >= FAR_RADIANS):
+        k += 1
+    return k
+
+
 def build() -> dict:
     points, checked = [], 0
     for y in OMEGA0:
-        junction = int(128 / y / H)
-        ks = {*K_FIXED, *K_EXTRA.get(y, ()), junction, junction + 1,
+        junction = (first_far_row(y) - 1, first_far_row(y)) \
+            if y < FAR_OMEGA0 else ()
+        ks = {*K_FIXED, *K_EXTRA.get(y, ()), *junction,
               *crossings(y, 1), *crossings(y, -1)}
         for k in sorted(k for k in ks if 0 < k <= 500000):
             t = k * H
