@@ -478,14 +478,22 @@ def grid_rates(p: SystemParams, n: int, h: float) -> np.ndarray:
     >= 128 and t < 1 at most 21! (pi/2)/omega0^20 <= 5.76e-23 alpha.  The
     series runs in blocks of _SERIES_BLOCK rows.
 
+    DomainError unless n is an integer >= 0 and h is finite and > 0, and
     rate_table's DomainError at a non-finite rate, first column first.
     """
+    n = integer("n", n)
+    if n < 0:
+        raise DomainError(f"n must be >= 0, got {n}")
+    if not 0.0 < h < math.inf:                  # also catches NaN
+        raise DomainError(f"h must be finite and > 0, got {h!r}")
     w0, alpha = p.omega0, p.alpha
     near = _near_rows(w0, n, h)
     steps = near - 1
     d = sum(40320 // math.factorial(j) * (9 - j) * w0 ** j for j in range(9))
     # the fewest panels m with (steps + 1/2) h (4!)^4 / (9 (8!)^3)
-    # (h / m)^8 d <= ORACLE_TOLERANCE; 1 where there is no near step
+    # (h / m)^8 d <= ORACLE_TOLERANCE; 1 where there is no near step.  The
+    # half step is slack over the docstring's sum over the steps, kept
+    # since it sets the panel counts and so the bits
     m = max(1.0, np.ceil(h * ((steps + 0.5) * h * 24 ** 4 / (9 * 40320 ** 3)
                               * d / ORACLE_TOLERANCE) ** 0.125)) \
         if steps else 1.0

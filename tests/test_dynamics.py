@@ -158,13 +158,12 @@ def test_kernel_initial_values_and_identity():
 @pytest.mark.parametrize("kind", ["random", "negative_zero", "signed_zeros"])
 def test_cumulative_simpson_matches_scipy_bit_for_bit(n, kind):
     from scipy.integrate import cumulative_simpson
-    rng = np.random.default_rng(n)
-    y = {"random": rng.standard_normal(n),
+    y = {"random": np.random.default_rng(n).standard_normal(n),
          "negative_zero": np.full(n, -0.0),
          "signed_zeros": np.resize([0.0, -0.0], n)}[kind]
-    for x in (np.arange(n) * 1e-3, np.cumsum(rng.uniform(0.5, 2.0, n))):
-        got = dynamics._cumulative_simpson(y, x)
-        want = cumulative_simpson(y, x=x, initial=0.0)
+    for h in (1e-3, 2.0 ** -10, 0.5, 3.0):
+        got = dynamics._cumulative_simpson(y, h)
+        want = cumulative_simpson(y, dx=h, initial=0.0)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -172,8 +171,7 @@ def test_cumulative_simpson_matches_scipy_bit_for_bit(n, kind):
 def test_build_kernels_holds_at_most_16_arrays():
     # at the default 50,001 points: the grid, the six rate columns and the
     # five kernel arrays, with _cumulative_simpson's half-grid temporaries
-    # and one CP margin at a time (168 B a point when every triple was
-    # evaluated and the three margins stacked)
+    # and one CP margin at a time (122 B a point)
     p = fig_params()
     build_kernels(p, 50.0, 1e-3)                       # warm-up
     tracemalloc.start()
@@ -242,9 +240,9 @@ def test_map_names_first_non_positive_time():
     # f from its own formula: the first row below -1e-10 is t = 4.526
     grid = np.arange(10_001) * 1e-3
     r = rate_table(p, grid)
-    eta = dynamics._cumulative_simpson(r["gamma1"] + r["gamma2"], grid)
+    eta = dynamics._cumulative_simpson(r["gamma1"] + r["gamma2"], 1e-3)
     f = np.exp(-eta) * dynamics._cumulative_simpson(
-        r["gamma2"] * np.exp(eta), grid)
+        r["gamma2"] * np.exp(eta), 1e-3)
     i = int(np.argmax(f < -1e-10))
     assert grid[i] == 4.526 and f[i - 1] >= -1e-10
     # the grid up to the row before that time passes every condition
@@ -288,10 +286,11 @@ def _five_condition_verdict(grid, r):
     """The CP check with all five of Choi's conditions 0 <= f <= 1,
     0 <= g <= 1 and e^{-2 zeta} <= g (1 - f): None, or the first failing
     time and the first condition failing there."""
-    eta = dynamics._cumulative_simpson(r["gamma1"] + r["gamma2"], grid)
-    zeta = dynamics._cumulative_simpson(dynamics._zeta_rate(r), grid)
+    h = grid[1]
+    eta = dynamics._cumulative_simpson(r["gamma1"] + r["gamma2"], h)
+    zeta = dynamics._cumulative_simpson(dynamics._zeta_rate(r), h)
     f = np.exp(-eta) * dynamics._cumulative_simpson(
-        r["gamma2"] * np.exp(eta), grid)
+        r["gamma2"] * np.exp(eta), h)
     g = f + np.exp(-eta)
     margins = {"f >= 0": f, "f <= 1": 1.0 - f, "g >= 0": g, "g <= 1": 1.0 - g,
                "exp(-2 zeta) <= g (1 - f)": g * (1.0 - f) - np.exp(-2.0 * zeta)}
@@ -665,6 +664,13 @@ def test_near_pure_dephasing_limit():
     expected = 0.5 * np.exp(-2.0 * wz * 0.5 * p.alpha
                             * np.log1p(k.grid ** 2))
     assert np.max(np.abs(np.abs(rho_pm) - expected)) <= 1e-9
+    # zeta itself, to an even and an odd number of steps: on an odd
+    # number the last interval is even, and takes the closing rule in
+    # place of the opening one (worst 1.25e-15, at t = h)
+    for t_max in (50.0, 49.999):
+        k = build_kernels(p, t_max, h)
+        exact = wz * p.alpha * np.log1p(k.grid ** 2)
+        assert np.max(np.abs(k.zeta - exact)) <= 2e-15
 
 
 # --- recoherence mask ----------------------------------------------------

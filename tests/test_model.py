@@ -563,6 +563,22 @@ def test_oracle_rates_non_finite_rate_is_a_domain_error():
         model.oracle_rates(p, 1000, 0.01)
 
 
+@pytest.mark.parametrize("n,h,message", [
+    (100, 0.0, "h must be finite and > 0, got 0.0"),
+    (100, -1e-3, "h must be finite and > 0, got -0.001"),
+    (100, math.nan, "h must be finite and > 0, got nan"),
+    (100, math.inf, "h must be finite and > 0, got inf"),
+    (-1, 1e-3, "n must be >= 0, got -1"),
+    (-5, 1e-3, "n must be >= 0, got -5"),
+    (10.5, 0.1, "n must be an integer, got 10.5")])
+def test_grid_rates_check_n_and_h(n, h, message):
+    p = fig_params(0.3)
+    for rates in (model.grid_rates, model.oracle_rates):
+        with pytest.raises(DomainError) as err:
+            rates(p, n, h)
+        assert str(err.value) == message
+
+
 # --- 40-digit rate references ----------------------------------------------
 
 RATES_REFERENCE = pathlib.Path(__file__).parent / "fixtures" / \

@@ -169,3 +169,35 @@ def test_code_lines_tool_counts_code_only(tmp_path):
         wc = len(path.read_bytes().splitlines()) if path else \
             sum(len(p.read_bytes().splitlines()) for p in modules)
         assert sum(kinds) == lines == wc and all(k > 0 for k in kinds[:2])
+
+
+def test_csv_cell_diff_tool(tmp_path):
+    tool = pathlib.Path(spinboson.__file__).resolve().parents[2] / "tools" \
+        / "csv_cell_diff.py"
+    table = "t,x,y\n0,1,2\n1,3,4\n"
+
+    def diff(new: str) -> tuple[int, list[str]]:
+        (tmp_path / "old.csv").write_text(table)
+        (tmp_path / "new.csv").write_text(new)
+        proc = subprocess.run(
+            [sys.executable, str(tool), str(tmp_path / "old.csv"),
+             str(tmp_path / "new.csv")],
+            capture_output=True, text=True, timeout=120)
+        return proc.returncode, proc.stdout.splitlines()
+
+    assert diff(table) == (0, [
+        "rows: old 3, new 3", "differing rows: 0",
+        "changed cells per column:", "  t: 0", "  x: 0", "  y: 0",
+        "first 0 changed cells (row, column, old, new):"])
+    assert diff("t,x,y\n0,1,2\n1,3,5\n") == (1, [
+        "rows: old 3, new 3", "differing rows: 1",
+        "changed cells per column:", "  t: 0", "  x: 0", "  y: 1",
+        "first 1 changed cells (row, column, old, new):",
+        "  (3, y, '4', '5')"])
+    # two rows only the new file has: six changed cells, the first five shown
+    assert diff(table + "2,5,6\n3,7,8\n") == (1, [
+        "rows: old 3, new 5", "differing rows: 2",
+        "changed cells per column:", "  t: 2", "  x: 2", "  y: 2",
+        "first 5 changed cells (row, column, old, new):",
+        "  (4, t, None, '2')", "  (4, x, None, '5')", "  (4, y, None, '6')",
+        "  (5, t, None, '3')", "  (5, x, None, '7')"])
